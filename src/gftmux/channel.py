@@ -43,7 +43,7 @@ def llr(y, sigma: float) -> np.ndarray:
 
 @dataclass(eq=False)
 class LlrFrame:
-    """s*n^2 soft values with per-layer strided views.
+    """s*n^2 finite soft values with per-layer strided views.
 
     Under the symbol-major serialization, bit l of symbol t sits at
     index t*s + l, so layer l is values[l::s].
@@ -59,6 +59,8 @@ class LlrFrame:
             raise ValueError(
                 f"frame length {self.values.size} != s*n^2 = {self.s * self.n ** 2}"
             )
+        if not np.isfinite(self.values).all():
+            raise ValueError("LLR frame holds non-finite values")
 
     def layer(self, l: int) -> np.ndarray:
         return self.values[l :: self.s]

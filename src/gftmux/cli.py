@@ -1,8 +1,9 @@
 """Command-line surface: construct, verify, simulate, export.
 
 Exit codes: 0 success, 1 verification/construction failure, 2 config
-error.  Every simulate run writes a manifest alongside the CSV so the
-run can be reproduced exactly.
+error, 130 simulate interrupted.  Every simulate run writes a manifest
+alongside the CSV so the run can be reproduced exactly; an interrupted
+one writes the cells completed so far and a "# truncated" marker.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from . import __version__
 from .config import ConfigError, build_system, list_presets, resolve
 from .cyclic import ConjugacyViolation, DuplicateRoots
 from .geometry import ScaleGuard, write_alist, write_dense_text
-from .sim import baseline_mld_wer, monte_carlo, write_csv
+from .sim import SimResult, baseline_mld_wer, monte_carlo, write_csv
 from .verify import run_battery
 
 
@@ -84,7 +85,10 @@ def cmd_simulate(args) -> int:
     csv_path = os.path.join(outdir, f"{bundle.name}.csv")
     manifest_path = os.path.join(outdir, f"{bundle.name}.manifest.json")
 
+    done = []
+
     def progress(cell):
+        done.append(cell)
         if not args.quiet:
             print(
                 f"  ebn0={cell.ebn0_db:g} iters={cell.iterations_limit} "
@@ -94,19 +98,26 @@ def cmd_simulate(args) -> int:
             )
 
     truncated = False
-    result = None
     try:
         result = monte_carlo(bundle.transceiver, bundle.graph, bundle.sim,
                              rate=bundle.rate, workers=args.workers,
                              progress=progress)
     except KeyboardInterrupt:
+        if not done:
+            print("interrupted before any cell completed", file=sys.stderr)
+            return 130
+        # Cells complete in stop order; rows go out in grid order.
+        grid = bundle.sim
+        done.sort(key=lambda c: (grid.ebn0_db.index(c.ebn0_db),
+                                 grid.iterations.index(c.iterations_limit)))
+        result = SimResult(cells=done, n=bundle.transceiver.n,
+                           info_bits_per_frame=bundle.transceiver.info_bits,
+                           seed=grid.seed)
         truncated = True
-    if result is None and truncated:
-        print("interrupted before any cell completed", file=sys.stderr)
-        return 1
+        print(f"interrupted: writing {len(done)} completed cells", file=sys.stderr)
 
     baseline = None
-    if bundle.sim.baseline:
+    if bundle.sim.baseline and not truncated:
         baseline = {}
         for ebn0 in bundle.sim.ebn0_db:
             errs, words = baseline_mld_wer(
@@ -136,7 +147,7 @@ def cmd_simulate(args) -> int:
     with open(manifest_path, "w") as fh:
         json.dump(manifest, fh, indent=2)
     print(f"wrote {csv_path} and {manifest_path}")
-    return 0
+    return 130 if truncated else 0
 
 
 def cmd_export(args) -> int:

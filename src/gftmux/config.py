@@ -70,6 +70,14 @@ def _require(section: dict, key: str, where: str):
     return section[key]
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _parse_poly(raw) -> int:
     if isinstance(raw, str):
         try:
@@ -201,20 +209,29 @@ def build_system(cfg: dict) -> SystemBundle:
         raise ConfigError("channel.ebn0_db must be a nonempty list")
     iterations = dec.get("iterations", [10])
     if (not isinstance(iterations, list) or not iterations
-            or not all(isinstance(i, int) and i >= 1 for i in iterations)):
+            or not all(_is_int(i) and i >= 1 for i in iterations)):
         raise ConfigError("decoder.iterations must be a list of positive integers")
     scale = dec.get("scale", 0.625)
-    if not 0 < scale <= 1:
-        raise ConfigError(f"decoder.scale must lie in (0, 1], got {scale!r}")
+    if not _is_real(scale) or not 0 < scale <= 1:
+        raise ConfigError(
+            f"decoder.scale must be a real number in (0, 1], got {scale!r}")
+    clip = dec.get("clip")
+    if clip is not None and not (_is_real(clip) and clip > 0):
+        raise ConfigError(f"decoder.clip must be null or a positive real, got {clip!r}")
+    max_frames = simsec.get("max_frames", 10_000)
+    target_errors = simsec.get("target_errors", 100)
+    for key, value in (("max_frames", max_frames), ("target_errors", target_errors)):
+        if not _is_int(value):
+            raise ConfigError(f"sim.{key} must be an integer, got {value!r}")
     try:
         sim_cfg = SimConfig(
             ebn0_db=[float(e) for e in ebn0],
             iterations=iterations,
             scale=float(scale),
-            max_frames=int(simsec.get("max_frames", 10_000)),
-            target_errors=int(simsec.get("target_errors", 100)),
+            max_frames=max_frames,
+            target_errors=target_errors,
             seed=int(ch.get("seed", 1)),
-            clip=dec.get("clip"),
+            clip=clip,
             verify=bool(simsec.get("verify", True)),
             baseline=bool(simsec.get("baseline", False)),
         )

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import LlrFrame
-from .galois import compose_arr
 from .geometry import AlistMatrix, GlobalParityCheck
 from .txrx import GlobalWord
 
@@ -104,25 +103,26 @@ class DecodeResult:
     edge_ops: int
 
 
-def decode_layer(llr_layer, graph: DecoderGraph, params: MsaParams) -> DecodeResult:
-    """Flooding scaled min-sum on one binary layer."""
-    channel = np.asarray(llr_layer, dtype=np.float64)
+def _flood(channel: np.ndarray, graph: DecoderGraph, params: MsaParams,
+           limits) -> list:
+    """The flooding loop, run once to max(limits); one result per limit.
+
+    Flooding reaches the same state at iteration k whatever the limit, so
+    if the syndrome first clears at iteration k*, limit L reports the
+    decision at min(k*, L), converged iff k* <= L, and 3E*min(k*, L)
+    operations.
+    """
     if channel.size != graph.n_vars:
         raise ValueError(f"LLR length {channel.size} != {graph.n_vars} variables")
     channel_ext = np.concatenate([channel, [0.0]])
     row_idx = np.arange(graph.n_checks)
+    ops = OPS_PER_EDGE * graph.n_edges
+    checkpoints = {}
 
     v2c = channel_ext[graph.edge_var]
     v2c[graph.pad_mask] = np.inf
     c2v_ext = np.zeros(graph.edge_var.size + 1)
-    edge_ops = 0
-    bits = None
-    converged = False
-    iterations = 0
-    for _ in range(params.max_iterations):
-        iterations += 1
-        edge_ops += OPS_PER_EDGE * graph.n_edges
-
+    for it in range(1, max(limits) + 1):
         mag = np.abs(v2c)
         sgn = np.where(v2c < 0, -1.0, 1.0)
         first = mag.argmin(axis=1)
@@ -147,19 +147,36 @@ def decode_layer(llr_layer, graph: DecoderGraph, params: MsaParams) -> DecodeRes
 
         bits = (total < 0).astype(np.uint8)   # LLR >= 0 decides bit 0
         if graph.syndrome_weight(bits) == 0:
-            converged = True
-            break
-    return DecodeResult(hard_bits=bits, converged=converged,
-                        iterations_used=iterations, edge_ops=edge_ops)
+            done = DecodeResult(hard_bits=bits, converged=True,
+                                iterations_used=it, edge_ops=ops * it)
+            return [checkpoints[lim] if lim < it else done for lim in limits]
+        if it in limits:
+            checkpoints[it] = DecodeResult(hard_bits=bits, converged=False,
+                                           iterations_used=it, edge_ops=ops * it)
+    return [checkpoints[lim] for lim in limits]
+
+
+def decode_layer(llr_layer, graph: DecoderGraph, params: MsaParams) -> DecodeResult:
+    """Flooding scaled min-sum on one binary layer; NaN or +-inf LLRs raise."""
+    channel = np.asarray(llr_layer, dtype=np.float64)
+    if not np.isfinite(channel).all():
+        raise ValueError("LLR layer holds non-finite values")
+    return _flood(channel, graph, params, (params.max_iterations,))[0]
+
+
+def decode_frame(frame: LlrFrame, graph: DecoderGraph, params: MsaParams,
+                 limits) -> list:
+    """Decode each of the s layers once to max(limits), reporting at every
+    limit: out[l][j] is layer l's result at limits[j].  params supplies the
+    scale and clip; limits take the place of its max_iterations."""
+    return [_flood(lay, graph, params, limits) for lay in frame.layers()]
 
 
 def decode_global(frame: LlrFrame, graph: DecoderGraph, params: MsaParams) -> tuple:
     """Decode the s layers independently and recompose the symbol estimate."""
-    results = [decode_layer(lay, graph, params) for lay in frame.layers()]
-    word = GlobalWord(
-        symbols=compose_arr(np.stack([r.hard_bits for r in results])), s=frame.s
-    )
-    return word, results
+    results = [lay[0] for lay in
+               decode_frame(frame, graph, params, (params.max_iterations,))]
+    return GlobalWord.from_layers([r.hard_bits for r in results]), results
 
 
 def syndrome_gf2(bits, graph: DecoderGraph) -> int:

@@ -129,7 +129,8 @@ def cpm_dispersion(bmat: BaseMatrix) -> GlobalParityCheck:
     if len(set(int(l) for l in roots)) != bmat.m:
         raise DuplicateRoots(f"root exponents {sorted(roots)} collide mod {bmat.n}")
     h = GlobalParityCheck.from_exponents(bmat.exponents)
-    assert (h.column_weights() == bmat.m).all()
+    if not (h.column_weights() == bmat.m).all():
+        raise RuntimeError(f"CPM dispersion column weights differ from m={bmat.m}")
     return h
 
 

@@ -2,10 +2,12 @@
 
 A trial is fully determined by (master seed, trial index): the RNG
 substream yields the message bits and a unit-variance noise vector,
-which each SNR cell scales by its own sigma.  Cells therefore share
-paired channel realizations, results are reproducible bit-for-bit,
-and aggregation is an associative integer merge, so the worker count
-never changes the outcome.
+which each SNR point scales by its own sigma.  Cells therefore share
+paired channel realizations, and one pass over the trial indices
+serves the whole grid: each trial is transmitted once and decoded
+once per SNR up to the largest iteration limit still running there.
+Every cell holds trials 0..frames-1, so results are reproducible
+bit-for-bit and never depend on the worker count.
 
 Word errors are counted per composite codeword after demultiplexing,
 global errors per frame, and lambda (mean erroneous composites per
@@ -16,6 +18,7 @@ wer = (lambda/n) * ger by construction of the counters.
 from __future__ import annotations
 
 import time
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
@@ -23,15 +26,15 @@ import numpy as np
 
 from .channel import ChannelParams, LlrFrame, llr
 from .cyclic import mld_oracle
-from .decoder import DecoderGraph, MsaParams, decode_global
-from .txrx import Transceiver, bpsk_map
+from .decoder import DecoderGraph, MsaParams, decode_frame
+from .txrx import GlobalWord, Transceiver, bpsk_map
 
 #: 97.5% standard normal quantile for the 95% Wilson interval.
 _Z95 = 1.959963984540054
 
-#: Trials evaluated per scheduling block; merging whole blocks in index
-#: order keeps the stopping rule independent of the worker count.
-BLOCK_SIZE = 256
+#: Trials per block on the process-pool path; blocks merge in index
+#: order, so results do not depend on the block size or worker count.
+BLOCK_SIZE = 64
 
 
 def confidence_interval(errors: int, trials: int, z: float = _Z95) -> tuple:
@@ -61,8 +64,8 @@ class SimConfig:
     baseline: bool = False
 
     def __post_init__(self):
-        if not self.ebn0_db:
-            raise ValueError("need at least one SNR point")
+        if not self.ebn0_db or not self.iterations:
+            raise ValueError("need at least one SNR point and one iteration limit")
         if self.max_frames < 1 or self.target_errors < 1:
             raise ValueError("frame budgets must be positive")
 
@@ -103,27 +106,6 @@ class CellResult:
         for it in rec.iterations:
             self.iter_hist[it] = self.iter_hist.get(it, 0) + 1
         self.edge_ops += rec.edge_ops
-
-    def merge(self, other: "CellResult") -> "CellResult":
-        if (self.ebn0_db, self.iterations_limit) != (
-            other.ebn0_db,
-            other.iterations_limit,
-        ):
-            raise ValueError("cannot merge results from different cells")
-        out = CellResult(self.ebn0_db, self.iterations_limit)
-        out.frames = self.frames + other.frames
-        out.global_errors = self.global_errors + other.global_errors
-        out.composite_errors = self.composite_errors + other.composite_errors
-        out.bit_errors = self.bit_errors + other.bit_errors
-        out.iter_sum = self.iter_sum + other.iter_sum
-        out.layer_decodes = self.layer_decodes + other.layer_decodes
-        hist = dict(self.iter_hist)
-        for k, v in other.iter_hist.items():
-            hist[k] = hist.get(k, 0) + v
-        out.iter_hist = hist
-        out.edge_ops = self.edge_ops + other.edge_ops
-        out.wall_time = self.wall_time + other.wall_time
-        return out
 
     # -- derived estimators ------------------------------------------
 
@@ -181,133 +163,142 @@ class SimResult:
         raise KeyError((ebn0_db, iterations))
 
 
-# -- single trial ---------------------------------------------------------
+# -- trials -----------------------------------------------------------------
 
 
 def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
     return np.random.default_rng([master_seed, trial_index])
 
 
-def run_trial(
-    tx: Transceiver,
-    graph: DecoderGraph,
-    sigma: float,
-    params: MsaParams,
-    master_seed: int,
-    trial_index: int,
-    verify: bool = True,
-) -> TrialRecord:
+def run_trials(tx: Transceiver, graph: DecoderGraph, points, params: MsaParams,
+               master_seed: int, trial_index: int, verify: bool = True) -> list:
+    """Every outcome of one trial: out[p][j] is the record at SNR point
+    points[p] = (sigma, limits) under iteration limit limits[j].
+
+    The trial is drawn, encoded and multiplexed once.  Each point is
+    decoded once up to its largest limit (params gives scale and clip),
+    and each distinct per-layer iteration tuple is demultiplexed once:
+    equal tuples mean equal bits.
+    """
     rng = trial_rng(master_seed, trial_index)
     streams = tx.random_streams(rng)
     composites = tx.encode_composites(streams)
-    word, x = tx.multiplex(composites)
+    _, x = tx.multiplex(composites)
     noise = rng.standard_normal(x.size)
+    out = []
+    for sigma, limits in points:
+        frame = LlrFrame(llr(x + sigma * noise, sigma), s=tx.s, n=tx.n)
+        layers = decode_frame(frame, graph, params, limits)
+        top = limits.index(max(limits))   # holds every converged result
+        final = [lay[top] for lay in layers]
+        if verify and any(r.converged and graph.syndrome_weight(r.hard_bits)
+                          for r in final):
+            raise RuntimeError("early stop reported convergence on a nonzero syndrome")
+        errors, records = {}, []
+        for j in range(len(limits)):
+            results = [lay[j] for lay in layers]
+            iterations = [r.iterations_used for r in results]
+            key = tuple(iterations)
+            if key not in errors:
+                word_hat = GlobalWord.from_layers([r.hard_bits for r in results])
+                comps_hat, streams_hat = tx.demultiplex(word_hat)
+                errors[key] = (int((comps_hat != composites).any(axis=1).sum()),
+                               streams.bit_errors(streams_hat))
+            word_errors, bit_errors = errors[key]
+            records.append(TrialRecord(
+                global_error=word_errors > 0, composite_errors=word_errors,
+                bit_errors=bit_errors, iterations=iterations,
+                edge_ops=sum(r.edge_ops for r in results),
+                all_converged=all(r.converged for r in results)))
+        out.append(records)
+    return out
 
-    y = x + sigma * noise
-    frame = LlrFrame(llr(y, sigma), s=tx.s, n=tx.n)
-    word_hat, results = decode_global(frame, graph, params)
-    comps_hat, streams_hat = tx.demultiplex(word_hat)
 
-    if verify:
-        for r in results:
-            if r.converged:
-                assert graph.syndrome_weight(r.hard_bits) == 0, (
-                    "early stop reported convergence on a nonzero syndrome"
-                )
-    word_errors = int((comps_hat != composites).any(axis=1).sum())
-    return TrialRecord(
-        global_error=word_errors > 0,
-        composite_errors=word_errors,
-        bit_errors=streams.bit_errors(streams_hat),
-        iterations=[r.iterations_used for r in results],
-        edge_ops=sum(r.edge_ops for r in results),
-        all_converged=all(r.converged for r in results),
-    )
+def run_trial(tx: Transceiver, graph: DecoderGraph, sigma: float, params: MsaParams,
+              master_seed: int, trial_index: int, verify: bool = True) -> TrialRecord:
+    """One trial at one SNR under params.max_iterations."""
+    return run_trials(tx, graph, [(sigma, (params.max_iterations,))], params,
+                      master_seed, trial_index, verify)[0][0]
 
 
 # -- sweep engine -----------------------------------------------------------
 
 
 @dataclass(eq=False)
-class _CellTask:
-    """Picklable trial runner for one sweep cell."""
+class _Sweep:
+    """What a sweep's trials share.  Cells are numbered in grid order, so
+    cell c is SNR point c // len(limits) under limit c % len(limits)."""
 
     tx: Transceiver
     graph: DecoderGraph
-    sigma: float
+    cfg: SimConfig
+    sigmas: list
     params: MsaParams
-    seed: int
-    verify: bool
 
-    def block(self, start: int, count: int) -> list:
-        return [
-            run_trial(self.tx, self.graph, self.sigma, self.params,
-                      self.seed, idx, self.verify)
-            for idx in range(start, start + count)
-        ]
+    def trial(self, idx: int, active) -> dict:
+        """{cell: record} for every cell in active (ascending)."""
+        limits = self.cfg.iterations
+        k = len(limits)
+        points = [(self.sigmas[p],
+                   tuple(limits[c % k] for c in active if c // k == p))
+                  for p in sorted({c // k for c in active})]
+        records = run_trials(self.tx, self.graph, points, self.params, self.cfg.seed,
+                             idx, self.cfg.verify)
+        return dict(zip(active, (r for recs in records for r in recs)))
+
+    def block(self, start: int, count: int, active: tuple) -> list:
+        return [self.trial(idx, active) for idx in range(start, start + count)]
 
 
-def _run_cell(task: _CellTask, cell: CellResult, cfg: SimConfig, workers: int,
-              progress=None) -> CellResult:
+def monte_carlo(tx: Transceiver, graph: DecoderGraph, cfg: SimConfig, rate: float,
+                workers: int = 1, progress=None) -> SimResult:
+    """Sweep every (SNR, iteration-limit) cell to its frame/error budget.
+
+    Trial indices are walked once for the whole grid: each trial feeds
+    every cell still active, and a cell stops at the first trial index
+    where its budget is met, so it holds trials 0..frames-1 whatever the
+    worker count.  progress(cell) is called as each cell stops, with
+    wall_time measured from the start of the sweep.
+    """
+    sigmas = [ChannelParams(ebn0_db=e, rate=rate).sigma for e in cfg.ebn0_db]
+    params = MsaParams(max_iterations=max(cfg.iterations), scale=cfg.scale,
+                       clip=cfg.clip)
+    sweep = _Sweep(tx, graph, cfg, sigmas, params)
+    cells = [CellResult(ebn0_db=e, iterations_limit=lim)
+             for e in cfg.ebn0_db for lim in cfg.iterations]
+    active = list(range(len(cells)))
     t0 = time.perf_counter()
-    done = 0
 
-    def consume(records):
-        nonlocal done
-        for rec in records:
-            cell.add(rec)
-            done += 1
+    def consume(records: dict) -> None:
+        for c in list(active):
+            cell = cells[c]
+            cell.add(records[c])
             if cell.frames >= cfg.max_frames or cell.global_errors >= cfg.target_errors:
-                return True
-        return False
+                active.remove(c)
+                cell.wall_time = time.perf_counter() - t0
+                if progress:
+                    progress(cell)
 
     if workers <= 1:
-        stop = False
-        while not stop:
-            count = min(BLOCK_SIZE, cfg.max_frames - done)
-            stop = consume(task.block(done, count)) or done >= cfg.max_frames
+        while active:   # each active cell has seen trials 0..frames-1
+            consume(sweep.trial(cells[active[0]].frames, active))
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            pending = {}
-            next_start = 0
-            next_merge = 0
-            stop = False
-            while not stop:
-                while len(pending) < 2 * workers and next_start < cfg.max_frames:
-                    count = min(BLOCK_SIZE, cfg.max_frames - next_start)
-                    pending[next_start] = pool.submit(task.block, next_start, count)
-                    next_start += count
-                if next_merge not in pending:
-                    break
-                records = pending.pop(next_merge).result()
-                next_merge += len(records)
-                stop = consume(records) or next_merge >= cfg.max_frames
-            for fut in pending.values():
-                fut.cancel()
-    cell.wall_time = time.perf_counter() - t0
-    if progress:
-        progress(cell)
-    return cell
-
-
-def monte_carlo(
-    tx: Transceiver,
-    graph: DecoderGraph,
-    cfg: SimConfig,
-    rate: float,
-    workers: int = 1,
-    progress=None,
-) -> SimResult:
-    """Sweep every (SNR, iteration-limit) cell to its frame/error budget."""
-    cells = []
-    for ebn0 in cfg.ebn0_db:
-        sigma = ChannelParams(ebn0_db=ebn0, rate=rate).sigma
-        for iters in cfg.iterations:
-            params = MsaParams(max_iterations=iters, scale=cfg.scale, clip=cfg.clip)
-            task = _CellTask(tx=tx, graph=graph, sigma=sigma, params=params,
-                             seed=cfg.seed, verify=cfg.verify)
-            cell = CellResult(ebn0_db=ebn0, iterations_limit=iters)
-            cells.append(_run_cell(task, cell, cfg, workers, progress))
+        # Blocks merge in index order.  The active set only shrinks, so
+        # every cell active at merge time is in its block's snapshot.
+        pool = ProcessPoolExecutor(max_workers=workers)
+        try:
+            pending, start = deque(), 0
+            while active:
+                while len(pending) < 2 * workers and start < cfg.max_frames:
+                    count = min(BLOCK_SIZE, cfg.max_frames - start)
+                    snapshot = tuple(active)
+                    pending.append(pool.submit(sweep.block, start, count, snapshot))
+                    start += count
+                for records in pending.popleft().result():
+                    if active:
+                        consume(records)
+        finally:
+            pool.shutdown(wait=True, cancel_futures=True)
     return SimResult(cells=cells, n=tx.n, info_bits_per_frame=tx.info_bits,
                      seed=cfg.seed)
 
@@ -334,7 +325,8 @@ def baseline_mld_wer(
     sigma = ChannelParams(ebn0_db=ebn0_db, rate=rate).sigma
     rng = np.random.default_rng([seed, 0xBA5E, int(round(ebn0_db * 1000)) & 0xFFFF])
     probe = mld_oracle(np.zeros(n, dtype=np.int64), spec)  # trips the guard early
-    assert probe.shape == (n,)
+    if probe.shape != (n,):
+        raise RuntimeError(f"MLD oracle returned shape {probe.shape}, not ({n},)")
     from .cyclic import _codebook, generator_matrix
 
     codebook = _codebook(spec)

@@ -163,10 +163,8 @@ class Transceiver:
 
     def transmit(self, streams: StreamBlock, verify: bool = False) -> tuple:
         word, x = self.multiplex(self.encode_composites(streams))
-        if verify:
-            assert self.parity_check.syndrome_weight(word.symbols) == 0, (
-                "transmitter output violates the global parity check"
-            )
+        if verify and self.parity_check.syndrome_weight(word.symbols) != 0:
+            raise RuntimeError("transmitter output violates the global parity check")
         return word, x
 
     # -- receive ------------------------------------------------------------

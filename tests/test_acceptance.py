@@ -259,6 +259,8 @@ GRID_DB = [0.0, 2.0, 3.0, 4.0, 5.0, 6.0]
 TAIL_DB = 8.0
 
 
+# Only the slow criteria 9 and 10 request this fixture, so deselecting
+# them with -m "not slow" skips the sweep too.
 @pytest.fixture(scope="module")
 def desk_sweep():
     desk = bundle("desk_gf8")
@@ -275,6 +277,7 @@ def desk_sweep():
     return desk, result, tail.cells[0]
 
 
+@pytest.mark.slow
 def test_criterion_09_desk_coding_behavior(desk_sweep):
     """Monotone WER across the sweep and a strict win over the uncoupled
     hard-decision MLD baseline at >= 2 consecutive SNR points."""
@@ -317,6 +320,7 @@ def test_criterion_09_desk_coding_behavior(desk_sweep):
            f"baseline beaten at consecutive points (wins={wins})")
 
 
+@pytest.mark.slow
 def test_criterion_10_iteration_convergence(desk_sweep):
     """Mid-waterfall: WER at 10 iterations within a factor 2 of 50."""
     desk, _, _ = desk_sweep

@@ -167,3 +167,75 @@ def test_conjugacy_violation_reported(tmp_path, capsys):
     path.write_text(json.dumps(cfg))
     assert main(["construct", str(path)]) == 1
     assert main(["verify", str(path)]) == 1
+
+
+@pytest.mark.parametrize("override, field", [
+    ('decoder.scale="x"', "decoder.scale"),
+    ("decoder.scale=true", "decoder.scale"),
+    ('decoder.clip="x"', "decoder.clip"),
+    ("decoder.clip=0", "decoder.clip"),
+    ("decoder.clip=false", "decoder.clip"),
+    ("decoder.iterations=[true]", "decoder.iterations"),
+    ("decoder.iterations=[10,false]", "decoder.iterations"),
+    ('sim.max_frames="10"', "sim.max_frames"),
+    ("sim.max_frames=true", "sim.max_frames"),
+    ("sim.max_frames=2.5", "sim.max_frames"),
+    ("sim.target_errors=false", "sim.target_errors"),
+])
+def test_config_field_types(tmp_path, capsys, override, field):
+    args = ["simulate", "--preset", "desk_gf8", "--outdir", str(tmp_path),
+            "--quiet", "--set", override]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {field}")
+    assert "Traceback" not in err
+    assert not (tmp_path / "desk_gf8.csv").exists()
+
+
+def test_config_clip_accepts_positive_real():
+    cfg = load_preset("desk_gf8")
+    cfg["decoder"]["clip"] = 4
+    assert build_system(cfg).sim.clip == 4.0
+
+
+def test_cmd_simulate_interrupt_flushes_completed_cells(tmp_path, capsys,
+                                                        monkeypatch):
+    """An interrupt after the first completed cell keeps that cell's row."""
+    import gftmux.cli as cli
+
+    real = cli.monte_carlo
+
+    def interrupted(*args, progress, **kwargs):
+        def stop_after(cell):
+            progress(cell)
+            raise KeyboardInterrupt
+        return real(*args, progress=stop_after, **kwargs)
+
+    monkeypatch.setattr(cli, "monte_carlo", interrupted)
+    args = ["simulate", "--preset", "desk_gf8", "--outdir", str(tmp_path),
+            "--set", "channel.ebn0_db=[6.0,0.0]",
+            "--set", "decoder.iterations=[5]",
+            "--set", "sim.max_frames=200",
+            "--set", "sim.target_errors=10"]
+    assert main(args) == 130
+    lines = (tmp_path / "desk_gf8.csv").read_text().splitlines()
+    assert len(lines) == 3
+    assert lines[1].startswith("0.0,5,10,")
+    assert lines[2] == "# truncated"
+    manifest = json.loads((tmp_path / "desk_gf8.manifest.json").read_text())
+    assert manifest["truncated"] is True
+    assert "baseline_mld_wer" not in manifest
+    err = capsys.readouterr().err
+    assert "ebn0=0 iters=5 frames=10" in err
+
+
+def test_cmd_simulate_interrupt_before_any_cell(tmp_path, monkeypatch):
+    import gftmux.cli as cli
+
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "monte_carlo", interrupted)
+    args = ["simulate", "--preset", "desk_gf8", "--outdir", str(tmp_path), "--quiet"]
+    assert main(args) == 130
+    assert not (tmp_path / "desk_gf8.csv").exists()

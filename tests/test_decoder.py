@@ -10,6 +10,7 @@ from gftmux.decoder import (
     DecoderGraph,
     DecodeResult,
     MsaParams,
+    decode_frame,
     decode_global,
     decode_layer,
     syndrome_gf2,
@@ -221,3 +222,38 @@ def test_theorem_equivalence_random_sample(desk_tx, desk_graph):
             for l in range(3)
         )
         assert gf_zero == layers_zero
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_llr_rejected(desk_graph, bad):
+    values = np.ones(49)
+    values[17] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        decode_layer(values, desk_graph, MsaParams(max_iterations=5))
+    with pytest.raises(ValueError, match="non-finite"):
+        LlrFrame(np.concatenate([values, values, values]), s=3, n=7)
+
+
+def test_checkpoints_match_separate_decodes(desk_tx, desk_graph):
+    """One decode to the largest limit reports, at each smaller limit, what
+    a decode stopped at that limit reports."""
+    rng = np.random.default_rng(151)
+    limits = (1, 3, 7, 20, 7)
+    seen_unconverged = seen_converged = 0
+    for _ in range(40):
+        word, _ = desk_tx.transmit(desk_tx.random_streams(rng))
+        sigma = 0.9
+        y = bpsk_map(word.serial_bits()) + sigma * rng.standard_normal(3 * 49)
+        frame = LlrFrame(llr(y, sigma), s=3, n=7)
+        params = MsaParams(max_iterations=20, scale=0.75, clip=4.0)
+        per_layer = decode_frame(frame, desk_graph, params, limits)
+        for l, at_limits in enumerate(per_layer):
+            for lim, got in zip(limits, at_limits):
+                ref = decode_layer(frame.layer(l), desk_graph,
+                                   MsaParams(max_iterations=lim, scale=0.75, clip=4.0))
+                assert (got.hard_bits == ref.hard_bits).all()
+                assert (got.converged, got.iterations_used, got.edge_ops) == (
+                    ref.converged, ref.iterations_used, ref.edge_ops)
+                seen_converged += got.converged
+                seen_unconverged += not got.converged
+    assert seen_converged and seen_unconverged

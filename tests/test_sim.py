@@ -90,6 +90,22 @@ def test_trial_errors_at_low_snr(desk):
     assert errors > 0
 
 
+def test_trial_verify_raises_on_false_convergence(desk, monkeypatch):
+    from gftmux import sim
+    from gftmux.decoder import DecodeResult
+
+    def fake(frame, graph, params, limits):
+        bad = DecodeResult(hard_bits=np.ones(graph.n_vars, dtype=np.uint8),
+                           converged=True, iterations_used=1, edge_ops=0)
+        return [[bad] * len(limits) for _ in range(frame.s)]
+
+    monkeypatch.setattr(sim, "decode_frame", fake)
+    params = MsaParams(max_iterations=10, scale=0.625)
+    with pytest.raises(RuntimeError, match="nonzero syndrome"):
+        run_trial(desk.transceiver, desk.graph, 1.0, params, 555, 0)
+    run_trial(desk.transceiver, desk.graph, 1.0, params, 555, 0, verify=False)
+
+
 # -- cell counters and the metric identity ------------------------------------
 
 
@@ -118,26 +134,6 @@ def test_lambda_absent_without_errors(desk):
     cell = CellResult(ebn0_db=10.0, iterations_limit=5)
     cell.frames = 50
     assert cell.lambda_hat is None
-
-
-def test_merge_associative_and_commutative(desk):
-    params = MsaParams(max_iterations=10, scale=0.625)
-    sigma = ChannelParams(ebn0_db=2.0, rate=desk.rate).sigma
-    parts = []
-    for lo, hi in [(0, 40), (40, 90), (90, 200)]:
-        c = CellResult(ebn0_db=2.0, iterations_limit=10)
-        for i in range(lo, hi):
-            c.add(run_trial(desk.transceiver, desk.graph, sigma, params, 31, i))
-        parts.append(c)
-    a, b, c = parts
-
-    def key(cell):
-        return (cell.frames, cell.global_errors, cell.composite_errors,
-                cell.bit_errors, cell.iter_sum, cell.layer_decodes,
-                sorted(cell.iter_hist.items()), cell.edge_ops)
-
-    assert key(a.merge(b).merge(c)) == key(a.merge(b.merge(c)))
-    assert key(c.merge(a).merge(b)) == key(a.merge(b).merge(c))
 
 
 def test_mean_and_median_iterations(desk):

@@ -57,6 +57,20 @@ def test_transmit_nonbinary_syndrome_zero(rs5_tx):
         assert rs5_tx.parity_check.syndrome_weight(word.symbols) == 0
 
 
+def test_transmit_verify_raises_on_bad_word(desk_spec, monkeypatch):
+    tx = Transceiver(desk_spec)
+    good = tx.encode_composites
+
+    def corrupted(streams):
+        comp = good(streams)
+        comp[1, 0] ^= 1
+        return comp
+
+    monkeypatch.setattr(tx, "encode_composites", corrupted)
+    with pytest.raises(RuntimeError, match="global parity check"):
+        tx.transmit(tx.zero_streams(), verify=True)
+
+
 def test_composites_per_group_codewords(desk_tx, desk_spec):
     rng = np.random.default_rng(41)
     comps = desk_tx.encode_composites(desk_tx.random_streams(rng))
