@@ -67,7 +67,3 @@ class LlrFrame:
 
     def layers(self) -> list:
         return [self.layer(l) for l in range(self.s)]
-
-
-def layer_views(frame: LlrFrame) -> list:
-    return frame.layers()

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .galois import GaloisField, SubgroupGen, compose_arr, decompose_arr
+from .galois import GaloisField, SubgroupGen, decompose_arr
 
 
 class ConjugacyViolation(ValueError):
@@ -217,27 +217,15 @@ def code_syndrome(word, bmat: BaseMatrix, field: GaloisField) -> np.ndarray:
 # parity = X^m * msg(X) mod g(X) in the low-order positions.
 
 
-def encode_binary(msg, g: GeneratorPoly) -> np.ndarray:
-    if g.mode != "binary":
-        raise ValueError("encode_binary needs a binary-mode generator")
+def encode(msg, g: GeneratorPoly) -> np.ndarray:
+    """Systematic codeword of msg: bits in binary mode, GF(2^s) symbols otherwise."""
     msg = np.asarray(msg, dtype=np.int64)
     m = g.degree
     if msg.size != g.n - m:
         raise ValueError(f"message length {msg.size} != n - m = {g.n - m}")
-    shifted = np.concatenate([np.zeros(m, dtype=np.int64), msg])
-    parity = poly_mod(shifted, g.coeffs, g.field)
-    cw = shifted
-    cw[:m] ^= parity
-    return cw.astype(np.uint8)
-
-
-def encode_nonbinary(msg, g: GeneratorPoly) -> np.ndarray:
-    msg = np.asarray(msg, dtype=np.int64)
-    m = g.degree
-    if msg.size != g.n - m:
-        raise ValueError(f"message length {msg.size} != n - m = {g.n - m}")
-    if (msg >= g.field.order).any() or (msg < 0).any():
-        raise ValueError("message symbol out of field range")
+    alphabet = 2 if g.mode == "binary" else g.field.order
+    if (msg >= alphabet).any() or (msg < 0).any():
+        raise ValueError(f"message symbol outside the code alphabet [0, {alphabet})")
     shifted = np.concatenate([np.zeros(m, dtype=np.int64), msg])
     parity = poly_mod(shifted, g.coeffs, g.field)
     cw = shifted
@@ -252,23 +240,6 @@ def encode_spc(msg) -> np.ndarray:
     return np.concatenate([msg, [parity]])
 
 
-def compose_streams(bitstreams, spec: BaseCodeSpec | None = None,
-                    k: int | None = None, verify: bool = False) -> np.ndarray:
-    """Stack s binary codewords into one composite GF(2^s) word.
-
-    With verify=True (needs spec and k) the composite is checked against
-    the k-th Hadamard power matrix, rejecting mixed-code inputs.
-    """
-    symbols = compose_arr(bitstreams)
-    if verify:
-        if spec is None or k is None:
-            raise ValueError("verify=True needs spec and k")
-        syn = code_syndrome(symbols, base_matrix(spec, k), spec.field)
-        if syn.any():
-            raise ValueError(f"streams are not all codewords of Hadamard power k={k}")
-    return symbols
-
-
 def generator_matrix(spec: BaseCodeSpec) -> np.ndarray:
     """(n-m) x n systematic generator matrix; rows are unit-message codewords.
 
@@ -278,11 +249,10 @@ def generator_matrix(spec: BaseCodeSpec) -> np.ndarray:
     g = generator_poly(spec)
     kdim = spec.n - spec.m
     rows = np.zeros((kdim, spec.n), dtype=np.int64)
-    enc = encode_binary if spec.mode == "binary" else encode_nonbinary
     for t in range(kdim):
         msg = np.zeros(kdim, dtype=np.int64)
         msg[t] = 1
-        rows[t] = enc(msg, g)
+        rows[t] = encode(msg, g)
     return rows
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import LlrFrame
-from .geometry import AlistMatrix, GlobalParityCheck
+from .geometry import AlistMatrix, GlobalParityCheck, syndrome_weight
 from .txrx import GlobalWord
 
 #: Real-number operations charged per edge per iteration.
@@ -76,10 +76,7 @@ class DecoderGraph:
                    edge_var=edge_var, pad_mask=pad_mask, var_edges=var_edges)
 
     def syndrome_weight(self, bits) -> int:
-        bits = np.asarray(bits, dtype=np.int64)
-        ext = np.concatenate([bits, [0]])
-        parity = np.bitwise_xor.reduce(ext[self.edge_var], axis=1)
-        return int(np.count_nonzero(parity))
+        return syndrome_weight(bits, self.edge_var)
 
 
 @dataclass(frozen=True)
@@ -177,8 +174,3 @@ def decode_global(frame: LlrFrame, graph: DecoderGraph, params: MsaParams) -> tu
     results = [lay[0] for lay in
                decode_frame(frame, graph, params, (params.max_iterations,))]
     return GlobalWord.from_layers([r.hard_bits for r in results]), results
-
-
-def syndrome_gf2(bits, graph: DecoderGraph) -> int:
-    """Number of unsatisfied checks of a binary vector."""
-    return graph.syndrome_weight(bits)

@@ -59,6 +59,17 @@ def cpm(e: int, n: int) -> np.ndarray:
     return out
 
 
+def syndrome_weight(vec, rows) -> int:
+    """Number of checks whose XOR over vec[rows[c]] is nonzero.
+
+    One routine for GF(2^s) symbols and for the bits of one layer alike
+    (the binary decomposition theorem).  Index len(vec) reads a zero, so
+    rows padded with it describe irregular checks.
+    """
+    ext = np.concatenate([vec, [0]])
+    return int(np.count_nonzero(np.bitwise_xor.reduce(ext[rows], axis=1)))
+
+
 @dataclass(eq=False)
 class GlobalParityCheck:
     """mn x n^2 binary QC matrix held as a CPM exponent table.
@@ -98,13 +109,8 @@ class GlobalParityCheck:
     def shape(self) -> tuple:
         return (self.n_checks, self.n_vars)
 
-    def syndrome_values(self, vec) -> np.ndarray:
-        """Per-check XOR accumulation; GF(2^s) symbols and bits alike."""
-        vec = np.asarray(vec, dtype=np.int64)
-        return np.bitwise_xor.reduce(vec[self.check_vars], axis=1)
-
     def syndrome_weight(self, vec) -> int:
-        return int(np.count_nonzero(self.syndrome_values(vec)))
+        return syndrome_weight(vec, self.check_vars)
 
     def column_weights(self) -> np.ndarray:
         return np.bincount(self.check_vars.reshape(-1), minlength=self.n_vars)

@@ -19,7 +19,7 @@ import struct
 import numpy as np
 
 from . import cyclic
-from .cyclic import BaseCodeSpec, base_matrix, hadamard_indices
+from .cyclic import BaseCodeSpec, base_matrix
 from .galois import compose_arr, decompose_arr
 from .geometry import (
     DENSE_LIMIT,
@@ -33,29 +33,25 @@ from .geometry import (
 
 @dataclass(eq=False)
 class StreamBlock:
-    """Message bits for all n groups: groups[k] is an (s, L_k) bit array.
+    """Message bits of all n groups as one (s, (n-1) + (n-1)(n-m)) bit array.
 
-    L_0 = n-1 (single parity-check group); L_k = n-m otherwise.  In
-    nonbinary mode column t of a group composes into message symbol t.
+    Columns 0..n-2 are group 0 (the single parity-check group); each
+    group k >= 1 takes the next n-m columns.  In nonbinary mode column t
+    of a group composes into that group's message symbol t.
     """
 
-    groups: list
+    bits: np.ndarray
     n: int
-    s: int
 
-    def total_bits(self) -> int:
-        return sum(g.size for g in self.groups)
-
-    def group_equal(self, other: "StreamBlock") -> np.ndarray:
-        return np.array(
-            [bool((a == b).all()) for a, b in zip(self.groups, other.groups)]
-        )
+    @property
+    def s(self) -> int:
+        return self.bits.shape[0]
 
     def bit_errors(self, other: "StreamBlock") -> int:
-        return int(sum((a != b).sum() for a, b in zip(self.groups, other.groups)))
+        return int(np.count_nonzero(self.bits != other.bits))
 
     def equal(self, other: "StreamBlock") -> bool:
-        return bool(self.group_equal(other).all())
+        return bool(np.array_equal(self.bits, other.bits))
 
 
 @dataclass(eq=False)
@@ -119,37 +115,28 @@ class Transceiver:
     # -- stream handling ------------------------------------------------
 
     def random_streams(self, rng: np.random.Generator) -> StreamBlock:
-        groups = [
-            rng.integers(0, 2, size=(self.s, lk), dtype=np.uint8)
-            for lk in self.msg_lengths
-        ]
-        return StreamBlock(groups=groups, n=self.n, s=self.s)
-
-    def zero_streams(self) -> StreamBlock:
-        groups = [np.zeros((self.s, lk), dtype=np.uint8) for lk in self.msg_lengths]
-        return StreamBlock(groups=groups, n=self.n, s=self.s)
+        # One draw per group, in group order: the trial RNG contract.
+        bits = np.concatenate(
+            [rng.integers(0, 2, size=(self.s, lk), dtype=np.uint8)
+             for lk in self.msg_lengths], axis=1)
+        return StreamBlock(bits=bits, n=self.n)
 
     # -- transmit ---------------------------------------------------------
 
     def encode_composites(self, streams: StreamBlock) -> np.ndarray:
         """(n, n) symbol matrix; row k is the composite word of group k."""
         n, m, s = self.n, self.m, self.s
-        if len(streams.groups) != n or any(
-            g.shape != (s, lk) for g, lk in zip(streams.groups, self.msg_lengths)
-        ):
+        if streams.bits.shape != (s, sum(self.msg_lengths)):
             raise ValueError("stream block shape does not match the code spec")
         comp = np.zeros((n, n), dtype=np.int64)
-        comp[0] = cyclic.encode_spc(compose_arr(streams.groups[0]))
+        comp[0] = cyclic.encode_spc(compose_arr(streams.bits[:, : n - 1]))
+        msgs = streams.bits[:, n - 1 :]                    # (s, (n-1)(n-m))
         if self.spec.mode == "binary":
-            msgs = np.stack(streams.groups[1:])            # (n-1, s, n-m)
-            flat = msgs.reshape(-1, n - m).astype(np.float32)
+            flat = msgs.astype(np.float32).reshape(-1, n - m)
             cw_bits = (flat @ self._gen_f32) % 2           # BLAS, sums stay exact
-            cw_bits = cw_bits.astype(np.int64).reshape(n - 1, s, n)
-            base_words = (cw_bits << np.arange(s)[None, :, None]).sum(axis=1)
+            base_words = compose_arr(cw_bits.reshape(s, -1)).reshape(n - 1, n)
         else:
-            msg_syms = np.stack(
-                [compose_arr(g) for g in streams.groups[1:]]
-            )                                              # (n-1, n-m)
+            msg_syms = compose_arr(msgs).reshape(n - 1, n - m)
             base_words = self.field.matmul(msg_syms, self.gen_matrix)
         comp[1:] = np.take_along_axis(base_words, self._perm, axis=1)
         return comp
@@ -175,32 +162,15 @@ class Transceiver:
         segments = np.asarray(word.symbols, dtype=np.int64).reshape(n, n)
         parallel = self.field.matmul(segments, self._vinv_el)
         composites = parallel.T.copy()
-        groups = [decompose_arr(composites[0, : n - 1], self.s)]
         base_words = np.take_along_axis(composites[1:], self._inv_perm, axis=1)
-        for k in range(1, n):
-            groups.append(decompose_arr(base_words[k - 1, m:], self.s))
-        return composites, StreamBlock(groups=groups, n=n, s=self.s)
-
-    def receive(self, word: GlobalWord) -> StreamBlock:
-        return self.demultiplex(word)[1]
+        msg_syms = np.concatenate([composites[0, : n - 1],
+                                   base_words[:, m:].reshape(-1)])
+        return composites, StreamBlock(bits=decompose_arr(msg_syms, self.s), n=n)
 
 
 def sp_extract(composites) -> np.ndarray:
     """Parallel vector j collects symbol j of every composite word."""
     return np.asarray(composites).T.copy()
-
-
-def sp_deinterleave(parallel) -> np.ndarray:
-    return np.asarray(parallel).T.copy()
-
-
-def transmit(streams: StreamBlock, spec: BaseCodeSpec) -> tuple:
-    """One-shot convenience wrapper; build a Transceiver for repeated use."""
-    return Transceiver(spec).transmit(streams)
-
-
-def receive(word: GlobalWord, spec: BaseCodeSpec) -> StreamBlock:
-    return Transceiver(spec).receive(word)
 
 
 # -- cascaded / interleaved reference matrices ---------------------------
@@ -235,27 +205,6 @@ class CascadedRef:
     def vinv_elements(self) -> np.ndarray:
         return vandermonde(self.spec.subgroup, "inverse").elements()
 
-    def v_blk(self, copies: int) -> np.ndarray:
-        """Block-diagonal stack of V (dense mode only)."""
-        if not self.dense:
-            raise ScaleGuard("block-diagonal V is dense-mode only")
-        n = self.spec.n
-        out = np.zeros((copies * n, copies * n), dtype=np.int64)
-        v = self.v_elements()
-        for b in range(copies):
-            out[b * n : (b + 1) * n, b * n : (b + 1) * n] = v
-        return out
-
-    def v_blk_inv(self, copies: int) -> np.ndarray:
-        if not self.dense:
-            raise ScaleGuard("block-diagonal V is dense-mode only")
-        n = self.spec.n
-        out = np.zeros((copies * n, copies * n), dtype=np.int64)
-        vi = self.vinv_elements()
-        for b in range(copies):
-            out[b * n : (b + 1) * n, b * n : (b + 1) * n] = vi
-        return out
-
 
 def build_cascaded_ref(spec: BaseCodeSpec, dense: bool | None = None) -> CascadedRef:
     n, m = spec.n, spec.m
@@ -281,11 +230,6 @@ def build_cascaded_ref(spec: BaseCodeSpec, dense: bool | None = None) -> Cascade
     h_casc_pi = h_casc[row_map][:, col_map]
     return CascadedRef(spec=spec, dense=True, h_casc=h_casc, h_casc_pi=h_casc_pi,
                        row_map=row_map, col_map=col_map)
-
-
-def cascade_word(composites) -> np.ndarray:
-    """Concatenate composite words (the pre-interleave cascade ordering)."""
-    return np.asarray(composites).reshape(-1)
 
 
 @dataclass
@@ -344,14 +288,15 @@ _TRACE_MAGIC = b"GMTR"
 
 
 def write_trace(destination, word: GlobalWord, streams: StreamBlock) -> None:
-    n = streams.n
+    n, bits = streams.n, streams.bits.astype(np.uint8)
     payload = [_TRACE_MAGIC, struct.pack("<BBH", 1, streams.s, n)]
     payload.append(
         np.asarray(word.symbols, dtype="<u2").tobytes()
     )
-    for g in streams.groups:
+    lk = (bits.shape[1] - (n - 1)) // (n - 1)          # n - m
+    for g in np.split(bits, (n - 1) + lk * np.arange(n - 1), axis=1):
         payload.append(struct.pack("<H", g.shape[1]))
-        payload.append(g.astype(np.uint8).tobytes())
+        payload.append(g.tobytes())
     blob = b"".join(payload)
     if hasattr(destination, "write"):
         destination.write(blob)
@@ -380,5 +325,6 @@ def read_trace(source) -> tuple:
         off += 2
         bits = np.frombuffer(blob, dtype=np.uint8, count=s * lk, offset=off)
         off += s * lk
-        groups.append(bits.reshape(s, lk).copy())
-    return GlobalWord(symbols=symbols, s=s), StreamBlock(groups=groups, n=n, s=s)
+        groups.append(bits.reshape(s, lk))
+    streams = StreamBlock(bits=np.concatenate(groups, axis=1), n=n)
+    return GlobalWord(symbols=symbols, s=s), streams

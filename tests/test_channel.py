@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gftmux.channel import ChannelParams, LlrFrame, awgn, layer_views, llr
+from gftmux.channel import ChannelParams, LlrFrame, awgn, llr
 
 
 def test_sigma_formula():
@@ -68,7 +68,7 @@ def test_layer_views_partition_and_reassemble():
     rng = np.random.default_rng(13)
     values = rng.normal(size=3 * 49)
     frame = LlrFrame(values, s=3, n=7)
-    views = layer_views(frame)
+    views = frame.layers()
     rebuilt = np.empty_like(values)
     for l, view in enumerate(views):
         rebuilt[l::3] = view

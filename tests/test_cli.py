@@ -17,7 +17,7 @@ from gftmux.geometry import read_alist
 def test_presets_shipped():
     names = list_presets()
     assert {"desk_gf8", "ex1_bch127_113", "ex2_bch127_120",
-            "ex3_rs127_121", "ex4_qc16129_binary", "ex5_rs89_85"} <= set(names)
+            "ex3_rs127_121", "ex5_rs89_85"} <= set(names)
 
 
 def test_unknown_preset():

@@ -3,6 +3,7 @@ import pytest
 
 from conftest import gf2_poly_divisible
 from gftmux import cyclic, galois
+from gftmux.galois import compose_arr
 from gftmux.cyclic import (
     BaseCodeSpec,
     ConjugacyViolation,
@@ -11,10 +12,8 @@ from gftmux.cyclic import (
     base_matrix,
     bch_spec,
     code_syndrome,
-    compose_streams,
     conjugacy_closure,
-    encode_binary,
-    encode_nonbinary,
+    encode,
     encode_spc,
     generator_matrix,
     generator_poly,
@@ -141,7 +140,7 @@ def test_hadamard_perm_codeword_closure(desk_spec):
     g = generator_poly(desk_spec)
     for msg_int in range(16):
         msg = (msg_int >> np.arange(4)) & 1
-        cw = encode_binary(msg, g)
+        cw = encode(msg, g)
         for k in range(1, 7):
             permuted = hadamard_perm(cw, k, 7)
             syn = code_syndrome(permuted, base_matrix(desk_spec, k),
@@ -154,12 +153,12 @@ def test_hadamard_perm_codeword_closure(desk_spec):
 
 def test_encode_binary_zero(desk_spec):
     g = generator_poly(desk_spec)
-    assert encode_binary(np.zeros(4, dtype=int), g).tolist() == [0] * 7
+    assert encode(np.zeros(4, dtype=int), g).tolist() == [0] * 7
 
 
 def test_encode_binary_example(desk_spec):
     g = generator_poly(desk_spec)
-    cw = encode_binary(np.array([1, 0, 0, 0]), g)
+    cw = encode(np.array([1, 0, 0, 0]), g)
     assert cw.tolist() == [1, 1, 0, 1, 0, 0, 0]   # X^3 + X + 1
 
 
@@ -167,21 +166,28 @@ def test_encode_binary_all_divisible(desk_spec):
     g = generator_poly(desk_spec)
     for msg_int in range(16):
         msg = (msg_int >> np.arange(4)) & 1
-        cw = encode_binary(msg, g)
+        cw = encode(msg, g)
         assert gf2_poly_divisible(cw, g.coeffs)
         assert (cw[3:] == msg).all()              # systematic high positions
 
 
 def test_encode_binary_codeword_count(desk_spec):
     g = generator_poly(desk_spec)
-    words = {tuple(encode_binary((m >> np.arange(4)) & 1, g)) for m in range(16)}
+    words = {tuple(encode((m >> np.arange(4)) & 1, g)) for m in range(16)}
     assert len(words) == 16
 
 
 def test_encode_binary_length_mismatch(desk_spec):
     g = generator_poly(desk_spec)
     with pytest.raises(ValueError):
-        encode_binary(np.zeros(5, dtype=int), g)
+        encode(np.zeros(5, dtype=int), g)
+
+
+def test_encode_binary_symbol_out_of_alphabet(desk_spec):
+    g = generator_poly(desk_spec)
+    for msg in ([2, 0, 0, 0], [0, -1, 0, 0]):
+        with pytest.raises(ValueError, match="alphabet"):
+            encode(np.array(msg), g)
 
 
 def test_encode_nonbinary_roots_vanish(rs5_spec):
@@ -189,7 +195,7 @@ def test_encode_nonbinary_roots_vanish(rs5_spec):
     rng = np.random.default_rng(7)
     for _ in range(20):
         msg = rng.integers(0, 16, size=3)
-        cw = encode_nonbinary(msg, g)
+        cw = encode(msg, g)
         assert poly_eval(cw, rs5_spec.subgroup.pow_beta(1), rs5_spec.field) == 0
         assert poly_eval(cw, rs5_spec.subgroup.pow_beta(2), rs5_spec.field) == 0
         syn = code_syndrome(cw, base_matrix(rs5_spec, 1), rs5_spec.field)
@@ -199,7 +205,7 @@ def test_encode_nonbinary_roots_vanish(rs5_spec):
 
 def test_encode_nonbinary_zero(rs5_spec):
     g = generator_poly(rs5_spec)
-    assert (encode_nonbinary(np.zeros(3, dtype=int), g) == 0).all()
+    assert (encode(np.zeros(3, dtype=int), g) == 0).all()
 
 
 def test_encode_nonbinary_rs127(gf128):
@@ -209,7 +215,7 @@ def test_encode_nonbinary_rs127(gf128):
     g = generator_poly(spec)
     rng = np.random.default_rng(11)
     msg = rng.integers(0, 128, size=121)
-    cw = encode_nonbinary(msg, g)
+    cw = encode(msg, g)
     assert cw.size == 127
     assert not code_syndrome(cw, base_matrix(spec, 1), gf128).any()
 
@@ -217,7 +223,7 @@ def test_encode_nonbinary_rs127(gf128):
 def test_encode_nonbinary_symbol_out_of_field(rs5_spec):
     g = generator_poly(rs5_spec)
     with pytest.raises(ValueError):
-        encode_nonbinary(np.array([16, 0, 0]), g)
+        encode(np.array([16, 0, 0]), g)
 
 
 def test_encode_spc():
@@ -232,25 +238,25 @@ def test_encode_spc():
 def test_compose_streams(desk_spec):
     g = generator_poly(desk_spec)
     rng = np.random.default_rng(13)
-    v = encode_binary(rng.integers(0, 2, size=4), g)
+    v = encode(rng.integers(0, 2, size=4), g)
     # streams (v, 0, 0) embed v in bit 0
     zeros = np.zeros(7, dtype=np.uint8)
-    syms = compose_streams(np.stack([v, zeros, zeros]))
+    syms = compose_arr(np.stack([v, zeros, zeros]))
     assert (syms == v).all()
     # three random codewords compose to a zero-syndrome GF(8) word
-    streams = np.stack([encode_binary(rng.integers(0, 2, size=4), g)
+    streams = np.stack([encode(rng.integers(0, 2, size=4), g)
                         for _ in range(3)])
-    syms = compose_streams(streams, spec=desk_spec, k=1, verify=True)
+    syms = compose_arr(streams)
     assert not code_syndrome(syms, base_matrix(desk_spec, 1), desk_spec.field).any()
 
 
 def test_compose_streams_rejects_mixed(desk_spec):
     g = generator_poly(desk_spec)
-    cw = encode_binary(np.array([1, 0, 1, 0]), g)
+    cw = encode(np.array([1, 0, 1, 0]), g)
     bad = cw.copy()
     bad[0] ^= 1
-    with pytest.raises(ValueError):
-        compose_streams(np.stack([cw, bad, cw]), spec=desk_spec, k=1, verify=True)
+    syms = compose_arr(np.stack([cw, bad, cw]))
+    assert code_syndrome(syms, base_matrix(desk_spec, 1), desk_spec.field).any()
 
 
 def test_generator_matrix_agrees_with_polynomial_encoder(desk_spec, rs5_spec):
@@ -259,13 +265,13 @@ def test_generator_matrix_agrees_with_polynomial_encoder(desk_spec, rs5_spec):
     rng = np.random.default_rng(17)
     for _ in range(10):
         msg = rng.integers(0, 2, size=4)
-        assert ((msg @ gmat) % 2 == encode_binary(msg, g)).all()
+        assert ((msg @ gmat) % 2 == encode(msg, g)).all()
     gq = generator_poly(rs5_spec)
     gmat_q = generator_matrix(rs5_spec)
     for _ in range(10):
         msg = rng.integers(0, 16, size=3)
         via_matrix = rs5_spec.field.matmul(msg[None, :], gmat_q)[0]
-        assert (via_matrix == encode_nonbinary(msg, gq)).all()
+        assert (via_matrix == encode(msg, gq)).all()
 
 
 # -- exhaustive decoder oracle -------------------------------------------
@@ -273,7 +279,7 @@ def test_generator_matrix_agrees_with_polynomial_encoder(desk_spec, rs5_spec):
 
 def test_mld_oracle_identity(desk_spec):
     g = generator_poly(desk_spec)
-    cw = encode_binary(np.array([1, 1, 0, 1]), g)
+    cw = encode(np.array([1, 1, 0, 1]), g)
     assert (mld_oracle(cw, desk_spec) == cw).all()
 
 
@@ -281,7 +287,7 @@ def test_mld_oracle_corrects_single_flips(desk_spec):
     g = generator_poly(desk_spec)
     rng = np.random.default_rng(19)
     for _ in range(20):
-        cw = encode_binary(rng.integers(0, 2, size=4), g)
+        cw = encode(rng.integers(0, 2, size=4), g)
         pos = rng.integers(0, 7)
         noisy = cw.copy()
         noisy[pos] ^= 1
@@ -290,7 +296,7 @@ def test_mld_oracle_corrects_single_flips(desk_spec):
 
 def test_mld_oracle_two_flips_deterministic(desk_spec):
     g = generator_poly(desk_spec)
-    cw = encode_binary(np.array([0, 1, 1, 0]), g)
+    cw = encode(np.array([0, 1, 1, 0]), g)
     noisy = cw.copy()
     noisy[0] ^= 1
     noisy[4] ^= 1

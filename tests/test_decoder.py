@@ -13,7 +13,6 @@ from gftmux.decoder import (
     decode_frame,
     decode_global,
     decode_layer,
-    syndrome_gf2,
 )
 from gftmux.geometry import read_alist, write_alist
 from gftmux.txrx import Transceiver, bpsk_map
@@ -44,14 +43,14 @@ def test_graph_degrees(desk_graph):
 
 
 def test_syndrome_zero_vector(desk_graph):
-    assert syndrome_gf2(np.zeros(49, dtype=np.uint8), desk_graph) == 0
+    assert desk_graph.syndrome_weight(np.zeros(49, dtype=np.uint8)) == 0
 
 
 def test_syndrome_transmitted_layer(desk_tx, desk_graph):
     rng = np.random.default_rng(83)
     _, layers = _tx_layer(desk_tx, rng)
     for lay in layers:
-        assert syndrome_gf2(lay, desk_graph) == 0
+        assert desk_graph.syndrome_weight(lay) == 0
 
 
 def test_syndrome_single_flip_hits_column_weight(desk_tx, desk_graph):
@@ -61,7 +60,7 @@ def test_syndrome_single_flip_hits_column_weight(desk_tx, desk_graph):
     for pos in (0, 11, 48):
         flipped = lay.copy()
         flipped[pos] ^= 1
-        assert syndrome_gf2(flipped, desk_graph) == 3   # column weight m
+        assert desk_graph.syndrome_weight(flipped) == 3   # column weight m
 
 
 def test_noiseless_converges_in_one_iteration(desk_tx, desk_graph):
@@ -140,7 +139,7 @@ def test_early_stop_soundness(desk_tx, desk_graph):
                                    MsaParams(max_iterations=6))
         for r in results:
             if r.converged:
-                assert syndrome_gf2(r.hard_bits, desk_graph) == 0
+                assert desk_graph.syndrome_weight(r.hard_bits) == 0
 
 
 def test_decode_global_recomposition(desk_tx, desk_graph):
@@ -218,7 +217,7 @@ def test_theorem_equivalence_random_sample(desk_tx, desk_graph):
         vec = rng.integers(0, 8, size=49)
         gf_zero = h.syndrome_weight(vec) == 0
         layers_zero = all(
-            syndrome_gf2(((vec >> l) & 1).astype(np.uint8), desk_graph) == 0
+            desk_graph.syndrome_weight(((vec >> l) & 1).astype(np.uint8)) == 0
             for l in range(3)
         )
         assert gf_zero == layers_zero

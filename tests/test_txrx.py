@@ -1,4 +1,5 @@
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,16 +10,17 @@ from gftmux.cyclic import base_matrix, code_syndrome
 from gftmux.geometry import ScaleGuard, cpm, cpm_dispersion
 from gftmux.txrx import (
     GlobalWord,
+    StreamBlock,
     Transceiver,
     bpsk_map,
     build_cascaded_ref,
-    cascade_word,
     read_trace,
-    sp_deinterleave,
     sp_extract,
     verify_similarity,
     write_trace,
 )
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture(scope="module")
@@ -31,11 +33,16 @@ def rs5_tx(rs5_spec):
     return Transceiver(rs5_spec)
 
 
+def zero_streams(tx):
+    return StreamBlock(bits=np.zeros((tx.s, sum(tx.msg_lengths)), dtype=np.uint8),
+                       n=tx.n)
+
+
 # -- transmit ------------------------------------------------------------
 
 
 def test_zero_streams_zero_word(desk_tx):
-    word, x = desk_tx.transmit(desk_tx.zero_streams())
+    word, x = desk_tx.transmit(zero_streams(desk_tx))
     assert (word.symbols == 0).all()
     assert (x == 1.0).all()
 
@@ -68,7 +75,7 @@ def test_transmit_verify_raises_on_bad_word(desk_spec, monkeypatch):
 
     monkeypatch.setattr(tx, "encode_composites", corrupted)
     with pytest.raises(RuntimeError, match="global parity check"):
-        tx.transmit(tx.zero_streams(), verify=True)
+        tx.transmit(zero_streams(tx), verify=True)
 
 
 def test_composites_per_group_codewords(desk_tx, desk_spec):
@@ -109,8 +116,8 @@ def test_serial_bits_symbol_major(desk_tx):
 
 
 def test_stream_shape_mismatch_rejected(desk_tx):
-    streams = desk_tx.zero_streams()
-    streams.groups[2] = streams.groups[2][:, :-1]
+    streams = zero_streams(desk_tx)
+    streams.bits = streams.bits[:, :-1]
     with pytest.raises(ValueError):
         desk_tx.transmit(streams)
 
@@ -125,9 +132,10 @@ def test_sp_extract_definition():
 
 
 def test_sp_round_trip():
+    # S/P extraction is a transpose, so P/S regrouping is the same map
     rng = np.random.default_rng(53)
     comps = rng.integers(0, 8, size=(7, 7))
-    assert (sp_deinterleave(sp_extract(comps)) == comps).all()
+    assert (sp_extract(sp_extract(comps)) == comps).all()
 
 
 # -- receive ------------------------------------------------------------------
@@ -140,13 +148,13 @@ def test_receive_transmit_identity(fixture, request):
     for _ in range(50):
         streams = tx.random_streams(rng)
         word, _ = tx.transmit(streams)
-        assert streams.equal(tx.receive(word))
+        assert streams.equal(tx.demultiplex(word)[1])
 
 
 def test_receive_zero_word(desk_tx):
     word = GlobalWord(symbols=np.zeros(49, dtype=np.int64), s=3)
-    back = desk_tx.receive(word)
-    assert back.equal(desk_tx.zero_streams())
+    back = desk_tx.demultiplex(word)[1]
+    assert back.equal(zero_streams(desk_tx))
 
 
 def test_receive_recovers_published_bit_count():
@@ -154,10 +162,10 @@ def test_receive_recovers_published_bit_count():
     tx = b.transceiver
     rng = np.random.default_rng(61)
     streams = tx.random_streams(rng)
-    assert streams.total_bits() == 83248
+    assert streams.bits.size == 83248
     word, _ = tx.transmit(streams)
-    back = tx.receive(word)
-    assert back.total_bits() == 83248
+    back = tx.demultiplex(word)[1]
+    assert back.bits.size == 83248
     assert streams.equal(back)
 
 
@@ -202,7 +210,7 @@ def test_cascade_and_interleaved_syndromes(desk_spec, desk_tx):
     f = desk_spec.field
     rng = np.random.default_rng(71)
     comps = desk_tx.encode_composites(desk_tx.random_streams(rng))
-    c_casc = cascade_word(comps)
+    c_casc = comps.reshape(-1)               # the pre-interleave cascade order
     assert not f.matmul(c_casc[None, :], ref.h_casc.T).any()
     c_icc = sp_extract(comps).reshape(-1)
     assert not f.matmul(c_icc[None, :], ref.h_casc_pi.T).any()
@@ -240,8 +248,8 @@ def test_full_similarity_transform_desk(desk_spec, desk_tx):
     """Whole-matrix check: blockdiag(V) H_pi blockdiag(V^-1) == H_global."""
     ref = build_cascaded_ref(desk_spec)
     f = desk_spec.field
-    left = ref.v_blk(copies=3)          # row side: m blocks of V
-    right = ref.v_blk_inv(copies=7)     # column side: n blocks of V^-1
+    left = np.kron(np.eye(3, dtype=np.int64), ref.v_elements())       # m blocks of V
+    right = np.kron(np.eye(7, dtype=np.int64), ref.vinv_elements())   # n blocks of V^-1
     product = f.matmul(f.matmul(left, ref.h_casc_pi), right)
     assert (product == desk_tx.parity_check.dense()).all()
 
@@ -272,3 +280,21 @@ def test_trace_round_trip(desk_tx):
     word2, streams2 = read_trace(io.BytesIO(buf.getvalue()))
     assert (word2.symbols == word.symbols).all()
     assert streams.equal(streams2)
+
+
+def test_trace_golden_desk(desk_bundle):
+    """The desk trace in tests/data was written when StreamBlock held one
+    array per group; the flat layout writes and reads the same bytes."""
+    golden = (DATA / "golden_trace_desk.bin").read_bytes()
+    tx = desk_bundle.transceiver
+    streams = tx.random_streams(np.random.default_rng(20260810))
+    word, _ = tx.transmit(streams, verify=True)
+    buf = io.BytesIO()
+    write_trace(buf, word, streams)
+    assert buf.getvalue() == golden
+    word2, streams2 = read_trace(io.BytesIO(golden))
+    assert (word2.symbols == word.symbols).all()
+    assert streams2.equal(streams)
+    buf = io.BytesIO()
+    write_trace(buf, word2, streams2)
+    assert buf.getvalue() == golden
