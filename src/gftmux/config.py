@@ -205,8 +205,12 @@ def build_system(cfg: dict) -> SystemBundle:
     dec = cfg.get("decoder", {})
     simsec = cfg.get("sim", {})
     ebn0 = ch.get("ebn0_db", [0.0, 2.0, 4.0])
-    if not isinstance(ebn0, list) or not ebn0:
-        raise ConfigError("channel.ebn0_db must be a nonempty list")
+    if (not isinstance(ebn0, list) or not ebn0
+            or not all(_is_real(e) and np.isfinite(e) for e in ebn0)):
+        raise ConfigError("channel.ebn0_db must be a nonempty list of finite reals")
+    seed = ch.get("seed", 1)
+    if not _is_int(seed) or seed < 0:
+        raise ConfigError(f"channel.seed must be a non-negative integer, got {seed!r}")
     iterations = dec.get("iterations", [10])
     if (not isinstance(iterations, list) or not iterations
             or not all(_is_int(i) and i >= 1 for i in iterations)):
@@ -223,6 +227,11 @@ def build_system(cfg: dict) -> SystemBundle:
     for key, value in (("max_frames", max_frames), ("target_errors", target_errors)):
         if not _is_int(value):
             raise ConfigError(f"sim.{key} must be an integer, got {value!r}")
+    verify = simsec.get("verify", True)
+    baseline = simsec.get("baseline", False)
+    for key, value in (("verify", verify), ("baseline", baseline)):
+        if not isinstance(value, bool):
+            raise ConfigError(f"sim.{key} must be true or false, got {value!r}")
     try:
         sim_cfg = SimConfig(
             ebn0_db=[float(e) for e in ebn0],
@@ -230,10 +239,10 @@ def build_system(cfg: dict) -> SystemBundle:
             scale=float(scale),
             max_frames=max_frames,
             target_errors=target_errors,
-            seed=int(ch.get("seed", 1)),
+            seed=seed,
             clip=clip,
-            verify=bool(simsec.get("verify", True)),
-            baseline=bool(simsec.get("baseline", False)),
+            verify=verify,
+            baseline=baseline,
         )
     except (TypeError, ValueError) as e:
         raise ConfigError(f"sim/channel: {e}") from None

@@ -190,18 +190,14 @@ def base_matrix(spec: BaseCodeSpec, k: int = 1) -> BaseMatrix:
     return BaseMatrix(exponents=expo, hadamard_k=k, subgroup=spec.subgroup)
 
 
-def hadamard_indices(k: int, n: int) -> np.ndarray:
-    """Gather indices of the k-th Hadamard permutation: out[t] = v[t*k mod n]."""
+def hadamard_perm(v, k: int, n: int) -> np.ndarray:
+    """The k-th Hadamard permutation of v's last axis: out[t] = v[t*k mod n]."""
     if not 1 <= k < n:
         raise ValueError(f"Hadamard permutation needs 1 <= k < n, got k={k}")
-    return (np.arange(n, dtype=np.int64) * k) % n
-
-
-def hadamard_perm(v, k: int, n: int) -> np.ndarray:
     v = np.asarray(v)
     if v.shape[-1] != n:
         raise ValueError(f"vector length {v.shape[-1]} != n={n}")
-    return v[..., hadamard_indices(k, n)]
+    return v[..., (np.arange(n, dtype=np.int64) * k) % n]
 
 
 def code_syndrome(word, bmat: BaseMatrix, field: GaloisField) -> np.ndarray:

@@ -338,11 +338,35 @@ def read_alist(source) -> AlistMatrix:
     row_deg = rows[3]
     if len(col_deg) != n_cols or len(row_deg) != n_rows:
         raise ValueError("alist degree lists do not match the declared shape")
-    col_adj = [sorted(i - 1 for i in rows[4 + c][: col_deg[c]]) for c in range(n_cols)]
-    row_adj = [
-        sorted(i - 1 for i in rows[4 + n_cols + r][: row_deg[r]]) for r in range(n_rows)
-    ]
+    if len(rows) < 4 + n_cols + n_rows:
+        raise ValueError("alist file ends before its last adjacency list")
+    col_adj = _alist_adjacency(rows[4 : 4 + n_cols], col_deg, n_rows, "column")
+    row_adj = _alist_adjacency(rows[4 + n_cols : 4 + n_cols + n_rows], row_deg,
+                               n_cols, "row")
+    from_rows = [[] for _ in range(n_cols)]
+    for r, cols in enumerate(row_adj):
+        for c in cols:
+            from_rows[c].append(r)
+    if from_rows != col_adj:
+        raise ValueError("alist column lists describe a different edge set "
+                         "from the row lists")
     return AlistMatrix(n_cols=n_cols, n_rows=n_rows, col_adj=col_adj, row_adj=row_adj)
+
+
+def _alist_adjacency(lines: list, degrees: list, bound: int, what: str) -> list:
+    """Sorted 0-based index lists; each line must hold its declared degree
+    of indices in 1..bound (entries past the degree, e.g. zero pads, are
+    ignored)."""
+    out = []
+    for k, (line, deg) in enumerate(zip(lines, degrees)):
+        if len(line) < deg:
+            raise ValueError(f"alist {what} {k + 1} lists {len(line)} indices, "
+                             f"fewer than its degree {deg}")
+        idx = line[:deg]
+        if not all(1 <= i <= bound for i in idx):
+            raise ValueError(f"alist {what} {k + 1} has an index outside 1..{bound}")
+        out.append(sorted(i - 1 for i in idx))
+    return out
 
 
 def write_dense_text(h: GlobalParityCheck, destination) -> None:

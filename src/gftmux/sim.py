@@ -17,6 +17,7 @@ wer = (lambda/n) * ger by construction of the counters.
 
 from __future__ import annotations
 
+import math
 import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
@@ -38,14 +39,14 @@ BLOCK_SIZE = 64
 
 
 def confidence_interval(errors: int, trials: int, z: float = _Z95) -> tuple:
-    """95% Wilson score interval for an error probability."""
+    """95% Wilson score interval for an error probability, as Python floats."""
     if trials < 1:
         raise ValueError("need at least one trial")
     p = errors / trials
     z2 = z * z
     denom = 1.0 + z2 / trials
     center = (p + z2 / (2 * trials)) / denom
-    half = (z / denom) * np.sqrt(p * (1 - p) / trials + z2 / (4 * trials * trials))
+    half = (z / denom) * math.sqrt(p * (1 - p) / trials + z2 / (4 * trials * trials))
     low = 0.0 if errors == 0 else max(0.0, center - half)
     high = 1.0 if errors == trials else min(1.0, center + half)
     return low, high

@@ -43,10 +43,6 @@ class StreamBlock:
     bits: np.ndarray
     n: int
 
-    @property
-    def s(self) -> int:
-        return self.bits.shape[0]
-
     def bit_errors(self, other: "StreamBlock") -> int:
         return int(np.count_nonzero(self.bits != other.bits))
 
@@ -82,7 +78,7 @@ def bpsk_map(bits) -> np.ndarray:
 class Transceiver:
     """Precomputed end-to-end multiplexing context for one code spec.
 
-    Immutable after construction; transmit/receive are pure, so one
+    Immutable after construction; transmit/demultiplex are pure, so one
     instance can serve any number of concurrent trials.
     """
 
@@ -92,13 +88,9 @@ class Transceiver:
         self.subgroup = spec.subgroup
         n, m, s = spec.n, spec.m, spec.s
         self.n, self.m, self.s = n, m, s
-        self.base = base_matrix(spec, 1)
-        self.parity_check = cpm_dispersion(self.base)
-        self.v = vandermonde(spec.subgroup, "forward")
-        self.v_inv = vandermonde(spec.subgroup, "inverse")
-        self._v_el = self.v.elements()
-        self._vinv_el = self.v_inv.elements()
-        self.gpoly = cyclic.generator_poly(spec)
+        self.parity_check = cpm_dispersion(base_matrix(spec, 1))
+        self._v_el = vandermonde(spec.subgroup, "forward").elements()
+        self._vinv_el = vandermonde(spec.subgroup, "inverse").elements()
         self.gen_matrix = cyclic.generator_matrix(spec)
         if spec.mode == "binary":
             self._gen_f32 = self.gen_matrix.astype(np.float32)
@@ -110,7 +102,6 @@ class Transceiver:
         self._inv_perm = (t[None, :] * kinv[:, None]) % n
         self.msg_lengths = [n - 1] + [n - m] * (n - 1)
         self.info_bits = s * sum(self.msg_lengths)
-        self.serial_bits = s * n * n
 
     # -- stream handling ------------------------------------------------
 
@@ -289,7 +280,7 @@ _TRACE_MAGIC = b"GMTR"
 
 def write_trace(destination, word: GlobalWord, streams: StreamBlock) -> None:
     n, bits = streams.n, streams.bits.astype(np.uint8)
-    payload = [_TRACE_MAGIC, struct.pack("<BBH", 1, streams.s, n)]
+    payload = [_TRACE_MAGIC, struct.pack("<BBH", 1, bits.shape[0], n)]
     payload.append(
         np.asarray(word.symbols, dtype="<u2").tobytes()
     )

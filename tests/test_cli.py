@@ -181,6 +181,17 @@ def test_conjugacy_violation_reported(tmp_path, capsys):
     ("sim.max_frames=true", "sim.max_frames"),
     ("sim.max_frames=2.5", "sim.max_frames"),
     ("sim.target_errors=false", "sim.target_errors"),
+    ("channel.seed=7.9", "channel.seed"),
+    ("channel.seed=true", "channel.seed"),
+    ('channel.seed="7"', "channel.seed"),
+    ("channel.seed=-1", "channel.seed"),
+    ("channel.ebn0_db=[true]", "channel.ebn0_db"),
+    ('channel.ebn0_db=[2.0,"x"]', "channel.ebn0_db"),
+    ("channel.ebn0_db=[NaN]", "channel.ebn0_db"),
+    ('sim.verify="no"', "sim.verify"),
+    ("sim.verify=1", "sim.verify"),
+    ('sim.baseline="no"', "sim.baseline"),
+    ("sim.baseline=0", "sim.baseline"),
 ])
 def test_config_field_types(tmp_path, capsys, override, field):
     args = ["simulate", "--preset", "desk_gf8", "--outdir", str(tmp_path),

@@ -1,10 +1,13 @@
 """Sweep-engine regressions: golden CSVs and a per-cell replay oracle.
 
-The golden CSVs under tests/data were written by the per-cell engine
-that ran the whole transmit/decode chain once per (SNR, limit) cell;
-the single-pass engine must reproduce them byte for byte.
+The golden CSVs under tests/data hold the counters of the per-cell
+engine that ran the whole transmit/decode chain once per (SNR, limit)
+cell; the single-pass engine must reproduce them byte for byte.  Their
+Wilson-bound cells are plain numbers with the digits the per-cell
+engine wrote inside np.float64(...).
 """
 
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -16,6 +19,7 @@ from gftmux.decoder import MsaParams
 from gftmux.sim import CellResult, SimConfig, monte_carlo, run_trial
 
 DATA = Path(__file__).parent / "data"
+WORKER = Path(__file__).parent.parent / "perfbench" / "worker.py"
 
 DESK_ARGS = ["--set", "sim.max_frames=1000", "--set", "sim.baseline=false"]
 EX5_ARGS = ["--set", "channel.ebn0_db=[4.5,5.0]",
@@ -82,3 +86,12 @@ def test_progress_reports_cells_in_stop_order(desk_bundle):
     assert [c.ebn0_db for c in result.cells] == [4.0, 0.0]
     assert seen[0].wall_time <= seen[1].wall_time
 
+
+
+def test_benchmark_public_names_exist():
+    """Every gftmux name the benchmark worker calls still exists, so deleting
+    one fails here and not only when the benchmark runs."""
+    spec = importlib.util.spec_from_file_location("perfbench_worker", WORKER)
+    worker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(worker)
+    worker.check_public_names()

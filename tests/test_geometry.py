@@ -279,6 +279,42 @@ def test_alist_file_round_trip(tmp_path, desk_h):
     assert back.row_adj == to_alist(desk_h).row_adj
 
 
+def _desk_alist_lines(desk_h):
+    buf = io.StringIO()
+    write_alist(desk_h, buf)
+    return buf.getvalue().splitlines()
+
+
+def _read_lines(lines):
+    return read_alist(io.StringIO("\n".join(lines) + "\n"))
+
+
+def test_alist_rejects_index_out_of_range(desk_h):
+    # line 4 + 49 is the first row list; row indices name columns 1..49
+    for bad in ("50", "0"):
+        lines = _desk_alist_lines(desk_h)
+        row = lines[53].split()
+        lines[53] = " ".join(row[:-1] + [bad])
+        with pytest.raises(ValueError, match=r"row 1 has an index outside 1\.\.49"):
+            _read_lines(lines)
+
+
+def test_alist_rejects_list_shorter_than_degree(desk_h):
+    lines = _desk_alist_lines(desk_h)
+    lines[4] = " ".join(lines[4].split()[:-1])     # column 1 keeps 2 of 3 indices
+    with pytest.raises(ValueError, match="column 1 lists 2 indices, fewer than"):
+        _read_lines(lines)
+
+
+def test_alist_rejects_inconsistent_edge_sets(desk_h):
+    lines = _desk_alist_lines(desk_h)
+    row = [int(i) for i in lines[53].split()]
+    row[0] = next(c for c in range(1, 50) if c not in row)   # move one edge
+    lines[53] = " ".join(map(str, row))
+    with pytest.raises(ValueError, match="different edge set"):
+        _read_lines(lines)
+
+
 def test_dense_text_dump(desk_h):
     buf = io.StringIO()
     write_dense_text(desk_h, buf)

@@ -1,12 +1,15 @@
+import csv
 import io
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from gftmux import config
 from gftmux.channel import ChannelParams
 from gftmux.decoder import MsaParams
 from gftmux.sim import (
+    CSV_COLUMNS,
     CellResult,
     SimConfig,
     TrialRecord,
@@ -104,6 +107,23 @@ def test_trial_verify_raises_on_false_convergence(desk, monkeypatch):
     with pytest.raises(RuntimeError, match="nonzero syndrome"):
         run_trial(desk.transceiver, desk.graph, 1.0, params, 555, 0)
     run_trial(desk.transceiver, desk.graph, 1.0, params, 555, 0, verify=False)
+
+
+@pytest.mark.parametrize("preset, ebn0_db, max_iters", [
+    ("ex1_bch127_113", 5.5, 3),   # measured: every layer converges in 2-3
+    ("ex5_rs89_85", 6.0, 3),      # measured: every layer converges in 1-3
+])
+def test_noisy_decode_at_scale(preset, ebn0_db, max_iters):
+    """Two noisy production-scale frames decode exactly within the measured
+    iteration bound (limit 50, the preset's seed, trials 0 and 1)."""
+    b = config.build_system(config.load_preset(preset))
+    sigma = ChannelParams(ebn0_db=ebn0_db, rate=b.rate).sigma
+    params = MsaParams(max_iterations=50, scale=b.sim.scale)
+    for idx in range(2):
+        rec = run_trial(b.transceiver, b.graph, sigma, params, b.sim.seed, idx)
+        assert rec.all_converged and len(rec.iterations) == b.spec.s
+        assert rec.composite_errors == 0 and rec.bit_errors == 0
+        assert max(rec.iterations) <= max_iters, rec.iterations
 
 
 # -- cell counters and the metric identity ------------------------------------
@@ -226,6 +246,19 @@ def test_csv_format(desk):
     assert len(lines) == 2
     fields = lines[1].split(",")
     assert fields[0] == "2.0" and fields[1] == "10" and fields[2] == "80"
+
+
+def test_csv_cells_parse_as_numbers(desk):
+    result = _small_result(desk, frames=80)
+    lo, hi = result.cells[0].wilson_wer(result.n)
+    assert 0.0 < lo < hi < 1.0                   # interior bounds, computed ones
+    buf = io.StringIO()
+    write_csv(result, buf)
+    rows = list(csv.reader(io.StringIO(buf.getvalue())))
+    cells = [cell for row in rows[1:] for cell in row if cell]
+    assert len(cells) >= len(CSV_COLUMNS) - 1    # only lambda may be empty
+    for cell in cells:
+        float(cell)
 
 
 def test_csv_truncation_marker(desk):
