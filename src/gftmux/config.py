@@ -189,7 +189,7 @@ def build_system(cfg: dict) -> SystemBundle:
     if "roots" in code_sec:
         roots = code_sec["roots"]
         if (not isinstance(roots, list) or not roots
-                or not all(isinstance(r, int) for r in roots)):
+                or not all(_is_int(r) for r in roots)):
             raise ConfigError("code.roots must be a nonempty list of integers")
         spec = cyclic.BaseCodeSpec(field=field, subgroup=subgroup,
                                    roots=tuple(roots), mode=mode)

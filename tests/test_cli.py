@@ -192,6 +192,7 @@ def test_conjugacy_violation_reported(tmp_path, capsys):
     ("sim.verify=1", "sim.verify"),
     ('sim.baseline="no"', "sim.baseline"),
     ("sim.baseline=0", "sim.baseline"),
+    ("code.roots=[true,2,4]", "code.roots"),
 ])
 def test_config_field_types(tmp_path, capsys, override, field):
     args = ["simulate", "--preset", "desk_gf8", "--outdir", str(tmp_path),
