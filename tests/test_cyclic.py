@@ -3,7 +3,6 @@ import pytest
 
 from conftest import gf2_poly_divisible
 from gftmux import cyclic, galois
-from gftmux.galois import compose_arr
 from gftmux.cyclic import (
     BaseCodeSpec,
     ConjugacyViolation,
@@ -21,6 +20,7 @@ from gftmux.cyclic import (
     mld_oracle,
     poly_eval,
 )
+from gftmux.galois import compose_arr
 
 
 # -- spec validation ----------------------------------------------------
