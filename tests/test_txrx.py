@@ -1,3 +1,4 @@
+import hashlib
 import io
 from pathlib import Path
 
@@ -298,3 +299,19 @@ def test_trace_golden_desk(desk_bundle):
     buf = io.BytesIO()
     write_trace(buf, word2, streams2)
     assert buf.getvalue() == golden
+
+
+@pytest.mark.parametrize("preset,digest", [
+    ("ex1_bch127_113", "b6e391e62ab07d4eb1dece5e63a2e73b6282eb02b741f61d374f3ddbd5fcb3b5"),
+    ("ex3_rs127_121", "21beef4ef4276807737e8856e62fb1b3fa75f95beb4b938a04edbd832fe36bb8"),
+    ("ex5_rs89_85", "fc0e325fea8ef902c467c640268b7df3d9bc245e62bf024517fa7fc3cb6d2fb4"),
+])
+def test_trace_digest_at_scale(preset, digest):
+    """Pins the production-scale transmit chain bit for bit, binary and
+    nonbinary alike: SHA-256 of the trace of one seeded transmission."""
+    tx = config.build_system(config.load_preset(preset)).transceiver
+    streams = tx.random_streams(np.random.default_rng(20260810))
+    word, _ = tx.transmit(streams, verify=True)
+    buf = io.BytesIO()
+    write_trace(buf, word, streams)
+    assert hashlib.sha256(buf.getvalue()).hexdigest() == digest
