@@ -17,7 +17,6 @@ import numpy as np
 class ChannelParams:
     ebn0_db: float
     rate: float
-    seed: int | None = None
 
     @property
     def sigma2(self) -> float:

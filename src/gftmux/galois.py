@@ -99,9 +99,6 @@ class GaloisField:
         q1 = self.order - 1
         return int(self.antilog_table[(q1 - self.log_table[a]) % q1])
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, e: int) -> int:
         """a**e with e any integer (negative allowed for nonzero a)."""
         if a == 0:
