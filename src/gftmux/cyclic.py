@@ -230,10 +230,10 @@ def encode(msg, g: GeneratorPoly) -> np.ndarray:
 
 
 def encode_spc(msg) -> np.ndarray:
-    """Append the XOR-sum parity symbol; works over GF(2) and GF(2^s) alike."""
-    msg = np.asarray(msg, dtype=np.int64)
-    parity = np.bitwise_xor.reduce(msg) if msg.size else 0
-    return np.concatenate([msg, [parity]])
+    """Append the XOR-sum of msg along axis 0: the parity symbol of a
+    GF(2) or GF(2^s) word, or the parity row of a (length, s) bit block."""
+    msg = np.asarray(msg)
+    return np.concatenate([msg, np.bitwise_xor.reduce(msg, axis=0, keepdims=True)])
 
 
 def generator_matrix(spec: BaseCodeSpec) -> np.ndarray:

@@ -170,7 +170,7 @@ def decode_frame(frame: LlrFrame, graph: DecoderGraph, params: MsaParams,
 
 
 def decode_global(frame: LlrFrame, graph: DecoderGraph, params: MsaParams) -> tuple:
-    """Decode the s layers independently and recompose the symbol estimate."""
+    """Decode the s layers independently; the word estimate stacks their bits."""
     results = [lay[0] for lay in
                decode_frame(frame, graph, params, (params.max_iterations,))]
-    return GlobalWord.from_layers([r.hard_bits for r in results]), results
+    return GlobalWord(bits=np.stack([r.hard_bits for r in results])), results

@@ -81,9 +81,6 @@ class GaloisField:
             )
         self.antilog_table = antilog
         self.log_table = log
-        # int32 copies keep the big matmul temporaries half-sized
-        self._log32 = log.astype(np.int32)
-        self._alog32 = antilog.astype(np.int32)
 
     # -- scalar ops --------------------------------------------------
 
@@ -122,22 +119,28 @@ class GaloisField:
         out = self.antilog_table[(self.log_table[a] + self.log_table[b]) % q1]
         return np.where((a != 0) & (b != 0), out, 0)
 
-    def matmul(self, a, b) -> np.ndarray:
-        """Matrix product over GF(2^s) of a (p x r) by b (r x c).
+    def lift(self, mat) -> np.ndarray:
+        """(r*s, c*s) 0/1 float32 M with bits(x) @ M == bits(x @ mat) mod 2.
 
-        Builds a (p, r, c) temporary, so keep r*c*p within memory
-        reason (fine up to the n=127 scale used here).
+        Bits are symbol-major (bit l of symbol t at t*s + l); row t*s + l
+        holds the bits of alpha^l * mat[t].  float32 sums of at most r*s
+        ones are exact below 2^24; r*s is at most 979 on every preset.
         """
+        mat = np.atleast_2d(np.asarray(mat, dtype=np.int64))
+        r, c = mat.shape
+        rows = self.mul_arr((1 << np.arange(self.s))[None, :, None], mat[:, None, :])
+        bits = (rows[..., None] >> np.arange(self.s)) & 1       # (r, s, c, s)
+        return bits.reshape(r * self.s, c * self.s).astype(np.float32)
+
+    def matmul(self, a, b) -> np.ndarray:
+        """Matrix product over GF(2^s) of a (p x r) by b (r x c)."""
         a = np.atleast_2d(np.asarray(a, dtype=np.int64))
         b = np.atleast_2d(np.asarray(b, dtype=np.int64))
         if a.shape[1] != b.shape[0]:
             raise ValueError(f"shape mismatch {a.shape} x {b.shape}")
-        q1 = self.order - 1
-        expo = (self._log32[a][:, :, None] + self._log32[b][None, :, :]) % q1
-        prod = self._alog32[expo]
-        nz = (a != 0)[:, :, None] & (b != 0)[None, :, :]
-        out = np.bitwise_xor.reduce(np.where(nz, prod, 0), axis=1)
-        return out.astype(np.int64)
+        bits = decompose_arr(a.reshape(-1), self.s).T.reshape(len(a), -1)
+        out = gf2_product(bits, self.lift(b)).reshape(-1, self.s).T
+        return compose_arr(out).reshape(len(a), b.shape[1])
 
     def __repr__(self):
         return f"GaloisField(s={self.s}, poly=0x{self.primitive_poly:x})"
@@ -230,3 +233,8 @@ def compose_arr(layers) -> np.ndarray:
         raise ValueError("compose_arr expects an (s, n) bit array")
     s = layers.shape[0]
     return (layers << np.arange(s)[:, None]).sum(axis=0)
+
+
+def gf2_product(bits, lifted) -> np.ndarray:
+    """bits @ lifted over GF(2), as uint8; lifted comes from GaloisField.lift."""
+    return (np.asarray(bits, dtype=np.float32) @ lifted % 2).astype(np.uint8)

@@ -201,7 +201,7 @@ def run_trials(tx: Transceiver, graph: DecoderGraph, points, params: MsaParams,
             iterations = [r.iterations_used for r in results]
             key = tuple(iterations)
             if key not in errors:
-                word_hat = GlobalWord.from_layers([r.hard_bits for r in results])
+                word_hat = GlobalWord(bits=np.stack([r.hard_bits for r in results]))
                 comps_hat, streams_hat = tx.demultiplex(word_hat)
                 errors[key] = (int((comps_hat != composites).any(axis=1).sum()),
                                streams.bit_errors(streams_hat))

@@ -1,10 +1,11 @@
 """Transmit and receive chains for the global coded-multiplexing scheme.
 
 Transmit: local encode each of the n stream groups onto its Hadamard
-equivalent (group 0 onto the SPC code), compose s binary layers into
-GF(2^s) composite words, interleave by serial-to-parallel extraction,
-apply the Galois Fourier transform per parallel vector, serialize, and
-map the s*n^2 constituent bits to BPSK.  Receive inverts the chain.
+equivalent (group 0 onto the SPC code), interleave the n composite
+words by serial-to-parallel extraction, apply the Galois Fourier
+transform per parallel vector, serialize, and map the s*n^2 constituent
+bits to BPSK.  Receive inverts the chain.  It all runs on symbol-major
+bits, each GF(2^s) matrix applied as its GF(2) lift.
 
 Also holds the cascaded/interleaved reference matrices used to verify
 that the transform similarity turns the block-diagonal local structure
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import cyclic
 from .cyclic import BaseCodeSpec, base_matrix
-from .galois import compose_arr, decompose_arr
+from .galois import compose_arr, decompose_arr, gf2_product
 from .geometry import (
     DENSE_LIMIT,
     GlobalParityCheck,
@@ -52,22 +53,13 @@ class StreamBlock:
 
 @dataclass(eq=False)
 class GlobalWord:
-    """Length-n^2 vector over GF(2^s) with lazily derived binary layers."""
+    """Length-n^2 word over GF(2^s): bits[l, t] is the alpha^l bit of symbol t."""
 
-    symbols: np.ndarray
-    s: int
+    bits: np.ndarray
 
-    def layers(self) -> np.ndarray:
-        return decompose_arr(self.symbols, self.s)
-
-    def serial_bits(self) -> np.ndarray:
-        """Symbol-major bit serialization, coefficient of alpha^0 first."""
-        return self.layers().T.reshape(-1)
-
-    @classmethod
-    def from_layers(cls, layers) -> "GlobalWord":
-        layers = np.asarray(layers)
-        return cls(symbols=compose_arr(layers), s=layers.shape[0])
+    @property
+    def symbols(self) -> np.ndarray:
+        return compose_arr(self.bits)
 
 
 def bpsk_map(bits) -> np.ndarray:
@@ -84,16 +76,14 @@ class Transceiver:
 
     def __init__(self, spec: BaseCodeSpec):
         self.spec = spec
-        self.field = spec.field
-        self.subgroup = spec.subgroup
         n, m, s = spec.n, spec.m, spec.s
         self.n, self.m, self.s = n, m, s
         self.parity_check = cpm_dispersion(base_matrix(spec, 1))
-        self._v_el = vandermonde(spec.subgroup, "forward").elements()
-        self._vinv_el = vandermonde(spec.subgroup, "inverse").elements()
-        self.gen_matrix = cyclic.generator_matrix(spec)
-        if spec.mode == "binary":
-            self._gen_f32 = self.gen_matrix.astype(np.float32)
+        # GF(2) lifts of the generator (G (x) I_s in binary mode), V, V^-1
+        field = spec.field
+        self._gen_bits = field.lift(cyclic.generator_matrix(spec))
+        self._v_bits = field.lift(vandermonde(spec.subgroup, "forward").elements())
+        self._vinv_bits = field.lift(vandermonde(spec.subgroup, "inverse").elements())
         # perm[k-1, t] = t*k mod n for groups 1..n-1; inv_perm undoes it
         ks = np.arange(1, n, dtype=np.int64)
         t = np.arange(n, dtype=np.int64)
@@ -115,29 +105,25 @@ class Transceiver:
     # -- transmit ---------------------------------------------------------
 
     def encode_composites(self, streams: StreamBlock) -> np.ndarray:
-        """(n, n) symbol matrix; row k is the composite word of group k."""
+        """(n, n*s) bits; row k is composite word k, symbol-major."""
         n, m, s = self.n, self.m, self.s
         if streams.bits.shape != (s, sum(self.msg_lengths)):
             raise ValueError("stream block shape does not match the code spec")
-        comp = np.zeros((n, n), dtype=np.int64)
-        comp[0] = cyclic.encode_spc(compose_arr(streams.bits[:, : n - 1]))
-        msgs = streams.bits[:, n - 1 :]                    # (s, (n-1)(n-m))
-        if self.spec.mode == "binary":
-            flat = msgs.astype(np.float32).reshape(-1, n - m)
-            cw_bits = (flat @ self._gen_f32) % 2           # BLAS, sums stay exact
-            base_words = compose_arr(cw_bits.reshape(s, -1)).reshape(n - 1, n)
-        else:
-            msg_syms = compose_arr(msgs).reshape(n - 1, n - m)
-            base_words = self.field.matmul(msg_syms, self.gen_matrix)
-        comp[1:] = np.take_along_axis(base_words, self._perm, axis=1)
-        return comp
+        comp = np.empty((n, n, s), dtype=np.uint8)
+        comp[0] = cyclic.encode_spc(streams.bits[:, : n - 1].T)
+        msgs = streams.bits[:, n - 1 :].reshape(s, n - 1, n - m).transpose(1, 2, 0)
+        base_words = gf2_product(msgs.reshape(n - 1, -1), self._gen_bits)
+        comp[1:] = np.take_along_axis(base_words.reshape(n - 1, n, s),
+                                      self._perm[:, :, None], axis=1)
+        return comp.reshape(n, n * s)
 
     def multiplex(self, composites: np.ndarray) -> tuple:
         """S/P extraction, GFT per parallel vector, serialization, BPSK."""
-        parallel = sp_extract(composites)
-        segments = self.field.matmul(parallel, self._v_el)
-        word = GlobalWord(symbols=segments.reshape(-1), s=self.s)
-        return word, bpsk_map(word.serial_bits())
+        n, s = self.n, self.s
+        # parallel vector j collects symbol j of every composite word
+        parallel = composites.reshape(n, n, s).transpose(1, 0, 2).reshape(n, n * s)
+        serial = gf2_product(parallel, self._v_bits).reshape(-1)
+        return GlobalWord(bits=serial.reshape(n * n, s).T), bpsk_map(serial)
 
     def transmit(self, streams: StreamBlock, verify: bool = False) -> tuple:
         word, x = self.multiplex(self.encode_composites(streams))
@@ -149,19 +135,12 @@ class Transceiver:
 
     def demultiplex(self, word: GlobalWord) -> tuple:
         """Inverse GFT, P/S regrouping; returns (composites, StreamBlock)."""
-        n, m = self.n, self.m
-        segments = np.asarray(word.symbols, dtype=np.int64).reshape(n, n)
-        parallel = self.field.matmul(segments, self._vinv_el)
-        composites = parallel.T.copy()
-        base_words = np.take_along_axis(composites[1:], self._inv_perm, axis=1)
-        msg_syms = np.concatenate([composites[0, : n - 1],
-                                   base_words[:, m:].reshape(-1)])
-        return composites, StreamBlock(bits=decompose_arr(msg_syms, self.s), n=n)
-
-
-def sp_extract(composites) -> np.ndarray:
-    """Parallel vector j collects symbol j of every composite word."""
-    return np.asarray(composites).T.copy()
+        n, m, s = self.n, self.m, self.s
+        parallel = gf2_product(word.bits.T.reshape(n, n * s), self._vinv_bits)
+        comp = parallel.reshape(n, n, s).transpose(1, 0, 2)
+        msgs = np.take_along_axis(comp[1:], self._inv_perm[:, m:, None], axis=1)
+        msg_bits = np.concatenate([comp[0, : n - 1], msgs.reshape(-1, s)])
+        return comp.reshape(n, n * s), StreamBlock(bits=msg_bits.T, n=n)
 
 
 # -- cascaded / interleaved reference matrices ---------------------------
@@ -318,4 +297,4 @@ def read_trace(source) -> tuple:
         off += s * lk
         groups.append(bits.reshape(s, lk))
     streams = StreamBlock(bits=np.concatenate(groups, axis=1), n=n)
-    return GlobalWord(symbols=symbols, s=s), streams
+    return GlobalWord(bits=decompose_arr(symbols, s)), streams

@@ -126,7 +126,7 @@ def verify_layer_decomposition(bundle, random_vectors: int = 1000,
     for _ in range(tx_frames):
         word, _ = tx.transmit(tx.random_streams(rng))
         gf_zero = h.syndrome_weight(word.symbols) == 0
-        layers_zero = all(h.syndrome_weight(lay) == 0 for lay in word.layers())
+        layers_zero = all(h.syndrome_weight(lay) == 0 for lay in word.bits)
         bad += (not gf_zero) or (not layers_zero) or (gf_zero != layers_zero)
     total = random_vectors + tx_frames
     return _check("layer-decomposition", bad == 0,
@@ -147,7 +147,7 @@ def verify_round_trip(bundle, frames: int = 5, seed: int = 0) -> CheckResult:
         ok &= streams.equal(back)
         frame = LlrFrame(llr(x, 1.0), s=tx.s, n=tx.n)
         word_hat, results = decode_global(frame, graph, params)
-        ok &= (word_hat.symbols == word.symbols).all()
+        ok &= (word_hat.bits == word.bits).all()
         ok &= all(r.converged and r.iterations_used == 1 for r in results)
     return _check("round-trip", ok,
                   f"{frames} random frames: receive(transmit(x)) == x, "

@@ -142,7 +142,7 @@ def test_criterion_04_layer_decomposition():
         if h.syndrome_weight(word.symbols) != 0:
             problems.append(f"transmitter output {i} has nonzero GF syndrome")
             break
-        if any(h.syndrome_weight(lay) != 0 for lay in word.layers()):
+        if any(h.syndrome_weight(lay) != 0 for lay in word.bits):
             problems.append(f"transmitter output {i} has a nonzero layer")
             break
     report("C4 layer-decomposition", problems,

@@ -233,6 +233,9 @@ def test_encode_spc():
     word = encode_spc(np.array([2, 2, 1, 0, 0, 0]))
     assert word[-1] == 1
     assert np.bitwise_xor.reduce(word) == 0
+    # a (length, s) bit block gains a parity row
+    block = np.array([[1, 0, 1], [1, 1, 0]], dtype=np.uint8)
+    assert encode_spc(block).tolist() == [[1, 0, 1], [1, 1, 0], [0, 1, 1]]
 
 
 def test_compose_streams(desk_spec):

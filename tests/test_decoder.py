@@ -30,7 +30,7 @@ def desk_graph(desk_tx):
 
 def _tx_layer(desk_tx, rng):
     word, _ = desk_tx.transmit(desk_tx.random_streams(rng))
-    return word, word.layers()
+    return word, word.bits
 
 
 def test_graph_degrees(desk_graph):
@@ -108,7 +108,7 @@ def test_sign_symmetry_codeword_gauge(desk_tx, desk_graph):
     for _ in range(10):
         frame = rng.normal(size=49) * 2
         word, _ = desk_tx.transmit(desk_tx.random_streams(rng))
-        gauge = word.layers()[0].astype(np.float64)     # a random codeword
+        gauge = word.bits[0].astype(np.float64)     # a random codeword
         params = MsaParams(max_iterations=6)
         a = decode_layer(frame, desk_graph, params)
         b = decode_layer(frame * (1 - 2 * gauge), desk_graph, params)
@@ -132,8 +132,8 @@ def test_early_stop_soundness(desk_tx, desk_graph):
     rng = np.random.default_rng(113)
     sigma = 0.8
     for _ in range(30):
-        word, _ = desk_tx.transmit(desk_tx.random_streams(rng))
-        y = bpsk_map(word.serial_bits()) + sigma * rng.normal(size=147)
+        _, x = desk_tx.transmit(desk_tx.random_streams(rng))
+        y = x + sigma * rng.normal(size=147)
         frame = LlrFrame(llr(y, sigma), s=3, n=7)
         _, results = decode_global(frame, desk_graph,
                                    MsaParams(max_iterations=6))
@@ -144,8 +144,8 @@ def test_early_stop_soundness(desk_tx, desk_graph):
 
 def test_decode_global_recomposition(desk_tx, desk_graph):
     rng = np.random.default_rng(127)
-    word, _ = desk_tx.transmit(desk_tx.random_streams(rng))
-    frame = LlrFrame(llr(bpsk_map(word.serial_bits()), 1.0), s=3, n=7)
+    word, x = desk_tx.transmit(desk_tx.random_streams(rng))
+    frame = LlrFrame(llr(x, 1.0), s=3, n=7)
     est, results = decode_global(frame, desk_graph, MsaParams(max_iterations=5))
     assert (est.symbols == word.symbols).all()
     assert desk_tx.parity_check.syndrome_weight(est.symbols) == 0
@@ -240,9 +240,9 @@ def test_checkpoints_match_separate_decodes(desk_tx, desk_graph):
     limits = (1, 3, 7, 20, 7)
     seen_unconverged = seen_converged = 0
     for _ in range(40):
-        word, _ = desk_tx.transmit(desk_tx.random_streams(rng))
+        _, x = desk_tx.transmit(desk_tx.random_streams(rng))
         sigma = 0.9
-        y = bpsk_map(word.serial_bits()) + sigma * rng.standard_normal(3 * 49)
+        y = x + sigma * rng.standard_normal(3 * 49)
         frame = LlrFrame(llr(y, sigma), s=3, n=7)
         params = MsaParams(max_iterations=20, scale=0.75, clip=4.0)
         per_layer = decode_frame(frame, desk_graph, params, limits)

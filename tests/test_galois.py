@@ -172,6 +172,34 @@ def test_matmul_matches_naive(gf8):
     assert (gf8.matmul(a, b) == naive_gf_matmul(a, b, gf8)).all()
 
 
+@pytest.mark.parametrize("s", [3, 4, 11])
+def test_lift_matches_naive(s):
+    from conftest import naive_gf_matmul
+
+    field = build_field(s)
+    rng = np.random.default_rng(s)
+    a = rng.integers(0, field.order, size=(3, 5))
+    b = rng.integers(0, field.order, size=(5, 4))
+    a[0, 1] = a[2, :] = b[1, 2] = b[:, 3] = 0
+    bits = decompose_arr(a.reshape(-1), s).T.reshape(3, 5 * s)     # symbol-major
+    lifted = field.lift(b)
+    assert lifted.shape == (5 * s, 4 * s) and lifted.dtype == np.float32
+    out = (bits @ lifted % 2).astype(np.int64)
+    got = compose_arr(out.reshape(12, s).T).reshape(3, 4)
+    assert (got == naive_gf_matmul(a, b, field)).all()
+
+
+@pytest.mark.parametrize("s", [3, 4, 11])
+def test_lift_is_multiplicative(s):
+    field = build_field(s)
+    rng = np.random.default_rng(100 + s)
+    a = rng.integers(0, field.order, size=(2, 6))
+    b = rng.integers(0, field.order, size=(6, 3))
+    a[1, 0] = b[2, :] = 0
+    composed = field.lift(a) @ field.lift(b) % 2
+    assert (field.lift(field.matmul(a, b)) == composed).all()
+
+
 def test_build_field_needs_poly_for_unknown_s():
     with pytest.raises(ValueError):
         build_field(5)

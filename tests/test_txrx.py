@@ -8,6 +8,7 @@ import pytest
 from conftest import naive_gf_matmul
 from gftmux import config, cyclic, galois
 from gftmux.cyclic import base_matrix, code_syndrome
+from gftmux.galois import compose_arr, decompose_arr
 from gftmux.geometry import ScaleGuard, cpm, cpm_dispersion
 from gftmux.txrx import (
     GlobalWord,
@@ -16,7 +17,6 @@ from gftmux.txrx import (
     bpsk_map,
     build_cascaded_ref,
     read_trace,
-    sp_extract,
     verify_similarity,
     write_trace,
 )
@@ -32,6 +32,16 @@ def desk_tx(desk_spec):
 @pytest.fixture(scope="module")
 def rs5_tx(rs5_spec):
     return Transceiver(rs5_spec)
+
+
+def symbols_of(bits, s):
+    """Rows of symbol-major bits (bit l of symbol t at t*s + l) as symbols."""
+    return compose_arr(bits.reshape(-1, s).T).reshape(bits.shape[0], -1)
+
+
+def bits_of(symbols, s):
+    """Inverse of symbols_of."""
+    return decompose_arr(symbols.reshape(-1), s).T.reshape(symbols.shape[0], -1)
 
 
 def zero_streams(tx):
@@ -54,7 +64,7 @@ def test_transmit_syndrome_zero_random(desk_tx):
     for _ in range(25):
         word, _ = desk_tx.transmit(desk_tx.random_streams(rng), verify=True)
         assert h.syndrome_weight(word.symbols) == 0
-        for layer in word.layers():
+        for layer in word.bits:
             assert h.syndrome_weight(layer) == 0
 
 
@@ -81,7 +91,7 @@ def test_transmit_verify_raises_on_bad_word(desk_spec, monkeypatch):
 
 def test_composites_per_group_codewords(desk_tx, desk_spec):
     rng = np.random.default_rng(41)
-    comps = desk_tx.encode_composites(desk_tx.random_streams(rng))
+    comps = symbols_of(desk_tx.encode_composites(desk_tx.random_streams(rng)), 3)
     f = desk_spec.field
     for k in range(7):
         syn = code_syndrome(comps[k], base_matrix(desk_spec, k), f)
@@ -107,13 +117,13 @@ def test_bpsk_mapping():
 
 def test_serial_bits_symbol_major(desk_tx):
     rng = np.random.default_rng(47)
-    word, _ = desk_tx.transmit(desk_tx.random_streams(rng))
-    bits = word.serial_bits()
+    word, x = desk_tx.transmit(desk_tx.random_streams(rng))
+    bits = (x < 0).astype(np.uint8)
     # bit l of symbol t sits at index t*s + l, layer 0 = coefficient of alpha^0
     for t in (0, 5, 20):
         for l in range(3):
             assert bits[t * 3 + l] == (int(word.symbols[t]) >> l) & 1
-    assert (GlobalWord.from_layers(word.layers()).symbols == word.symbols).all()
+    assert (word.bits.T.reshape(-1) == bits).all()
 
 
 def test_stream_shape_mismatch_rejected(desk_tx):
@@ -126,17 +136,24 @@ def test_stream_shape_mismatch_rejected(desk_tx):
 # -- S/P extraction ---------------------------------------------------------
 
 
-def test_sp_extract_definition():
-    comps = np.arange(49).reshape(7, 7)
-    par = sp_extract(comps)
-    assert par[3].tolist() == comps[:, 3].tolist()   # c[3] = (c_{0,3},...,c_{6,3})
+def test_sp_extract_definition(desk_tx, gf8, sub7):
+    from gftmux.geometry import vandermonde
+
+    # segment 3 of the word is the GFT of c[3] = (c_{0,3},...,c_{6,3})
+    comps = np.arange(49).reshape(7, 7) % 8
+    word, _ = desk_tx.multiplex(bits_of(comps, 3))
+    v = vandermonde(sub7, "forward").elements()
+    want = naive_gf_matmul(comps[:, 3][None, :], v, gf8)[0]
+    assert (word.symbols.reshape(7, 7)[3] == want).all()
 
 
-def test_sp_round_trip():
-    # S/P extraction is a transpose, so P/S regrouping is the same map
+def test_sp_round_trip(desk_tx):
+    # S/P extraction is a transpose, so P/S regrouping is the same map;
+    # demultiplex inverts multiplex on any composites, codewords or not
     rng = np.random.default_rng(53)
-    comps = rng.integers(0, 8, size=(7, 7))
-    assert (sp_extract(sp_extract(comps)) == comps).all()
+    comps = rng.integers(0, 2, size=(7, 21), dtype=np.uint8)
+    word, _ = desk_tx.multiplex(comps)
+    assert (desk_tx.demultiplex(word)[0] == comps).all()
 
 
 # -- receive ------------------------------------------------------------------
@@ -153,7 +170,7 @@ def test_receive_transmit_identity(fixture, request):
 
 
 def test_receive_zero_word(desk_tx):
-    word = GlobalWord(symbols=np.zeros(49, dtype=np.int64), s=3)
+    word = GlobalWord(bits=np.zeros((3, 49), dtype=np.uint8))
     back = desk_tx.demultiplex(word)[1]
     assert back.equal(zero_streams(desk_tx))
 
@@ -210,10 +227,10 @@ def test_cascade_and_interleaved_syndromes(desk_spec, desk_tx):
     ref = build_cascaded_ref(desk_spec)
     f = desk_spec.field
     rng = np.random.default_rng(71)
-    comps = desk_tx.encode_composites(desk_tx.random_streams(rng))
+    comps = symbols_of(desk_tx.encode_composites(desk_tx.random_streams(rng)), 3)
     c_casc = comps.reshape(-1)               # the pre-interleave cascade order
     assert not f.matmul(c_casc[None, :], ref.h_casc.T).any()
-    c_icc = sp_extract(comps).reshape(-1)
+    c_icc = comps.T.reshape(-1)              # S/P extraction
     assert not f.matmul(c_icc[None, :], ref.h_casc_pi.T).any()
     # the interleaved word is the column-permuted cascade word
     assert (c_icc == c_casc[ref.col_map]).all()
