@@ -316,8 +316,8 @@ def write_alist(h_or_alist, destination) -> None:
         " ".join(str(len(c)) for c in a.col_adj),
         " ".join(str(len(r)) for r in a.row_adj),
     ]
-    lines += [" ".join(str(i + 1) for i in c) for c in a.col_adj]
-    lines += [" ".join(str(i + 1) for i in r) for r in a.row_adj]
+    # an empty list is written as the usual "0" pad, never as a blank line
+    lines += [" ".join(str(i + 1) for i in adj) or "0" for adj in a.col_adj + a.row_adj]
     text = "\n".join(lines) + "\n"
     if hasattr(destination, "write"):
         destination.write(text)

@@ -7,6 +7,7 @@ from conftest import naive_gf_matmul
 from gftmux import cyclic, galois, geometry
 from gftmux.cyclic import DuplicateRoots, base_matrix
 from gftmux.geometry import (
+    AlistMatrix,
     GlobalParityCheck,
     ScaleGuard,
     cpm,
@@ -264,6 +265,18 @@ def test_alist_round_trip(desk_h):
     assert back.n_cols == 49 and back.n_rows == 21
     assert back.col_adj == ref.col_adj
     assert back.row_adj == ref.row_adj
+
+
+@pytest.mark.parametrize("col_adj, row_adj", [
+    ([[0], [], [0, 1]], [[0, 2], [2]]),        # column 2 is empty
+    ([[0], [0], [0]], [[0, 1, 2], []]),        # row 2 is empty
+])
+def test_alist_round_trip_zero_degree(col_adj, row_adj):
+    a = AlistMatrix(n_cols=3, n_rows=2, col_adj=col_adj, row_adj=row_adj)
+    buf = io.StringIO()
+    write_alist(a, buf)
+    back = read_alist(io.StringIO(buf.getvalue()))
+    assert (back.col_adj, back.row_adj) == (col_adj, row_adj)
 
 
 def test_alist_identity_cpm_column_degrees():
