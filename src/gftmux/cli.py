@@ -81,7 +81,11 @@ def cmd_simulate(args) -> int:
         print(f"simulation refused: {e}", file=sys.stderr)
         return 1
     outdir = args.outdir or bundle.output_dir
-    os.makedirs(outdir, exist_ok=True)
+    try:
+        os.makedirs(outdir, exist_ok=True)
+    except OSError as e:
+        print(f"simulate failed: {e}", file=sys.stderr)
+        return 1
     csv_path = os.path.join(outdir, f"{bundle.name}.csv")
     manifest_path = os.path.join(outdir, f"{bundle.name}.manifest.json")
 
@@ -129,7 +133,6 @@ def cmd_simulate(args) -> int:
             baseline[str(ebn0)] = {"errors": errs, "words": words,
                                    "wer": errs / words if words else None}
 
-    write_csv(result, csv_path, truncated=truncated)
     manifest = {
         "tool": "gftmux",
         "version": __version__,
@@ -144,8 +147,13 @@ def cmd_simulate(args) -> int:
     }
     if baseline is not None:
         manifest["baseline_mld_wer"] = baseline
-    with open(manifest_path, "w") as fh:
-        json.dump(manifest, fh, indent=2)
+    try:
+        write_csv(result, csv_path, truncated=truncated)
+        with open(manifest_path, "w") as fh:
+            json.dump(manifest, fh, indent=2)
+    except OSError as e:
+        print(f"simulate failed: {e}", file=sys.stderr)
+        return 1
     print(f"wrote {csv_path} and {manifest_path}")
     return 130 if truncated else 0
 

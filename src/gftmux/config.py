@@ -21,10 +21,9 @@ primitive_poly is a hex coefficient mask, bit i = coefficient of X^i.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from importlib import resources
-
-import numpy as np
 
 from . import cyclic, galois
 from .decoder import DecoderGraph
@@ -57,17 +56,28 @@ def load_preset(name: str) -> dict:
 def load_config(path) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}") from None
     except json.JSONDecodeError as e:
         raise ConfigError(f"config {path} is not valid JSON: {e}") from None
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config {path} must hold a JSON object")
+    return cfg
 
 
 def _require(section: dict, key: str, where: str):
     if key not in section:
         raise ConfigError(f"missing required field {where}.{key}")
     return section[key]
+
+
+def _section(cfg: dict, key: str) -> dict:
+    """cfg[key] as an object; an absent section reads as empty."""
+    section = cfg.get(key, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"{key} must be an object, got {section!r}")
+    return section
 
 
 def _is_int(value) -> bool:
@@ -79,16 +89,18 @@ def _is_real(value) -> bool:
 
 
 def _parse_poly(raw) -> int:
+    poly = raw
     if isinstance(raw, str):
         try:
-            return int(raw, 16)
+            poly = int(raw, 16)
         except ValueError:
             raise ConfigError(
                 f"field.primitive_poly: expected a hex mask like '0x89', got {raw!r}"
             ) from None
-    if isinstance(raw, int):
-        return raw
-    raise ConfigError("field.primitive_poly must be a hex string or integer")
+    if not _is_int(poly) or poly <= 0:
+        raise ConfigError("field.primitive_poly must be a positive hex string or "
+                          f"integer, got {raw!r}")
+    return poly
 
 
 def apply_overrides(cfg: dict, overrides: list) -> dict:
@@ -161,15 +173,17 @@ def build_system(cfg: dict) -> SystemBundle:
     as their own exception types for the verifier to report.
     """
     name = cfg.get("name", "unnamed")
-    fld_sec = _require(cfg, "field", "")
-    code_sec = _require(cfg, "code", "")
+    _require(cfg, "field", "")
+    _require(cfg, "code", "")
+    fld_sec, code_sec = _section(cfg, "field"), _section(cfg, "code")
 
     s = _require(fld_sec, "s", "field")
     if not isinstance(s, int) or not 3 <= s <= 16:
         raise ConfigError(f"field.s must be an integer in [3, 16], got {s!r}")
     poly = fld_sec.get("primitive_poly")
+    poly = _parse_poly(poly) if poly is not None else None
     try:
-        field = galois.build_field(s, _parse_poly(poly) if poly is not None else None)
+        field = galois.build_field(s, poly)
     except (galois.NonPrimitivePolynomial, ValueError) as e:
         raise ConfigError(f"field: {e}") from None
 
@@ -191,23 +205,29 @@ def build_system(cfg: dict) -> SystemBundle:
         if (not isinstance(roots, list) or not roots
                 or not all(_is_int(r) for r in roots)):
             raise ConfigError("code.roots must be a nonempty list of integers")
+        if len(roots) >= n:
+            raise ConfigError(
+                f"code.roots: need fewer than n={n} roots, got {len(roots)}")
         spec = cyclic.BaseCodeSpec(field=field, subgroup=subgroup,
                                    roots=tuple(roots), mode=mode)
     elif "designed_distance" in code_sec:
         d = code_sec["designed_distance"]
-        if not isinstance(d, int) or d < 2:
-            raise ConfigError("code.designed_distance must be an integer >= 2")
+        if not _is_int(d) or not 2 <= d <= n:
+            raise ConfigError(
+                f"code.designed_distance must be an integer in [2, n={n}]")
         spec = cyclic.bch_spec(field, subgroup, d, mode=mode)
     else:
         raise ConfigError("code: needs roots or designed_distance")
 
-    ch = cfg.get("channel", {})
-    dec = cfg.get("decoder", {})
-    simsec = cfg.get("sim", {})
+    ch = _section(cfg, "channel")
+    dec = _section(cfg, "decoder")
+    simsec = _section(cfg, "sim")
     ebn0 = ch.get("ebn0_db", [0.0, 2.0, 4.0])
+    # |Eb/N0| <= 1000 dB keeps sigma and the LLRs finite for any rate above 1e-200
     if (not isinstance(ebn0, list) or not ebn0
-            or not all(_is_real(e) and np.isfinite(e) for e in ebn0)):
-        raise ConfigError("channel.ebn0_db must be a nonempty list of finite reals")
+            or not all(_is_real(e) and -1000 <= e <= 1000 for e in ebn0)):
+        raise ConfigError(
+            "channel.ebn0_db must be a nonempty list of reals in [-1000, 1000] dB")
     seed = ch.get("seed", 1)
     if not _is_int(seed) or seed < 0:
         raise ConfigError(f"channel.seed must be a non-negative integer, got {seed!r}")
@@ -220,8 +240,9 @@ def build_system(cfg: dict) -> SystemBundle:
         raise ConfigError(
             f"decoder.scale must be a real number in (0, 1], got {scale!r}")
     clip = dec.get("clip")
-    if clip is not None and not (_is_real(clip) and clip > 0):
-        raise ConfigError(f"decoder.clip must be null or a positive real, got {clip!r}")
+    if clip is not None and not (_is_real(clip) and 0 < clip <= sys.float_info.max):
+        raise ConfigError(
+            f"decoder.clip must be null or a positive finite real, got {clip!r}")
     max_frames = simsec.get("max_frames", 10_000)
     target_errors = simsec.get("target_errors", 100)
     for key, value in (("max_frames", max_frames), ("target_errors", target_errors)):
@@ -240,12 +261,17 @@ def build_system(cfg: dict) -> SystemBundle:
             max_frames=max_frames,
             target_errors=target_errors,
             seed=seed,
-            clip=clip,
+            clip=None if clip is None else float(clip),
             verify=verify,
             baseline=baseline,
         )
     except (TypeError, ValueError) as e:
         raise ConfigError(f"sim/channel: {e}") from None
+
+    output_dir = _section(cfg, "output").get("dir", "results")
+    if not isinstance(output_dir, str):
+        raise ConfigError(f"output.dir must be a string, got {output_dir!r}")
+    expected = _section(cfg, "expected")
 
     transceiver = Transceiver(spec)
     return SystemBundle(
@@ -256,8 +282,8 @@ def build_system(cfg: dict) -> SystemBundle:
         spec=spec,
         transceiver=transceiver,
         sim=sim_cfg,
-        output_dir=cfg.get("output", {}).get("dir", "results"),
-        expected=cfg.get("expected", {}),
+        output_dir=output_dir,
+        expected=expected,
     )
 
 

@@ -48,6 +48,8 @@ def test_build_system_field_errors():
         build_system({"field": {"s": 3}, "code": {"n": 6, "roots": [1]}})
     with pytest.raises(ConfigError, match="roots"):
         build_system({"field": {"s": 3}, "code": {"n": 7}})
+    with pytest.raises(ConfigError, match="code.designed_distance"):
+        build_system({"field": {"s": 3}, "code": {"n": 7, "designed_distance": 8}})
 
 
 def test_cmd_construct_desk(capsys):
@@ -158,6 +160,9 @@ def test_config_error_exit_code(tmp_path, capsys):
     assert main(["construct", str(missing)]) == 2
     assert main(["construct", "--preset", "desk_gf8", "--preset2"] if False
                 else ["construct"]) == 2
+    not_object = tmp_path / "list.json"
+    not_object.write_text("[1, 2]")
+    assert main(["construct", str(not_object)]) == 2
 
 
 def test_conjugacy_violation_reported(tmp_path, capsys):
@@ -193,6 +198,16 @@ def test_conjugacy_violation_reported(tmp_path, capsys):
     ('sim.baseline="no"', "sim.baseline"),
     ("sim.baseline=0", "sim.baseline"),
     ("code.roots=[true,2,4]", "code.roots"),
+    ("code.roots=[0,1,2,3,4,5,6]", "code.roots"),
+    ("channel.ebn0_db=[1e308]", "channel.ebn0_db"),
+    ("channel.ebn0_db=[-1e308]", "channel.ebn0_db"),
+    ("channel.ebn0_db=[-3300]", "channel.ebn0_db"),
+    ("channel.ebn0_db=[3080]", "channel.ebn0_db"),
+    ("decoder.clip=" + "9" * 400, "decoder.clip"),
+    ("field.primitive_poly=-11", "field.primitive_poly"),
+    ('field.primitive_poly="-0xb"', "field.primitive_poly"),
+    ("output.dir=5", "output.dir"),
+    ("channel=5", "channel"),
 ])
 def test_config_field_types(tmp_path, capsys, override, field):
     args = ["simulate", "--preset", "desk_gf8", "--outdir", str(tmp_path),
@@ -202,6 +217,56 @@ def test_config_field_types(tmp_path, capsys, override, field):
     assert err.startswith(f"config error: {field}")
     assert "Traceback" not in err
     assert not (tmp_path / "desk_gf8.csv").exists()
+
+
+def test_cmd_simulate_unwritable_output(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    quick = ["--set", "sim.max_frames=2", "--set", "channel.ebn0_db=[4.0]",
+             "--set", "decoder.iterations=[2]"]
+    # the output directory cannot be made
+    args = ["simulate", "--preset", "desk_gf8", "--outdir", str(blocker / "x"),
+            "--quiet"] + quick
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("simulate failed:") and "Traceback" not in err
+    # the directory exists but the CSV path under it does not
+    args = ["simulate", "--preset", "desk_gf8", "--outdir", str(tmp_path),
+            "--quiet", "--set", 'name="missing/run"'] + quick
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("simulate failed:") and "Traceback" not in err
+
+
+#: Every field of the config schema, and each section as a whole.
+SCHEMA_PATHS = [
+    "name", "field", "field.s", "field.primitive_poly", "code", "code.n",
+    "code.roots", "code.mode", "code.designed_distance", "channel",
+    "channel.ebn0_db", "channel.seed", "decoder", "decoder.iterations",
+    "decoder.scale", "decoder.clip", "sim", "sim.max_frames",
+    "sim.target_errors", "sim.verify", "sim.baseline", "output", "output.dir",
+    "expected",
+]
+
+
+def test_construct_survives_any_field_value():
+    """Any JSON value in any schema field ends in exit 0, 1 or 2."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    scalars = (st.none() | st.booleans() | st.integers() | st.integers(-3, 20)
+               | st.floats() | st.text(max_size=6))
+    values = st.recursive(scalars, lambda inner: st.lists(inner, max_size=8)
+                          | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+                          max_leaves=10)
+
+    @hypothesis.settings(max_examples=200, deadline=None, database=None)
+    @hypothesis.given(path=st.sampled_from(SCHEMA_PATHS), value=values)
+    def run(path, value):
+        code = main(["construct", "--preset", "desk_gf8", "--set",
+                     f"{path}={json.dumps(value)}"])
+        assert code in (0, 1, 2)
+
+    run()
 
 
 def test_config_clip_accepts_positive_real():
