@@ -173,8 +173,6 @@ def build_system(cfg: dict) -> SystemBundle:
     as their own exception types for the verifier to report.
     """
     name = cfg.get("name", "unnamed")
-    _require(cfg, "field", "")
-    _require(cfg, "code", "")
     fld_sec, code_sec = _section(cfg, "field"), _section(cfg, "code")
 
     s = _require(fld_sec, "s", "field")
@@ -271,7 +269,6 @@ def build_system(cfg: dict) -> SystemBundle:
     output_dir = _section(cfg, "output").get("dir", "results")
     if not isinstance(output_dir, str):
         raise ConfigError(f"output.dir must be a string, got {output_dir!r}")
-    expected = _section(cfg, "expected")
 
     transceiver = Transceiver(spec)
     return SystemBundle(
@@ -283,7 +280,7 @@ def build_system(cfg: dict) -> SystemBundle:
         transceiver=transceiver,
         sim=sim_cfg,
         output_dir=output_dir,
-        expected=expected,
+        expected=_section(cfg, "expected"),
     )
 
 

@@ -139,12 +139,12 @@ def test_stream_shape_mismatch_rejected(desk_tx):
 def test_sp_extract_definition(desk_tx, gf8, sub7):
     from gftmux.geometry import vandermonde
 
-    # segment 3 of the word is the GFT of c[3] = (c_{0,3},...,c_{6,3})
+    # segment j of the word is the GFT of c[j] = (c_{0,j},...,c_{6,j})
     comps = np.arange(49).reshape(7, 7) % 8
     word, _ = desk_tx.multiplex(bits_of(comps, 3))
     v = vandermonde(sub7, "forward").elements()
-    want = naive_gf_matmul(comps[:, 3][None, :], v, gf8)[0]
-    assert (word.symbols.reshape(7, 7)[3] == want).all()
+    want = naive_gf_matmul(comps.T, v, gf8)
+    assert (word.symbols.reshape(7, 7) == want).all()
 
 
 def test_sp_round_trip(desk_tx):
