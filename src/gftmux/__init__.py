@@ -12,8 +12,8 @@ from .galois import GaloisField, SubgroupGen, build_field, element_of_order
 from .cyclic import BaseCodeSpec, bch_spec, generator_poly, hadamard_perm
 from .geometry import GlobalParityCheck, cpm, cpm_dispersion, gf2_rank, vandermonde
 from .txrx import GlobalWord, StreamBlock, Transceiver
-from .channel import ChannelParams, LlrFrame, awgn, llr
-from .decoder import DecoderGraph, MsaParams, decode_global, decode_layer
+from .channel import ChannelParams, LlrFrame, llr
+from .decoder import MsaParams, decode_frame, decode_global
 from .sim import SimConfig, confidence_interval, monte_carlo, run_trial
 from .config import build_system, list_presets, load_preset
 
@@ -23,8 +23,8 @@ __all__ = [
     "BaseCodeSpec", "bch_spec", "generator_poly", "hadamard_perm",
     "GlobalParityCheck", "cpm", "cpm_dispersion", "gf2_rank", "vandermonde",
     "GlobalWord", "StreamBlock", "Transceiver",
-    "ChannelParams", "LlrFrame", "awgn", "llr",
-    "DecoderGraph", "MsaParams", "decode_global", "decode_layer",
+    "ChannelParams", "LlrFrame", "llr",
+    "MsaParams", "decode_frame", "decode_global",
     "SimConfig", "confidence_interval", "monte_carlo", "run_trial",
     "build_system", "list_presets", "load_preset",
 ]

@@ -27,12 +27,6 @@ class ChannelParams:
         return float(np.sqrt(self.sigma2))
 
 
-def awgn(x, params: ChannelParams, rng: np.random.Generator) -> np.ndarray:
-    """y = x + z with z ~ N(0, sigma^2) i.i.d.; deterministic given rng state."""
-    x = np.asarray(x, dtype=np.float64)
-    return x + params.sigma * rng.standard_normal(x.shape)
-
-
 def llr(y, sigma: float) -> np.ndarray:
     """Bit log-likelihood ratios 2y/sigma^2; positive favors bit 0 (+1)."""
     if sigma <= 0:

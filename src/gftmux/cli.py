@@ -81,14 +81,36 @@ def cmd_simulate(args) -> int:
         print(f"simulation refused: {e}", file=sys.stderr)
         return 1
     outdir = args.outdir or bundle.output_dir
+    csv_path = os.path.join(outdir, f"{bundle.name}.csv")
+    manifest_path = os.path.join(outdir, f"{bundle.name}.manifest.json")
+    # Both outputs are opened before the sweep, so an unwritable path fails
+    # at once; unless the run writes them in full they are removed again.
+    outputs, written = [], False
     try:
         os.makedirs(outdir, exist_ok=True)
+        for path in (csv_path, manifest_path):
+            outputs.append(open(path, "w", newline=""))
+        truncated = _sweep_into(args, bundle, *outputs)
+        if truncated is None:
+            return 130
+        for fh in outputs:
+            fh.close()
+        written = True
     except OSError as e:
         print(f"simulate failed: {e}", file=sys.stderr)
         return 1
-    csv_path = os.path.join(outdir, f"{bundle.name}.csv")
-    manifest_path = os.path.join(outdir, f"{bundle.name}.manifest.json")
+    finally:
+        if not written:
+            for fh in outputs:
+                fh.close()
+                os.remove(fh.name)
+    print(f"wrote {csv_path} and {manifest_path}")
+    return 130 if truncated else 0
 
+
+def _sweep_into(args, bundle, csv_fh, manifest_fh) -> bool | None:
+    """Run the sweep and write the CSV and manifest; return whether an
+    interrupt truncated them, or None if it came before any cell completed."""
     done = []
 
     def progress(cell):
@@ -103,13 +125,13 @@ def cmd_simulate(args) -> int:
 
     truncated = False
     try:
-        result = monte_carlo(bundle.transceiver, bundle.graph, bundle.sim,
+        result = monte_carlo(bundle.transceiver, bundle.parity_check, bundle.sim,
                              rate=bundle.rate, workers=args.workers,
                              progress=progress)
     except KeyboardInterrupt:
         if not done:
             print("interrupted before any cell completed", file=sys.stderr)
-            return 130
+            return None
         # Cells complete in stop order; rows go out in grid order.
         grid = bundle.sim
         done.sort(key=lambda c: (grid.ebn0_db.index(c.ebn0_db),
@@ -143,19 +165,13 @@ def cmd_simulate(args) -> int:
         "rate": bundle.rate,
         "dimension": bundle.dimension,
         "truncated": truncated,
-        "outputs": {"csv": csv_path},
+        "outputs": {"csv": csv_fh.name},
     }
     if baseline is not None:
         manifest["baseline_mld_wer"] = baseline
-    try:
-        write_csv(result, csv_path, truncated=truncated)
-        with open(manifest_path, "w") as fh:
-            json.dump(manifest, fh, indent=2)
-    except OSError as e:
-        print(f"simulate failed: {e}", file=sys.stderr)
-        return 1
-    print(f"wrote {csv_path} and {manifest_path}")
-    return 130 if truncated else 0
+    write_csv(result, csv_fh, truncated=truncated)
+    json.dump(manifest, manifest_fh, indent=2)
+    return truncated
 
 
 def cmd_export(args) -> int:

@@ -26,8 +26,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from . import cyclic, galois
-from .decoder import DecoderGraph
-from .geometry import gf2_rank
+from .geometry import GlobalParityCheck, gf2_rank
 from .sim import SimConfig
 from .txrx import Transceiver
 
@@ -88,6 +87,18 @@ def _is_real(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+#: Each optional field of the "expected" section: what it must be, and its check.
+_EXPECTED_FIELDS = {
+    "shape": ("a list of two non-negative integers",
+              lambda v: isinstance(v, list) and len(v) == 2
+              and all(_is_int(x) and x >= 0 for x in v)),
+    "column_weight": ("an integer", _is_int),
+    "row_weight": ("an integer", _is_int),
+    "dimension": ("an integer", _is_int),
+    "rate": ("a finite real", lambda v: _is_real(v) and abs(v) <= sys.float_info.max),
+}
+
+
 def _parse_poly(raw) -> int:
     poly = raw
     if isinstance(raw, str):
@@ -138,10 +149,9 @@ class SystemBundle:
     expected: dict
 
     _rank: int | None = None
-    _graph: DecoderGraph | None = None
 
     @property
-    def parity_check(self):
+    def parity_check(self) -> GlobalParityCheck:
         return self.transceiver.parity_check
 
     @property
@@ -159,10 +169,9 @@ class SystemBundle:
         return self.dimension / self.parity_check.n_vars
 
     @property
-    def graph(self) -> DecoderGraph:
-        if self._graph is None:
-            self._graph = DecoderGraph.from_parity_check(self.parity_check)
-        return self._graph
+    def graph(self) -> GlobalParityCheck:
+        """Alias of parity_check, the decoder's Tanner graph; perfbench reads it."""
+        return self.parity_check
 
 
 def build_system(cfg: dict) -> SystemBundle:
@@ -270,6 +279,11 @@ def build_system(cfg: dict) -> SystemBundle:
     if not isinstance(output_dir, str):
         raise ConfigError(f"output.dir must be a string, got {output_dir!r}")
 
+    expected = _section(cfg, "expected")
+    for key, (what, valid) in _EXPECTED_FIELDS.items():
+        if key in expected and not valid(expected[key]):
+            raise ConfigError(f"expected.{key} must be {what}, got {expected[key]!r}")
+
     transceiver = Transceiver(spec)
     return SystemBundle(
         name=name,
@@ -280,7 +294,7 @@ def build_system(cfg: dict) -> SystemBundle:
         transceiver=transceiver,
         sim=sim_cfg,
         output_dir=output_dir,
-        expected=_section(cfg, "expected"),
+        expected=expected,
     )
 
 

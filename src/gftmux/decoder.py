@@ -18,65 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import LlrFrame
-from .geometry import AlistMatrix, GlobalParityCheck, syndrome_weight
+from .geometry import GlobalParityCheck
 from .txrx import GlobalWord
 
 #: Real-number operations charged per edge per iteration.
 OPS_PER_EDGE = 3
-
-
-@dataclass(eq=False)
-class DecoderGraph:
-    """Edge-aligned Tanner graph arrays for vectorized flooding updates.
-
-    edge_var has one row per check, padded with a phantom variable for
-    irregular (alist-imported) matrices; var_edges maps each variable
-    to its incident edge slots, padded with a phantom edge.
-    """
-
-    n_checks: int
-    n_vars: int
-    n_edges: int
-    edge_var: np.ndarray      # (n_checks, max_check_deg), pads -> n_vars
-    pad_mask: np.ndarray      # True where edge_var is padding
-    var_edges: np.ndarray     # (n_vars, max_var_deg), pads -> n_edge_slots
-
-    @classmethod
-    def from_parity_check(cls, h: GlobalParityCheck) -> "DecoderGraph":
-        return cls._from_check_adjacency(
-            [list(map(int, row)) for row in h.check_vars], h.n_vars
-        )
-
-    @classmethod
-    def from_alist(cls, alist: AlistMatrix) -> "DecoderGraph":
-        return cls._from_check_adjacency(alist.row_adj, alist.n_cols)
-
-    @classmethod
-    def _from_check_adjacency(cls, rows: list, n_vars: int) -> "DecoderGraph":
-        n_checks = len(rows)
-        degs = [len(r) for r in rows]
-        n_edges = sum(degs)
-        dmax = max(degs)
-        edge_var = np.full((n_checks, dmax), n_vars, dtype=np.int64)
-        for c, r in enumerate(rows):
-            edge_var[c, : len(r)] = r
-        pad_mask = edge_var == n_vars
-        flat = edge_var.reshape(-1)
-        slots = np.argsort(flat, kind="stable")
-        slots = slots[flat[slots] != n_vars]          # real edges, grouped by var
-        var_deg = np.bincount(flat[flat != n_vars], minlength=n_vars)
-        vmax = int(var_deg.max()) if n_vars else 0
-        var_edges = np.full((n_vars, vmax), n_checks * dmax, dtype=np.int64)
-        pos = 0
-        for v in range(n_vars):
-            d = int(var_deg[v])
-            var_edges[v, :d] = slots[pos : pos + d]
-            pos += d
-        return cls(n_checks=n_checks, n_vars=n_vars, n_edges=n_edges,
-                   edge_var=edge_var, pad_mask=pad_mask, var_edges=var_edges)
-
-    def syndrome_weight(self, bits) -> int:
-        return syndrome_weight(bits, self.edge_var)
 
 
 @dataclass(frozen=True)
@@ -100,7 +46,7 @@ class DecodeResult:
     edge_ops: int
 
 
-def _flood(channel: np.ndarray, graph: DecoderGraph, params: MsaParams,
+def _flood(channel: np.ndarray, h: GlobalParityCheck, params: MsaParams,
            limits) -> list:
     """The flooding loop, run once to max(limits); one result per limit.
 
@@ -109,16 +55,13 @@ def _flood(channel: np.ndarray, graph: DecoderGraph, params: MsaParams,
     decision at min(k*, L), converged iff k* <= L, and 3E*min(k*, L)
     operations.
     """
-    if channel.size != graph.n_vars:
-        raise ValueError(f"LLR length {channel.size} != {graph.n_vars} variables")
-    channel_ext = np.concatenate([channel, [0.0]])
-    row_idx = np.arange(graph.n_checks)
-    ops = OPS_PER_EDGE * graph.n_edges
+    if channel.size != h.n_vars:
+        raise ValueError(f"LLR length {channel.size} != {h.n_vars} variables")
+    row_idx = np.arange(h.n_checks)
+    ops = OPS_PER_EDGE * h.n_edges
     checkpoints = {}
 
-    v2c = channel_ext[graph.edge_var]
-    v2c[graph.pad_mask] = np.inf
-    c2v_ext = np.zeros(graph.edge_var.size + 1)
+    v2c = channel[h.check_vars]
     for it in range(1, max(limits) + 1):
         mag = np.abs(v2c)
         sgn = np.where(v2c < 0, -1.0, 1.0)
@@ -134,16 +77,12 @@ def _flood(channel: np.ndarray, graph: DecoderGraph, params: MsaParams,
         c2v = params.scale * sgn.prod(axis=1)[:, None] * sgn * out_mag
         if params.clip is not None:
             np.clip(c2v, -params.clip, params.clip, out=c2v)
-        c2v[graph.pad_mask] = 0.0
 
-        c2v_ext[:-1] = c2v.reshape(-1)
-        total = channel + c2v_ext[graph.var_edges].sum(axis=1)
-        total_ext = np.concatenate([total, [0.0]])
-        v2c = total_ext[graph.edge_var] - c2v
-        v2c[graph.pad_mask] = np.inf
+        total = channel + c2v.reshape(-1)[h.var_edges].sum(axis=1)
+        v2c = total[h.check_vars] - c2v
 
         bits = (total < 0).astype(np.uint8)   # LLR >= 0 decides bit 0
-        if graph.syndrome_weight(bits) == 0:
+        if h.syndrome_weight(bits) == 0:
             done = DecodeResult(hard_bits=bits, converged=True,
                                 iterations_used=it, edge_ops=ops * it)
             return [checkpoints[lim] if lim < it else done for lim in limits]
@@ -153,24 +92,17 @@ def _flood(channel: np.ndarray, graph: DecoderGraph, params: MsaParams,
     return [checkpoints[lim] for lim in limits]
 
 
-def decode_layer(llr_layer, graph: DecoderGraph, params: MsaParams) -> DecodeResult:
-    """Flooding scaled min-sum on one binary layer; NaN or +-inf LLRs raise."""
-    channel = np.asarray(llr_layer, dtype=np.float64)
-    if not np.isfinite(channel).all():
-        raise ValueError("LLR layer holds non-finite values")
-    return _flood(channel, graph, params, (params.max_iterations,))[0]
-
-
-def decode_frame(frame: LlrFrame, graph: DecoderGraph, params: MsaParams,
+def decode_frame(frame: LlrFrame, h: GlobalParityCheck, params: MsaParams,
                  limits) -> list:
     """Decode each of the s layers once to max(limits), reporting at every
     limit: out[l][j] is layer l's result at limits[j].  params supplies the
-    scale and clip; limits take the place of its max_iterations."""
-    return [_flood(lay, graph, params, limits) for lay in frame.layers()]
+    scale and clip; limits take the place of its max_iterations.  A single
+    binary layer is a frame with s = 1."""
+    return [_flood(lay, h, params, limits) for lay in frame.layers()]
 
 
-def decode_global(frame: LlrFrame, graph: DecoderGraph, params: MsaParams) -> tuple:
+def decode_global(frame: LlrFrame, h: GlobalParityCheck, params: MsaParams) -> tuple:
     """Decode the s layers independently; the word estimate stacks their bits."""
     results = [lay[0] for lay in
-               decode_frame(frame, graph, params, (params.max_iterations,))]
+               decode_frame(frame, h, params, (params.max_iterations,))]
     return GlobalWord(bits=np.stack([r.hard_bits for r in results])), results

@@ -59,29 +59,21 @@ def cpm(e: int, n: int) -> np.ndarray:
     return out
 
 
-def syndrome_weight(vec, rows) -> int:
-    """Number of checks whose XOR over vec[rows[c]] is nonzero.
-
-    One routine for GF(2^s) symbols and for the bits of one layer alike
-    (the binary decomposition theorem).  Index len(vec) reads a zero, so
-    rows padded with it describe irregular checks.
-    """
-    ext = np.concatenate([vec, [0]])
-    return int(np.count_nonzero(np.bitwise_xor.reduce(ext[rows], axis=1)))
-
-
 @dataclass(eq=False)
 class GlobalParityCheck:
     """mn x n^2 binary QC matrix held as a CPM exponent table.
 
     check_vars[c] lists the n variable columns adjacent to global check
-    row c = i*n + r.  Column weight is m, row weight n, edge count m*n^2.
+    row c = i*n + r.  Edge slot c*n + j is check c's j-th entry, and
+    var_edges[v] lists the m slots of variable v in ascending check
+    order.  Column weight is m, row weight n, edge count m*n^2.
     """
 
     m: int
     n: int
     cpm_exponents: np.ndarray
-    check_vars: np.ndarray
+    check_vars: np.ndarray    # (m*n, n) variable indices
+    var_edges: np.ndarray     # (n^2, m) edge slots into check_vars.reshape(-1)
 
     @classmethod
     def from_exponents(cls, exponents) -> "GlobalParityCheck":
@@ -91,7 +83,12 @@ class GlobalParityCheck:
         j = np.arange(n, dtype=np.int64)
         # check (i, r) touches variable j*n + (r + e(i, j)) mod n for every j
         cols = j[None, None, :] * n + (r[None, :, None] + expo[:, None, :]) % n
-        return cls(m=m, n=n, cpm_exponents=expo, check_vars=cols.reshape(m * n, n))
+        # variable j*n + t sits in check (i, (t - e(i, j)) mod n) at slot j
+        i = np.arange(m, dtype=np.int64)
+        row = (r[None, :, None] - expo.T[:, None, :]) % n    # [j, t, i]
+        slots = ((i * n + row) * n + j[:, None, None]).reshape(n * n, m)
+        return cls(m=m, n=n, cpm_exponents=expo,
+                   check_vars=cols.reshape(m * n, n), var_edges=slots)
 
     @property
     def n_checks(self) -> int:
@@ -110,7 +107,13 @@ class GlobalParityCheck:
         return (self.n_checks, self.n_vars)
 
     def syndrome_weight(self, vec) -> int:
-        return syndrome_weight(vec, self.check_vars)
+        """Number of checks whose XOR over vec is nonzero.
+
+        One routine for GF(2^s) symbols and for the bits of one layer
+        alike (the binary decomposition theorem).
+        """
+        parity = np.bitwise_xor.reduce(vec[self.check_vars], axis=1)
+        return int(np.count_nonzero(parity))
 
     def column_weights(self) -> np.ndarray:
         return np.bincount(self.check_vars.reshape(-1), minlength=self.n_vars)
@@ -270,10 +273,6 @@ def gf2_rank_rows(rows: list) -> int:
                 break
             row ^= p
     return rank
-
-
-def global_code_dimension(h: GlobalParityCheck) -> int:
-    return h.n_vars - gf2_rank(h)
 
 
 # -- interchange formats --------------------------------------------------

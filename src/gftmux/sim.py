@@ -27,7 +27,8 @@ import numpy as np
 
 from .channel import ChannelParams, LlrFrame, llr
 from .cyclic import mld_oracle
-from .decoder import DecoderGraph, MsaParams, decode_frame
+from .decoder import MsaParams, decode_frame
+from .geometry import GlobalParityCheck
 from .txrx import GlobalWord, Transceiver, bpsk_map
 
 #: 97.5% standard normal quantile for the 95% Wilson interval.
@@ -131,19 +132,6 @@ class CellResult:
     def mean_iterations(self) -> float:
         return self.iter_sum / self.layer_decodes if self.layer_decodes else 0.0
 
-    @property
-    def median_iterations(self) -> float:
-        if not self.iter_hist:
-            return 0.0
-        counts = sorted(self.iter_hist.items())
-        half = self.layer_decodes / 2
-        seen = 0
-        for it, c in counts:
-            seen += c
-            if seen >= half:
-                return float(it)
-        return float(counts[-1][0])
-
     def wilson_wer(self, n: int) -> tuple:
         if not self.frames:
             return (0.0, 1.0)
@@ -171,7 +159,7 @@ def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
     return np.random.default_rng([master_seed, trial_index])
 
 
-def run_trials(tx: Transceiver, graph: DecoderGraph, points, params: MsaParams,
+def run_trials(tx: Transceiver, h: GlobalParityCheck, points, params: MsaParams,
                master_seed: int, trial_index: int, verify: bool = True) -> list:
     """Every outcome of one trial: out[p][j] is the record at SNR point
     points[p] = (sigma, limits) under iteration limit limits[j].
@@ -189,10 +177,10 @@ def run_trials(tx: Transceiver, graph: DecoderGraph, points, params: MsaParams,
     out = []
     for sigma, limits in points:
         frame = LlrFrame(llr(x + sigma * noise, sigma), s=tx.s, n=tx.n)
-        layers = decode_frame(frame, graph, params, limits)
+        layers = decode_frame(frame, h, params, limits)
         top = limits.index(max(limits))   # holds every converged result
         final = [lay[top] for lay in layers]
-        if verify and any(r.converged and graph.syndrome_weight(r.hard_bits)
+        if verify and any(r.converged and h.syndrome_weight(r.hard_bits)
                           for r in final):
             raise RuntimeError("early stop reported convergence on a nonzero syndrome")
         errors, records = {}, []
@@ -215,10 +203,10 @@ def run_trials(tx: Transceiver, graph: DecoderGraph, points, params: MsaParams,
     return out
 
 
-def run_trial(tx: Transceiver, graph: DecoderGraph, sigma: float, params: MsaParams,
+def run_trial(tx: Transceiver, h: GlobalParityCheck, sigma: float, params: MsaParams,
               master_seed: int, trial_index: int, verify: bool = True) -> TrialRecord:
     """One trial at one SNR under params.max_iterations."""
-    return run_trials(tx, graph, [(sigma, (params.max_iterations,))], params,
+    return run_trials(tx, h, [(sigma, (params.max_iterations,))], params,
                       master_seed, trial_index, verify)[0][0]
 
 
@@ -231,7 +219,7 @@ class _Sweep:
     cell c is SNR point c // len(limits) under limit c % len(limits)."""
 
     tx: Transceiver
-    graph: DecoderGraph
+    h: GlobalParityCheck
     cfg: SimConfig
     sigmas: list
     params: MsaParams
@@ -243,7 +231,7 @@ class _Sweep:
         points = [(self.sigmas[p],
                    tuple(limits[c % k] for c in active if c // k == p))
                   for p in sorted({c // k for c in active})]
-        records = run_trials(self.tx, self.graph, points, self.params, self.cfg.seed,
+        records = run_trials(self.tx, self.h, points, self.params, self.cfg.seed,
                              idx, self.cfg.verify)
         return dict(zip(active, (r for recs in records for r in recs)))
 
@@ -251,7 +239,7 @@ class _Sweep:
         return [self.trial(idx, active) for idx in range(start, start + count)]
 
 
-def monte_carlo(tx: Transceiver, graph: DecoderGraph, cfg: SimConfig, rate: float,
+def monte_carlo(tx: Transceiver, h: GlobalParityCheck, cfg: SimConfig, rate: float,
                 workers: int = 1, progress=None) -> SimResult:
     """Sweep every (SNR, iteration-limit) cell to its frame/error budget.
 
@@ -264,7 +252,7 @@ def monte_carlo(tx: Transceiver, graph: DecoderGraph, cfg: SimConfig, rate: floa
     sigmas = [ChannelParams(ebn0_db=e, rate=rate).sigma for e in cfg.ebn0_db]
     params = MsaParams(max_iterations=max(cfg.iterations), scale=cfg.scale,
                        clip=cfg.clip)
-    sweep = _Sweep(tx, graph, cfg, sigmas, params)
+    sweep = _Sweep(tx, h, cfg, sigmas, params)
     cells = [CellResult(ebn0_db=e, iterations_limit=lim)
              for e in cfg.ebn0_db for lim in cfg.iterations]
     active = list(range(len(cells)))

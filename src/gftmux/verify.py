@@ -86,9 +86,9 @@ def verify_rank(bundle) -> CheckResult:
     ok = rank == identity
     detail = f"rank {rank}, dimension {dim}, rate {dim / h.n_vars:.6f}"
     exp = bundle.expected
-    if exp.get("dimension") is not None and exp["dimension"] != dim:
+    if "dimension" in exp and exp["dimension"] != dim:
         ok, detail = False, detail + f" (expected dimension {exp['dimension']})"
-    if exp.get("rate") is not None and abs(dim / h.n_vars - exp["rate"]) >= 1e-4:
+    if "rate" in exp and abs(dim / h.n_vars - exp["rate"]) >= 1e-4:
         ok, detail = False, detail + f" (expected rate {exp['rate']})"
     return _check("rank-dimension", ok, detail)
 
@@ -136,7 +136,6 @@ def verify_layer_decomposition(bundle, random_vectors: int = 1000,
 
 def verify_round_trip(bundle, frames: int = 5, seed: int = 0) -> CheckResult:
     tx = bundle.transceiver
-    graph = bundle.graph
     rng = np.random.default_rng(seed)
     params = MsaParams(max_iterations=4, scale=bundle.sim.scale)
     ok = True
@@ -146,7 +145,7 @@ def verify_round_trip(bundle, frames: int = 5, seed: int = 0) -> CheckResult:
         back = tx.demultiplex(word)[1]
         ok &= streams.equal(back)
         frame = LlrFrame(llr(x, 1.0), s=tx.s, n=tx.n)
-        word_hat, results = decode_global(frame, graph, params)
+        word_hat, results = decode_global(frame, bundle.parity_check, params)
         ok &= (word_hat.bits == word.bits).all()
         ok &= all(r.converged and r.iterations_used == 1 for r in results)
     return _check("round-trip", ok,

@@ -22,7 +22,6 @@ from gftmux import config
 from gftmux.channel import LlrFrame, llr
 from gftmux.decoder import (
     OPS_PER_EDGE,
-    DecoderGraph,
     MsaParams,
     decode_global,
 )
@@ -176,7 +175,7 @@ def test_criterion_06_noiseless_round_trip(name, mode):
     """demultiplex(transmit(x)) == x on 10^3 random stream blocks per mode;
     the decoder converges in one iteration on noiseless LLRs."""
     b = bundle(name)
-    tx, graph = b.transceiver, b.graph
+    tx, graph = b.transceiver, b.parity_check
     rng = np.random.default_rng(107)
     params = MsaParams(max_iterations=10, scale=b.sim.scale)
     decode_frames = 1000 if name == "desk_gf8" else 100
@@ -206,7 +205,7 @@ def test_criterion_07_complexity_accounting():
     problems = []
     for name, per_stream in [("ex1_bch127_113", 5334), ("desk_gf8", 63)]:
         b = bundle(name)
-        tx, graph = b.transceiver, b.graph
+        tx, graph = b.transceiver, b.parity_check
         s, m, n = tx.s, tx.m, tx.n
         rng = np.random.default_rng(109)
         word, x = tx.transmit(tx.random_streams(rng))
@@ -236,7 +235,7 @@ def test_criterion_08_metric_identity():
     desk = bundle("desk_gf8")
     cfg = SimConfig(ebn0_db=[2.0], iterations=[10], scale=0.625,
                     max_frames=2000, target_errors=100, seed=desk.sim.seed)
-    result = monte_carlo(desk.transceiver, desk.graph, cfg, rate=desk.rate)
+    result = monte_carlo(desk.transceiver, desk.parity_check, cfg, rate=desk.rate)
     cell = result.cells[0]
     problems = []
     if cell.global_errors < 1:
@@ -267,12 +266,12 @@ def desk_sweep():
     cfg = SimConfig(ebn0_db=GRID_DB, iterations=[10], scale=0.625,
                     max_frames=1_200_000, target_errors=100,
                     seed=desk.sim.seed, verify=False)
-    result = monte_carlo(desk.transceiver, desk.graph, cfg, rate=desk.rate,
+    result = monte_carlo(desk.transceiver, desk.parity_check, cfg, rate=desk.rate,
                          workers=3)
     tail_cfg = SimConfig(ebn0_db=[TAIL_DB], iterations=[10], scale=0.625,
                          max_frames=60_000, target_errors=10 ** 9,
                          seed=desk.sim.seed, verify=False)
-    tail = monte_carlo(desk.transceiver, desk.graph, tail_cfg, rate=desk.rate,
+    tail = monte_carlo(desk.transceiver, desk.parity_check, tail_cfg, rate=desk.rate,
                        workers=3)
     return desk, result, tail.cells[0]
 
@@ -327,7 +326,7 @@ def test_criterion_10_iteration_convergence(desk_sweep):
     cfg = SimConfig(ebn0_db=[4.0], iterations=[10, 50], scale=0.625,
                     max_frames=60_000, target_errors=150,
                     seed=desk.sim.seed, verify=False)
-    result = monte_carlo(desk.transceiver, desk.graph, cfg, rate=desk.rate,
+    result = monte_carlo(desk.transceiver, desk.parity_check, cfg, rate=desk.rate,
                          workers=3)
     c10 = result.cell(4.0, 10)
     c50 = result.cell(4.0, 50)

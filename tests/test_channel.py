@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gftmux.channel import ChannelParams, LlrFrame, awgn, llr
+from gftmux.channel import ChannelParams, LlrFrame, llr
 
 
 def test_sigma_formula():
@@ -9,30 +9,6 @@ def test_sigma_formula():
     assert p.sigma2 == pytest.approx(1.0)
     p = ChannelParams(ebn0_db=3.0, rate=0.8905)
     assert p.sigma2 == pytest.approx(1.0 / (2 * 0.8905 * 10 ** 0.3))
-
-
-def test_awgn_zero_noise_limit():
-    x = np.ones(100)
-    p = ChannelParams(ebn0_db=100.0, rate=0.5)   # sigma ~ 1e-5
-    y = awgn(x, p, np.random.default_rng(0))
-    assert np.abs(y - x).max() < 1e-4
-
-
-def test_awgn_deterministic_given_seed():
-    x = np.zeros(1000)
-    p = ChannelParams(ebn0_db=2.0, rate=0.6)
-    y1 = awgn(x, p, np.random.default_rng(42))
-    y2 = awgn(x, p, np.random.default_rng(42))
-    assert (y1 == y2).all()
-
-
-def test_awgn_statistics_million_draws():
-    p = ChannelParams(ebn0_db=1.0, rate=0.6122448979591837)
-    n = 10 ** 6
-    z = awgn(np.zeros(n), p, np.random.default_rng(7))
-    # 4-sigma bound on the sample mean; 1% on the sample variance
-    assert abs(z.mean()) < 4 * p.sigma / 10 ** 3
-    assert abs(z.var() - p.sigma2) < 0.01 * p.sigma2
 
 
 def test_llr_examples():

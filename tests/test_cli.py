@@ -20,6 +20,13 @@ def test_presets_shipped():
             "ex3_rs127_121", "ex5_rs89_85"} <= set(names)
 
 
+def test_package_exports_resolve():
+    import gftmux
+
+    missing = [name for name in gftmux.__all__ if not hasattr(gftmux, name)]
+    assert not missing
+
+
 def test_unknown_preset():
     with pytest.raises(ConfigError):
         load_preset("nope")
@@ -208,6 +215,19 @@ def test_conjugacy_violation_reported(tmp_path, capsys):
     ('field.primitive_poly="-0xb"', "field.primitive_poly"),
     ("output.dir=5", "output.dir"),
     ("channel=5", "channel"),
+    ("expected.shape=5", "expected.shape"),
+    ("expected.shape=[21]", "expected.shape"),
+    ('expected.shape=[21,"49"]', "expected.shape"),
+    ("expected.shape=[-21,49]", "expected.shape"),
+    ("expected.shape=[true,49]", "expected.shape"),
+    ("expected.column_weight=3.0", "expected.column_weight"),
+    ("expected.row_weight=true", "expected.row_weight"),
+    ('expected.dimension="30"', "expected.dimension"),
+    ("expected.dimension=null", "expected.dimension"),
+    ('expected.rate="x"', "expected.rate"),
+    ("expected.rate=NaN", "expected.rate"),
+    ("expected.rate=1e400", "expected.rate"),
+    ("expected.rate=false", "expected.rate"),
 ])
 def test_config_field_types(tmp_path, capsys, override, field):
     args = ["simulate", "--preset", "desk_gf8", "--outdir", str(tmp_path),
@@ -219,7 +239,13 @@ def test_config_field_types(tmp_path, capsys, override, field):
     assert not (tmp_path / "desk_gf8.csv").exists()
 
 
-def test_cmd_simulate_unwritable_output(tmp_path, capsys):
+def test_cmd_simulate_unwritable_output(tmp_path, capsys, monkeypatch):
+    import gftmux.cli as cli
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran before the outputs were opened")
+
+    monkeypatch.setattr(cli, "monte_carlo", no_sweep)
     blocker = tmp_path / "file"
     blocker.write_text("")
     quick = ["--set", "sim.max_frames=2", "--set", "channel.ebn0_db=[4.0]",
@@ -236,6 +262,14 @@ def test_cmd_simulate_unwritable_output(tmp_path, capsys):
     assert main(args) == 1
     err = capsys.readouterr().err
     assert err.startswith("simulate failed:") and "Traceback" not in err
+    # the CSV can be opened but the manifest cannot: no empty CSV is left
+    (tmp_path / "desk_gf8.manifest.json").mkdir()
+    args = ["simulate", "--preset", "desk_gf8", "--outdir", str(tmp_path),
+            "--quiet"] + quick
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("simulate failed:") and "Traceback" not in err
+    assert not (tmp_path / "desk_gf8.csv").exists()
 
 
 #: Every field of the config schema, and each section as a whole.
@@ -245,7 +279,8 @@ SCHEMA_PATHS = [
     "channel.ebn0_db", "channel.seed", "decoder", "decoder.iterations",
     "decoder.scale", "decoder.clip", "sim", "sim.max_frames",
     "sim.target_errors", "sim.verify", "sim.baseline", "output", "output.dir",
-    "expected",
+    "expected", "expected.shape", "expected.column_weight", "expected.row_weight",
+    "expected.dimension", "expected.rate",
 ]
 
 

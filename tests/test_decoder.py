@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 
@@ -7,14 +5,11 @@ from gftmux.channel import LlrFrame, llr
 from gftmux.cyclic import mld_oracle
 from gftmux.decoder import (
     OPS_PER_EDGE,
-    DecoderGraph,
     DecodeResult,
     MsaParams,
     decode_frame,
     decode_global,
-    decode_layer,
 )
-from gftmux.geometry import read_alist, write_alist
 from gftmux.txrx import Transceiver, bpsk_map
 
 
@@ -25,7 +20,7 @@ def desk_tx(desk_spec):
 
 @pytest.fixture(scope="module")
 def desk_graph(desk_tx):
-    return DecoderGraph.from_parity_check(desk_tx.parity_check)
+    return desk_tx.parity_check
 
 
 def _tx_layer(desk_tx, rng):
@@ -33,12 +28,17 @@ def _tx_layer(desk_tx, rng):
     return word, word.bits
 
 
+def decode_layer(values, graph, params):
+    """One binary layer of the desk code, decoded as a frame with s = 1."""
+    frame = LlrFrame(values, s=1, n=7)
+    return decode_frame(frame, graph, params, (params.max_iterations,))[0][0]
+
+
 def test_graph_degrees(desk_graph):
     assert desk_graph.n_checks == 21
     assert desk_graph.n_vars == 49
     assert desk_graph.n_edges == 3 * 49
-    assert desk_graph.edge_var.shape == (21, 7)
-    assert not desk_graph.pad_mask.any()
+    assert desk_graph.check_vars.shape == (21, 7)
     assert desk_graph.var_edges.shape == (49, 3)
 
 
@@ -179,36 +179,6 @@ def test_clip_option(desk_graph):
     assert isinstance(res, DecodeResult)
 
 
-def test_graph_from_alist_matches_generated(desk_tx, desk_graph):
-    buf = io.StringIO()
-    write_alist(desk_tx.parity_check, buf)
-    imported = DecoderGraph.from_alist(read_alist(io.StringIO(buf.getvalue())))
-    assert imported.n_edges == desk_graph.n_edges
-    rng = np.random.default_rng(139)
-    frame = rng.normal(size=49)
-    params = MsaParams(max_iterations=6)
-    a = decode_layer(frame, desk_graph, params)
-    b = decode_layer(frame, imported, params)
-    assert (a.hard_bits == b.hard_bits).all()
-    assert a.iterations_used == b.iterations_used
-
-
-def test_graph_from_alist_irregular():
-    """Padded arrays must behave neutrally for irregular matrices."""
-    # H = [[1,1,1,0],[0,0,1,1]] : row degrees 3 and 2, column degrees vary
-    text = "4 2\n2 3\n1 1 2 1\n3 2\n1\n1\n1 2\n2\n1 2 3\n3 4\n"
-    alist = read_alist(io.StringIO(text))
-    graph = DecoderGraph.from_alist(alist)
-    assert graph.n_edges == 5
-    assert graph.pad_mask.sum() == 1
-    # codeword (1,1,0,0) satisfies both checks
-    bits = np.array([1, 1, 0, 0], dtype=np.uint8)
-    assert graph.syndrome_weight(bits) == 0
-    res = decode_layer(llr(bpsk_map(bits), 0.7), graph, MsaParams(max_iterations=5))
-    assert res.converged and (res.hard_bits == bits).all()
-    assert res.edge_ops == OPS_PER_EDGE * 5 * res.iterations_used
-
-
 def test_theorem_equivalence_random_sample(desk_tx, desk_graph):
     """Composed word has zero GF(2^s) syndrome iff every layer does."""
     rng = np.random.default_rng(149)
@@ -227,8 +197,6 @@ def test_theorem_equivalence_random_sample(desk_tx, desk_graph):
 def test_non_finite_llr_rejected(desk_graph, bad):
     values = np.ones(49)
     values[17] = bad
-    with pytest.raises(ValueError, match="non-finite"):
-        decode_layer(values, desk_graph, MsaParams(max_iterations=5))
     with pytest.raises(ValueError, match="non-finite"):
         LlrFrame(np.concatenate([values, values, values]), s=3, n=7)
 

@@ -46,7 +46,7 @@ def _replay(desk, cfg, ebn0, limit):
     params = MsaParams(max_iterations=limit, scale=cfg.scale, clip=cfg.clip)
     cell = CellResult(ebn0_db=ebn0, iterations_limit=limit)
     while cell.frames < cfg.max_frames and cell.global_errors < cfg.target_errors:
-        cell.add(run_trial(desk.transceiver, desk.graph, sigma, params, cfg.seed,
+        cell.add(run_trial(desk.transceiver, desk.parity_check, sigma, params, cfg.seed,
                            cell.frames))
     return cell
 
@@ -64,7 +64,7 @@ def test_engine_matches_trial_replay(desk_bundle, workers):
     cell still equals a run_trial replay of trials 0..frames-1."""
     cfg = SimConfig(ebn0_db=[0.0, 2.0, 4.0], iterations=[2, 10, 4], scale=0.625,
                     max_frames=2 * sim.BLOCK_SIZE + 5, target_errors=25, seed=41)
-    result = monte_carlo(desk_bundle.transceiver, desk_bundle.graph, cfg,
+    result = monte_carlo(desk_bundle.transceiver, desk_bundle.parity_check, cfg,
                          rate=desk_bundle.rate, workers=workers)
     assert [(c.ebn0_db, c.iterations_limit) for c in result.cells] == [
         (e, lim) for e in cfg.ebn0_db for lim in cfg.iterations]
@@ -80,7 +80,7 @@ def test_progress_reports_cells_in_stop_order(desk_bundle):
     cfg = SimConfig(ebn0_db=[4.0, 0.0], iterations=[10], scale=0.625,
                     max_frames=200, target_errors=20, seed=43)
     seen = []
-    result = monte_carlo(desk_bundle.transceiver, desk_bundle.graph, cfg,
+    result = monte_carlo(desk_bundle.transceiver, desk_bundle.parity_check, cfg,
                          rate=desk_bundle.rate, progress=seen.append)
     assert [c.ebn0_db for c in seen] == [0.0, 4.0]
     assert [c.ebn0_db for c in result.cells] == [4.0, 0.0]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import naive_gf_matmul
-from gftmux import cyclic, galois, geometry
+from gftmux import config, cyclic, galois, geometry
 from gftmux.cyclic import DuplicateRoots, base_matrix
 from gftmux.geometry import (
     AlistMatrix,
@@ -15,7 +15,6 @@ from gftmux.geometry import (
     gf2_rank,
     gf2_rank_rows,
     girth_lower_bound,
-    global_code_dimension,
     rc_check,
     read_alist,
     to_alist,
@@ -123,6 +122,24 @@ def test_dispersion_ex1_shape(gf128):
     assert (h.row_weights() == 127).all()
 
 
+def _var_edges_by_argsort(h):
+    """Edge slots grouped by variable through a stable argsort of the flat
+    check_vars: ascending check order within each variable."""
+    assert (h.column_weights() == h.m).all()
+    return np.argsort(h.check_vars.reshape(-1), kind="stable").reshape(h.n_vars, h.m)
+
+
+@pytest.mark.parametrize("preset", ["desk_gf8", "ex5_rs89_85", "ex1_bch127_113"])
+def test_var_edges_closed_form(preset):
+    h = config.build_system(config.load_preset(preset)).parity_check
+    assert h.var_edges.shape == (h.n_vars, h.m)
+    assert (h.var_edges == _var_edges_by_argsort(h)).all()
+    # every edge slot appears exactly once: no pad slot exists
+    assert (np.sort(h.var_edges.reshape(-1)) == np.arange(h.n_edges)).all()
+    flat = h.check_vars.reshape(-1)
+    assert (flat[h.var_edges] == np.arange(h.n_vars)[:, None]).all()
+
+
 def test_dispersion_requires_k1(desk_spec):
     with pytest.raises(ValueError):
         cpm_dispersion(base_matrix(desk_spec, 2))
@@ -223,7 +240,7 @@ def _dense_rank_oracle(dense):
 
 def test_rank_desk(desk_h):
     assert gf2_rank(desk_h) == 19
-    assert global_code_dimension(desk_h) == 30
+    assert desk_h.n_vars - gf2_rank(desk_h) == 30
     assert _dense_rank_oracle(desk_h.dense()) == 19
     # the pattern m(n-1)+1 inferred from the published dimensions
     assert gf2_rank(desk_h) == 3 * 6 + 1

