@@ -55,8 +55,5 @@ class LlrFrame:
         if not np.isfinite(self.values).all():
             raise ValueError("LLR frame holds non-finite values")
 
-    def layer(self, l: int) -> np.ndarray:
-        return self.values[l :: self.s]
-
     def layers(self) -> list:
-        return [self.layer(l) for l in range(self.s)]
+        return [self.values[l :: self.s] for l in range(self.s)]

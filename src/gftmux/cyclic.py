@@ -118,13 +118,6 @@ def poly_mod(a, g, field: GaloisField) -> np.ndarray:
     return r[:dg]
 
 
-def poly_eval(coeffs, x: int, field: GaloisField) -> int:
-    acc = 0
-    for c in reversed(np.asarray(coeffs, dtype=np.int64)):
-        acc = field.mul(acc, x) ^ int(c)
-    return acc
-
-
 @dataclass(eq=False)
 class GeneratorPoly:
     """Monic degree-m generator polynomial, ascending coefficients."""
@@ -198,13 +191,6 @@ def hadamard_perm(v, k: int, n: int) -> np.ndarray:
     if v.shape[-1] != n:
         raise ValueError(f"vector length {v.shape[-1]} != n={n}")
     return v[..., (np.arange(n, dtype=np.int64) * k) % n]
-
-
-def code_syndrome(word, bmat: BaseMatrix, field: GaloisField) -> np.ndarray:
-    """word . B^T over GF(2^s) for the given Hadamard power matrix."""
-    word = np.asarray(word, dtype=np.int64)
-    prods = field.mul_arr(word[None, :], bmat.elements())
-    return np.bitwise_xor.reduce(prods, axis=1)
 
 
 # -- encoders -----------------------------------------------------------

@@ -9,11 +9,28 @@ runs and scheduling orders.
 The operation counter charges 3 real-number operations per edge per
 iteration, making the complexity accounting an exact measured
 identity rather than an instruction count.
+
+decode_frame runs the loop in _flood.c, compiled with gcc when this
+module is imported and cached under the user cache directory
+($XDG_CACHE_HOME/gftmux or ~/.cache/gftmux), keyed by the SHA-256 of the
+source, the flags and the machine.  The kernel computes every message
+and every sum to the same double as _flood's numpy operations (the sums
+in numpy's pairwise order), so its decisions equal _flood's bit for
+bit; _flood stays as the reference and as the fallback when no
+compiler is available or the build fails (one warning).
 """
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
+import os
+import platform
+import subprocess
+import tempfile
+import warnings
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -23,6 +40,53 @@ from .txrx import GlobalWord
 
 #: Real-number operations charged per edge per iteration.
 OPS_PER_EDGE = 3
+
+#: -ffp-contract=off keeps a*b+c from fusing; no -ffast-math or
+#: -march=native, so the cached library is exact and portable.
+CFLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
+
+#: Widest variable row the kernel sums in numpy's order (numpy's
+#: pairwise block size); wider codes decode with _flood.
+KERNEL_MAX_M = 128
+
+
+def _load_kernel():
+    """Compile _flood.c into the user cache unless already there, load it,
+    and return its entry point; None, with one warning, when that fails."""
+    source = Path(__file__).with_name("_flood.c")
+    try:
+        key = hashlib.sha256(source.read_bytes() + repr(
+            (CFLAGS, platform.machine())).encode()).hexdigest()[:16]
+        cache = Path(os.environ.get("XDG_CACHE_HOME")
+                     or Path.home() / ".cache") / "gftmux"
+        lib = cache / f"flood-{key}.so"
+        if not lib.exists():
+            cache.mkdir(parents=True, exist_ok=True)
+            # concurrent builders each write their own file; replace is atomic
+            fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
+            os.close(fd)
+            try:
+                subprocess.run(["gcc", *CFLAGS, str(source), "-o", tmp, "-lm"],
+                               check=True, capture_output=True, text=True)
+                os.replace(tmp, lib)
+            finally:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
+        fn = ctypes.CDLL(str(lib)).gftmux_flood
+    except (OSError, subprocess.CalledProcessError) as exc:
+        detail = getattr(exc, "stderr", None) or exc
+        warnings.warn(f"gftmux: C min-sum kernel unavailable, decoding with "
+                      f"numpy ({detail})", RuntimeWarning, stacklevel=2)
+        return None
+    ptr, int64, double = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
+    fn.argtypes = [ptr, int64, int64, int64, ptr, double, double, ptr, int64,
+                   ptr, ptr, ptr]
+    fn.restype = None
+    return fn
+
+
+#: The compiled kernel, or None to decode with _flood.
+_kernel = _load_kernel()
 
 
 @dataclass(frozen=True)
@@ -36,6 +100,8 @@ class MsaParams:
             raise ValueError("scale must lie in (0, 1]")
         if self.max_iterations < 1:
             raise ValueError("need at least one iteration")
+        if self.clip is not None and not self.clip > 0:
+            raise ValueError("clip must be positive")
 
 
 @dataclass(eq=False)
@@ -97,8 +163,45 @@ def decode_frame(frame: LlrFrame, h: GlobalParityCheck, params: MsaParams,
     """Decode each of the s layers once to max(limits), reporting at every
     limit: out[l][j] is layer l's result at limits[j].  params supplies the
     scale and clip; limits take the place of its max_iterations.  A single
-    binary layer is a frame with s = 1."""
-    return [_flood(lay, h, params, limits) for lay in frame.layers()]
+    binary layer is a frame with s = 1.
+
+    All s layers go to the compiled kernel in one call; its results equal
+    _flood's (same bits, convergence, iterations and operation counts).
+    """
+    if _kernel is None or h.m > KERNEL_MAX_M:
+        return [_flood(lay, h, params, limits) for lay in frame.layers()]
+    if frame.n * frame.n != h.n_vars:
+        raise ValueError(f"LLR length {frame.n * frame.n} != {h.n_vars} variables")
+    expo = np.ascontiguousarray(h.cpm_exponents, dtype=np.int64) % h.n
+    if expo.shape != (h.m, h.n):
+        raise ValueError(f"CPM exponent table {expo.shape} is not m x n = {(h.m, h.n)}")
+    steps = np.array(sorted(set(limits)), dtype=np.int64)
+    if steps[0] < 1:
+        raise ValueError("iteration limits must be positive")
+    s, k = frame.s, steps.size
+    # every buffer is made here, C-contiguous with the dtype the kernel reads
+    channel = np.ascontiguousarray(frame.values.reshape(-1, s).T)   # float64 layers
+    work = np.empty(h.n_edges + (h.m + 10) * h.n)
+    bits = np.zeros((s, k + 1, h.n_vars), dtype=np.uint8)
+    kstar = np.zeros(s, dtype=np.int64)
+    _kernel(channel.ctypes.data, s, h.n, h.m, expo.ctypes.data, params.scale,
+            np.inf if params.clip is None else params.clip, steps.ctypes.data, k,
+            work.ctypes.data, bits.ctypes.data, kstar.ctypes.data)
+    ops = OPS_PER_EDGE * h.n_edges
+    out = []
+    for l in range(s):
+        done = int(kstar[l])
+        if done < 0:   # a variable total overflowed: numpy's inf/NaN rules
+            out.append(_flood(channel[l], h, params, limits))
+            continue
+        at = {lim: DecodeResult(hard_bits=bits[l, j], converged=False,
+                                iterations_used=lim, edge_ops=ops * lim)
+              for j, lim in enumerate(steps.tolist()) if not done or lim < done}
+        if done:
+            at[done] = DecodeResult(hard_bits=bits[l, k], converged=True,
+                                    iterations_used=done, edge_ops=ops * done)
+        out.append([at[lim] if lim in at else at[done] for lim in limits])
+    return out
 
 
 def decode_global(frame: LlrFrame, h: GlobalParityCheck, params: MsaParams) -> tuple:

@@ -56,9 +56,9 @@ def verify_shape_weights(bundle) -> CheckResult:
         if "shape" in exp and tuple(exp["shape"]) != h.shape:
             ok, detail = False, detail + f" (expected shape {exp['shape']})"
         if "column_weight" in exp and exp["column_weight"] != h.m:
-            ok = False
+            ok, detail = False, detail + f" (expected column weight {exp['column_weight']})"
         if "row_weight" in exp and exp["row_weight"] != h.n:
-            ok = False
+            ok, detail = False, detail + f" (expected row weight {exp['row_weight']})"
     return _check("shape-weights", ok, detail)
 
 

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from gftmux import config, cyclic, galois
+from gftmux import config, cyclic, decoder, galois
+
+
+@pytest.fixture
+def numpy_kernel(monkeypatch):
+    """Decode with the numpy _flood oracle, as on a machine without a
+    compiler; forked pool workers inherit the choice."""
+    monkeypatch.setattr(decoder, "_kernel", None)
 
 
 @pytest.fixture(scope="session")
@@ -68,3 +75,17 @@ def naive_gf_matmul(a, b, field) -> np.ndarray:
                 acc ^= field.mul(int(a[i, k]), int(b[k, j]))
             out[i, j] = acc
     return out
+
+
+def poly_eval(coeffs, x: int, field) -> int:
+    """Horner evaluation of an ascending-coefficient polynomial at x."""
+    acc = 0
+    for c in reversed(np.asarray(coeffs, dtype=np.int64)):
+        acc = field.mul(acc, x) ^ int(c)
+    return acc
+
+
+def code_syndrome(word, bmat, field) -> np.ndarray:
+    """word . B^T over GF(2^s) for a Hadamard power matrix B."""
+    word = np.asarray(word, dtype=np.int64)
+    return np.bitwise_xor.reduce(field.mul_arr(word[None, :], bmat.elements()), axis=1)

@@ -31,13 +31,13 @@ def test_llr_requires_positive_sigma():
 
 def test_layer_views_single_layer():
     frame = LlrFrame(np.arange(9, dtype=float), s=1, n=3)
-    assert (frame.layer(0) == np.arange(9)).all()
+    assert (frame.layers()[0] == np.arange(9)).all()
 
 
 def test_layer_views_stride():
     frame = LlrFrame(np.arange(3 * 49, dtype=float), s=3, n=7)
-    assert frame.layer(2)[0] == 2.0          # bit 2 of symbol 0 sits at index 2
-    assert frame.layer(0)[1] == 3.0
+    assert frame.layers()[2][0] == 2.0          # bit 2 of symbol 0 sits at index 2
+    assert frame.layers()[0][1] == 3.0
 
 
 def test_layer_views_partition_and_reassemble():

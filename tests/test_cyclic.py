@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import gf2_poly_divisible
+from conftest import code_syndrome, gf2_poly_divisible, poly_eval
 from gftmux import cyclic, galois
 from gftmux.cyclic import (
     BaseCodeSpec,
@@ -10,7 +10,6 @@ from gftmux.cyclic import (
     TooLarge,
     base_matrix,
     bch_spec,
-    code_syndrome,
     conjugacy_closure,
     encode,
     encode_spc,
@@ -18,7 +17,6 @@ from gftmux.cyclic import (
     generator_poly,
     hadamard_perm,
     mld_oracle,
-    poly_eval,
 )
 from gftmux.galois import compose_arr
 

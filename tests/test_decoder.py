@@ -159,7 +159,7 @@ def test_layer_order_independence(desk_tx, desk_graph):
     frame = LlrFrame(frame_vals, s=3, n=7)
     params = MsaParams(max_iterations=6)
     joint = decode_global(frame, desk_graph, params)[1]
-    solo = [decode_layer(frame.layer(l), desk_graph, params) for l in range(3)]
+    solo = [decode_layer(lay, desk_graph, params) for lay in frame.layers()]
     for a, b in zip(joint, solo):
         assert (a.hard_bits == b.hard_bits).all()
         assert a.iterations_used == b.iterations_used
@@ -177,6 +177,12 @@ def test_clip_option(desk_graph):
     res = decode_layer(frame, desk_graph,
                        MsaParams(max_iterations=3, clip=1.0))
     assert isinstance(res, DecodeResult)
+
+
+@pytest.mark.parametrize("clip", [0.0, -1.0])
+def test_clip_must_be_positive(clip):
+    with pytest.raises(ValueError, match="clip"):
+        MsaParams(max_iterations=3, clip=clip)
 
 
 def test_theorem_equivalence_random_sample(desk_tx, desk_graph):
@@ -216,7 +222,7 @@ def test_checkpoints_match_separate_decodes(desk_tx, desk_graph):
         per_layer = decode_frame(frame, desk_graph, params, limits)
         for l, at_limits in enumerate(per_layer):
             for lim, got in zip(limits, at_limits):
-                ref = decode_layer(frame.layer(l), desk_graph,
+                ref = decode_layer(frame.layers()[l], desk_graph,
                                    MsaParams(max_iterations=lim, scale=0.75, clip=4.0))
                 assert (got.hard_bits == ref.hard_bits).all()
                 assert (got.converged, got.iterations_used, got.edge_ops) == (

@@ -27,17 +27,26 @@ EX5_ARGS = ["--set", "channel.ebn0_db=[4.5,5.0]",
             "--set", "sim.max_frames=6", "--set", "sim.target_errors=3"]
 
 
-@pytest.mark.parametrize("preset, workers, extra", [
+GOLDEN_CASES = [
     ("desk_gf8", 1, DESK_ARGS),
     ("desk_gf8", 3, DESK_ARGS),
     ("ex5_rs89_85", 1, EX5_ARGS),
-])
+]
+
+
+@pytest.mark.parametrize("preset, workers, extra", GOLDEN_CASES)
 def test_golden_csv(tmp_path, preset, workers, extra):
     args = ["simulate", "--preset", preset, "--outdir", str(tmp_path), "--quiet",
             "--workers", str(workers), *extra]
     assert main(args) == 0
     got = (tmp_path / f"{preset}.csv").read_bytes()
     assert got == (DATA / f"golden_{preset}.csv").read_bytes()
+
+
+@pytest.mark.parametrize("preset, workers, extra", GOLDEN_CASES)
+def test_golden_csv_numpy_kernel(tmp_path, numpy_kernel, preset, workers, extra):
+    """The golden bytes hold for the numpy oracle as for the compiled kernel."""
+    test_golden_csv(tmp_path, preset, workers, extra)
 
 
 def _replay(desk, cfg, ebn0, limit):

@@ -1,0 +1,174 @@
+"""The compiled flooding kernel against its numpy oracle, and its build.
+
+decoder._flood is the reference: on every layer the kernel must report
+the same hard bits, convergence flag, iteration count and operation
+count at every checkpoint limit.
+"""
+
+import ctypes
+import functools
+import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from gftmux import config, decoder
+from gftmux.channel import LlrFrame
+from gftmux.decoder import MsaParams, _flood, decode_frame
+from gftmux.geometry import GlobalParityCheck
+from gftmux.sim import run_trial
+
+SRC = Path(decoder.__file__).parent
+
+needs_kernel = pytest.mark.skipif(decoder._kernel is None,
+                                  reason="the C kernel is not built (no compiler)")
+
+
+@functools.lru_cache(maxsize=None)
+def preset_graph(preset):
+    return config.build_system(config.load_preset(preset)).parity_check
+
+
+def assert_matches_oracle(h, values, s, params, limits):
+    frame = LlrFrame(values, s=s, n=h.n)
+    got = decode_frame(frame, h, params, limits)
+    for lay, at_limits in zip(frame.layers(), got):
+        for ref, res in zip(_flood(lay, h, params, limits), at_limits):
+            assert (res.hard_bits == ref.hard_bits).all()
+            assert (res.converged, res.iterations_used, res.edge_ops) == (
+                ref.converged, ref.iterations_used, ref.edge_ops)
+
+
+def llr_values(mode, size, rng):
+    if mode == "noisy":     # the all-zero codeword of every code, with noise
+        sigma = rng.choice([0.5, 1.0, 2.0])
+        return 2.0 * (1.0 + sigma * rng.standard_normal(size)) / sigma ** 2
+    if mode == "ties":      # exact zeros of both signs and many equal magnitudes
+        return rng.choice([0.0, -0.0, 1.0, -1.0, 2.0, -2.0], size=size)
+    # huge magnitudes: sums overflow, and the numpy oracle takes over
+    return rng.choice([1e300, -1e300, 1e-300, -0.0, 3.0, -1e308], size=size)
+
+
+@needs_kernel
+def test_kernel_matches_flood():
+    """Random LLRs on desk and ex5 (m < 8), ex1 (m = 14) and random QC
+    exponent tables up to m = 20 (so numpy's blocks of eight repeat)."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def graphs(draw):
+        preset = draw(st.sampled_from(
+            ["desk_gf8", "ex5_rs89_85", "ex1_bch127_113", None, None, None, None]))
+        if preset:
+            return preset_graph(preset)
+        m, n = draw(st.integers(1, 20)), draw(st.integers(2, 13))
+        seed = draw(st.integers(0, 2 ** 32 - 1))
+        return GlobalParityCheck.from_exponents(
+            np.random.default_rng(seed).integers(0, n, size=(m, n)))
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None)
+    @hypothesis.given(
+        h=graphs(), s=st.integers(1, 3),
+        mode=st.sampled_from(["noisy", "ties", "huge"]),
+        seed=st.integers(0, 2 ** 32 - 1),
+        scale=st.sampled_from([0.625, 0.75, 1.0]),
+        clip=st.sampled_from([None, 1.0, 4.0, 1e-3]),
+        limits=st.lists(st.integers(1, 8), min_size=1, max_size=4))
+    def run(h, s, mode, seed, scale, clip, limits):
+        rng = np.random.default_rng(seed)
+        values = llr_values(mode, s * h.n_vars, rng)
+        assert_matches_oracle(h, values, s, MsaParams(max_iterations=max(limits),
+                                                      scale=scale, clip=clip),
+                              tuple(limits))
+
+    with np.errstate(all="ignore"):   # the oracle's overflowing sums
+        run()
+
+
+@needs_kernel
+def test_overflowing_layer_falls_back_to_flood(monkeypatch):
+    h = preset_graph("desk_gf8")
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _flood(*args)
+
+    monkeypatch.setattr(decoder, "_flood", counted)
+    values = np.where(np.arange(3 * 49) % 2, 1e308, -1e308)
+    with np.errstate(all="ignore"):
+        assert_matches_oracle(h, values, 3, MsaParams(max_iterations=5), (2, 5))
+    assert calls           # decode_frame handed an overflowing layer to _flood
+
+
+def test_wide_columns_decode_with_flood(monkeypatch):
+    """Above m = 128 numpy's pairwise sum recurses; the kernel is not used."""
+    def refuse(*args):
+        raise AssertionError("kernel called for m > 128")
+
+    monkeypatch.setattr(decoder, "_kernel", refuse)
+    h = GlobalParityCheck.from_exponents(
+        np.random.default_rng(3).integers(0, 2, size=(129, 2)))
+    values = np.random.default_rng(4).standard_normal(h.n_vars)
+    assert_matches_oracle(h, values, 1, MsaParams(max_iterations=3), (1, 3))
+
+
+def test_false_convergence_trips_verify(desk_bundle, monkeypatch):
+    """A kernel that reports convergence on a nonzero syndrome is caught by
+    SimConfig.verify's re-check."""
+    def lying(channel, s, n, m, expo, scale, clip, limits, k, work, bits, kstar):
+        ctypes.memset(bits, 1, s * (k + 1) * n * n)   # all ones: odd-weight checks fail
+        converged = ctypes.cast(kstar, ctypes.POINTER(ctypes.c_int64))
+        for l in range(s):
+            converged[l] = 1
+
+    monkeypatch.setattr(decoder, "_kernel", lying)
+    params = MsaParams(max_iterations=10, scale=0.625)
+    tx, h = desk_bundle.transceiver, desk_bundle.parity_check
+    with pytest.raises(RuntimeError, match="nonzero syndrome"):
+        run_trial(tx, h, 1.0, params, 555, 0)
+    run_trial(tx, h, 1.0, params, 555, 0, verify=False)
+
+
+@pytest.mark.skipif(shutil.which("gcc") is None, reason="no gcc")
+def test_kernel_compiles_without_warnings(tmp_path):
+    proc = subprocess.run(
+        ["gcc", *decoder.CFLAGS, "-Wall", "-Wextra", "-Werror",
+         str(SRC / "_flood.c"), "-o", str(tmp_path / "flood.so"), "-lm"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_missing_compiler_falls_back_with_one_warning(tmp_path):
+    """With no gcc on PATH and an empty cache, importing the decoder warns
+    once and decoding runs on _flood without further warnings."""
+    (tmp_path / "bin").mkdir()
+    script = """
+import json, warnings
+import numpy as np
+with warnings.catch_warnings(record=True) as caught:
+    warnings.simplefilter("always")
+    from gftmux import config, decoder
+    from gftmux.channel import LlrFrame
+    h = config.build_system(config.load_preset("desk_gf8")).parity_check
+    frame = LlrFrame(np.ones(3 * 49), s=3, n=7)
+    res = decoder.decode_frame(frame, h, decoder.MsaParams(max_iterations=5), (5,))
+print(json.dumps({"kernel": decoder._kernel is not None,
+                  "converged": all(lay[0].converged for lay in res),
+                  "warnings": [str(w.message) for w in caught]}))
+"""
+    env = dict(os.environ, PATH=str(tmp_path / "bin"),
+               XDG_CACHE_HOME=str(tmp_path / "cache"), PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert out["kernel"] is False and out["converged"]
+    assert len(out["warnings"]) == 1
+    assert "decoding with numpy" in out["warnings"][0]

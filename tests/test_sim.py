@@ -109,10 +109,31 @@ def test_trial_verify_raises_on_false_convergence(desk, monkeypatch):
     run_trial(desk.transceiver, desk.parity_check, 1.0, params, 555, 0, verify=False)
 
 
-@pytest.mark.parametrize("preset, ebn0_db, max_iters", [
+def test_clean_frame_skips_demultiplex(desk, monkeypatch):
+    """A decoded word equal to the transmitted one counts no errors
+    without the inverse GFT; a wrong one is still demultiplexed."""
+    tx = desk.transceiver
+    real, calls = tx.demultiplex, []
+
+    def counted(word):
+        calls.append(word)
+        return real(word)
+
+    monkeypatch.setattr(tx, "demultiplex", counted)
+    params = MsaParams(max_iterations=10, scale=0.625)
+    clean = run_trial(tx, desk.parity_check, 0.3, params, 555, 0)
+    assert (clean.composite_errors, clean.bit_errors, calls) == (0, 0, [])
+    noisy = [run_trial(tx, desk.parity_check, 1.5, params, 555, i) for i in range(40)]
+    assert len(calls) == sum(r.global_error for r in noisy) > 0
+
+
+NOISY_CASES = [
     ("ex1_bch127_113", 5.5, 3),   # measured: every layer converges in 2-3
     ("ex5_rs89_85", 6.0, 3),      # measured: every layer converges in 1-3
-])
+]
+
+
+@pytest.mark.parametrize("preset, ebn0_db, max_iters", NOISY_CASES)
 def test_noisy_decode_at_scale(preset, ebn0_db, max_iters):
     """Two noisy production-scale frames decode exactly within the measured
     iteration bound (limit 50, the preset's seed, trials 0 and 1)."""
@@ -124,6 +145,11 @@ def test_noisy_decode_at_scale(preset, ebn0_db, max_iters):
         assert rec.all_converged and len(rec.iterations) == b.spec.s
         assert rec.composite_errors == 0 and rec.bit_errors == 0
         assert max(rec.iterations) <= max_iters, rec.iterations
+
+
+@pytest.mark.parametrize("preset, ebn0_db, max_iters", NOISY_CASES)
+def test_noisy_decode_at_scale_numpy_kernel(numpy_kernel, preset, ebn0_db, max_iters):
+    test_noisy_decode_at_scale(preset, ebn0_db, max_iters)
 
 
 # -- cell counters and the metric identity ------------------------------------

@@ -5,9 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import naive_gf_matmul
+from conftest import code_syndrome, naive_gf_matmul
 from gftmux import config, cyclic, galois
-from gftmux.cyclic import base_matrix, code_syndrome
+from gftmux.cyclic import base_matrix
 from gftmux.galois import compose_arr, decompose_arr
 from gftmux.geometry import ScaleGuard, cpm, cpm_dispersion
 from gftmux.txrx import (

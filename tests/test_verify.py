@@ -32,6 +32,18 @@ def test_expected_shape_mismatch_fails():
     assert not verify.verify_shape_weights(bundle).ok
 
 
+@pytest.mark.parametrize("field, value, note", [
+    ("column_weight", 4, "(expected column weight 4)"),
+    ("row_weight", 8, "(expected row weight 8)"),
+])
+def test_expected_weight_mismatch_reported(field, value, note):
+    cfg = config.load_preset("desk_gf8")
+    cfg["expected"][field] = value
+    check = verify.verify_shape_weights(config.build_system(cfg))
+    assert not check.ok
+    assert check.detail.endswith(note), check.line()
+
+
 def test_layer_decomposition_seeded(desk_bundle):
     a = verify.verify_layer_decomposition(desk_bundle, random_vectors=100,
                                           tx_frames=2, seed=5)
