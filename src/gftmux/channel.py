@@ -36,7 +36,7 @@ def llr(y, sigma: float) -> np.ndarray:
 
 @dataclass(eq=False)
 class LlrFrame:
-    """s*n^2 finite soft values with per-layer strided views.
+    """s*n^2 finite soft values, or a stack of such frames along leading axes.
 
     Under the symbol-major serialization, bit l of symbol t sits at
     index t*s + l, so layer l is values[l::s].
@@ -48,12 +48,13 @@ class LlrFrame:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.size != self.s * self.n * self.n:
-            raise ValueError(
-                f"frame length {self.values.size} != s*n^2 = {self.s * self.n ** 2}"
-            )
+        if self.values.shape[-1:] != (self.s * self.n * self.n,):
+            raise ValueError(f"frame shape {self.values.shape} does not end in "
+                             f"s*n^2 = {self.s * self.n ** 2}")
         if not np.isfinite(self.values).all():
             raise ValueError("LLR frame holds non-finite values")
 
-    def layers(self) -> list:
-        return [self.values[l :: self.s] for l in range(self.s)]
+    def layers(self) -> np.ndarray:
+        """(frames*s, n^2) array; row f*s + l is layer l of frame f."""
+        nv = self.n * self.n
+        return np.swapaxes(self.values.reshape(-1, nv, self.s), 1, 2).reshape(-1, nv)

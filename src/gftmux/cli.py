@@ -166,6 +166,12 @@ def _sweep_into(args, bundle, csv_fh, manifest_fh) -> bool | None:
         "dimension": bundle.dimension,
         "truncated": truncated,
         "outputs": {"csv": csv_fh.name},
+        "rng_contract": 1,
+        "cells": [{"ebn0_db": c.ebn0_db, "iters": c.iterations_limit,
+                   "iter_hist": {str(k): v for k, v in sorted(c.iter_hist.items())},
+                   "wall_time": c.wall_time,
+                   "frames_per_s": c.frames / c.wall_time if c.wall_time else None}
+                  for c in result.cells],
     }
     if baseline is not None:
         manifest["baseline_mld_wer"] = baseline

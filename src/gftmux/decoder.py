@@ -10,14 +10,15 @@ The operation counter charges 3 real-number operations per edge per
 iteration, making the complexity accounting an exact measured
 identity rather than an instruction count.
 
-decode_frame runs the loop in _flood.c, compiled with gcc when this
-module is imported and cached under the user cache directory
-($XDG_CACHE_HOME/gftmux or ~/.cache/gftmux), keyed by the SHA-256 of the
-source, the flags and the machine.  The kernel computes every message
-and every sum to the same double as _flood's numpy operations (the sums
-in numpy's pairwise order), so its decisions equal _flood's bit for
-bit; _flood stays as the reference and as the fallback when no
-compiler is available or the build fails (one warning).
+decode_batch runs the loop in _flood.c for any number of layers (B
+frames of s layers each; decode_frame is the batch of one), compiled
+with gcc when this module is imported and cached under the user cache
+directory ($XDG_CACHE_HOME/gftmux or ~/.cache/gftmux), keyed by the
+SHA-256 of the source, the flags and the machine.  The kernel computes
+every message and every sum to the same double as _flood's numpy
+operations (the sums in numpy's pairwise order), so its decisions equal
+_flood's bit for bit; _flood stays as the reference and as the fallback
+when no compiler is available or the build fails (one warning).
 """
 
 from __future__ import annotations
@@ -158,50 +159,55 @@ def _flood(channel: np.ndarray, h: GlobalParityCheck, params: MsaParams,
     return [checkpoints[lim] for lim in limits]
 
 
-def decode_frame(frame: LlrFrame, h: GlobalParityCheck, params: MsaParams,
-                 limits) -> list:
-    """Decode each of the s layers once to max(limits), reporting at every
-    limit: out[l][j] is layer l's result at limits[j].  params supplies the
-    scale and clip; limits take the place of its max_iterations.  A single
-    binary layer is a frame with s = 1.
+def decode_batch(channel: np.ndarray, h: GlobalParityCheck, params: MsaParams,
+                 limits) -> tuple:
+    """Decode each row of channel, an (L, n^2) array of binary layers, once
+    to max(limits); (bits, iterations, converged)[l, j] report layer l at
+    limits[j].  params supplies the scale and clip.
 
-    All s layers go to the compiled kernel in one call; its results equal
-    _flood's (same bits, convergence, iterations and operation counts).
+    All L layers go to the compiled kernel in one call; _flood decodes the
+    layers it cannot take (no kernel, m > KERNEL_MAX_M, or a variable total
+    that overflowed).  Either way the arrays equal _flood's results.
     """
-    if _kernel is None or h.m > KERNEL_MAX_M:
-        return [_flood(lay, h, params, limits) for lay in frame.layers()]
-    if frame.n * frame.n != h.n_vars:
-        raise ValueError(f"LLR length {frame.n * frame.n} != {h.n_vars} variables")
-    expo = np.ascontiguousarray(h.cpm_exponents, dtype=np.int64) % h.n
-    if expo.shape != (h.m, h.n):
-        raise ValueError(f"CPM exponent table {expo.shape} is not m x n = {(h.m, h.n)}")
+    channel = np.ascontiguousarray(channel, dtype=np.float64)
+    if channel.ndim != 2 or channel.shape[1] != h.n_vars:
+        raise ValueError(f"LLR layers {channel.shape} are not (L, {h.n_vars})")
     steps = np.array(sorted(set(limits)), dtype=np.int64)
     if steps[0] < 1:
         raise ValueError("iteration limits must be positive")
-    s, k = frame.s, steps.size
-    # every buffer is made here, C-contiguous with the dtype the kernel reads
-    channel = np.ascontiguousarray(frame.values.reshape(-1, s).T)   # float64 layers
-    work = np.empty(h.n_edges + (h.m + 10) * h.n)
-    bits = np.zeros((s, k + 1, h.n_vars), dtype=np.uint8)
-    kstar = np.zeros(s, dtype=np.int64)
-    _kernel(channel.ctypes.data, s, h.n, h.m, expo.ctypes.data, params.scale,
-            np.inf if params.clip is None else params.clip, steps.ctypes.data, k,
-            work.ctypes.data, bits.ctypes.data, kstar.ctypes.data)
+    expo = np.ascontiguousarray(h.cpm_exponents, dtype=np.int64) % h.n
+    if expo.shape != (h.m, h.n):
+        raise ValueError(f"CPM exponent table {expo.shape} is not m x n = {(h.m, h.n)}")
+    n_layers, k = len(channel), steps.size
+    bits = np.zeros((n_layers, k + 1, h.n_vars), dtype=np.uint8)
+    kstar = np.full(n_layers, -1, dtype=np.int64)   # -1: left to _flood
+    if _kernel is not None and h.m <= KERNEL_MAX_M:
+        # every buffer is made here, C-contiguous with the dtype the kernel reads
+        work = np.empty(h.n_edges + (h.m + 10) * h.n)
+        _kernel(channel.ctypes.data, n_layers, h.n, h.m, expo.ctypes.data, params.scale,
+                np.inf if params.clip is None else params.clip, steps.ctypes.data, k,
+                work.ctypes.data, bits.ctypes.data, kstar.ctypes.data)
+    at, done = np.array(limits, dtype=np.int64), kstar[:, None]
+    converged = (done > 0) & (done <= at)
+    iterations = np.where(converged, done, at)
+    # bits[l, k] holds the decisions at convergence, bits[l, j] those at steps[j]
+    bits = bits[np.arange(n_layers)[:, None],
+                np.where(converged, k, steps.searchsorted(at))]
+    for l in (kstar < 0).nonzero()[0]:   # numpy's inf/NaN rules
+        for j, r in enumerate(_flood(channel[l], h, params, limits)):
+            bits[l, j], iterations[l, j], converged[l, j] = (
+                r.hard_bits, r.iterations_used, r.converged)
+    return bits, iterations, converged
+
+
+def decode_frame(frame: LlrFrame, h: GlobalParityCheck, params: MsaParams,
+                 limits) -> list:
+    """decode_batch on one frame's layers: out[l][j] is layer l's result at
+    limits[j].  A single binary layer is a frame with s = 1."""
     ops = OPS_PER_EDGE * h.n_edges
-    out = []
-    for l in range(s):
-        done = int(kstar[l])
-        if done < 0:   # a variable total overflowed: numpy's inf/NaN rules
-            out.append(_flood(channel[l], h, params, limits))
-            continue
-        at = {lim: DecodeResult(hard_bits=bits[l, j], converged=False,
-                                iterations_used=lim, edge_ops=ops * lim)
-              for j, lim in enumerate(steps.tolist()) if not done or lim < done}
-        if done:
-            at[done] = DecodeResult(hard_bits=bits[l, k], converged=True,
-                                    iterations_used=done, edge_ops=ops * done)
-        out.append([at[lim] if lim in at else at[done] for lim in limits])
-    return out
+    return [[DecodeResult(hard_bits=b, converged=c, iterations_used=i, edge_ops=ops * i)
+             for b, i, c in zip(bits, its.tolist(), conv.tolist())]
+            for bits, its, conv in zip(*decode_batch(frame.layers(), h, params, limits))]
 
 
 def decode_global(frame: LlrFrame, h: GlobalParityCheck, params: MsaParams) -> tuple:

@@ -236,5 +236,7 @@ def compose_arr(layers) -> np.ndarray:
 
 
 def gf2_product(bits, lifted) -> np.ndarray:
-    """bits @ lifted over GF(2), as uint8; lifted comes from GaloisField.lift."""
-    return (np.asarray(bits, dtype=np.float32) @ lifted % 2).astype(np.uint8)
+    """bits @ lifted over GF(2), as uint8; lifted comes from GaloisField.lift,
+    whose float32 sums are exact integers, so their low bit is the parity."""
+    return ((np.asarray(bits, dtype=np.float32) @ lifted).astype(np.int32) & 1
+            ).astype(np.uint8)

@@ -106,14 +106,14 @@ class GlobalParityCheck:
     def shape(self) -> tuple:
         return (self.n_checks, self.n_vars)
 
-    def syndrome_weight(self, vec) -> int:
-        """Number of checks whose XOR over vec is nonzero.
+    def syndrome_weight(self, vec):
+        """Number of checks whose XOR over vec is nonzero, per word of a stack.
 
         One routine for GF(2^s) symbols and for the bits of one layer
         alike (the binary decomposition theorem).
         """
-        parity = np.bitwise_xor.reduce(vec[self.check_vars], axis=1)
-        return int(np.count_nonzero(parity))
+        parity = np.bitwise_xor.reduce(np.asarray(vec)[..., self.check_vars], axis=-1)
+        return np.count_nonzero(parity, axis=-1)
 
     def column_weights(self) -> np.ndarray:
         return np.bincount(self.check_vars.reshape(-1), minlength=self.n_vars)

@@ -27,16 +27,20 @@ import numpy as np
 
 from .channel import ChannelParams, LlrFrame, llr
 from .cyclic import mld_oracle
-from .decoder import MsaParams, decode_frame
+from .decoder import OPS_PER_EDGE, MsaParams, decode_batch
 from .geometry import GlobalParityCheck
-from .txrx import GlobalWord, Transceiver, bpsk_map
+from .txrx import GlobalWord, StreamBlock, Transceiver, bpsk_map
 
 #: 97.5% standard normal quantile for the 95% Wilson interval.
 _Z95 = 1.959963984540054
 
-#: Trials per block on the process-pool path; blocks merge in index
-#: order, so results do not depend on the block size or worker count.
+#: Most trials per block, the trials one chain call stacks; blocks merge
+#: in index order, so results depend on neither block size nor workers.
 BLOCK_SIZE = 64
+
+#: A block holds max(1, min(BLOCK_SIZE, BLOCK_LLRS // (s*n^2))) trials: 64
+#: on desk, 1 on the 89- and 127-symbol codes, which keep one trial's footprint.
+BLOCK_LLRS = 2 ** 14
 
 
 def confidence_interval(errors: int, trials: int, z: float = _Z95) -> tuple:
@@ -99,15 +103,21 @@ class CellResult:
     wall_time: float = 0.0
 
     def add(self, rec: TrialRecord) -> None:
-        self.frames += 1
-        self.global_errors += int(rec.global_error)
-        self.composite_errors += rec.composite_errors
-        self.bit_errors += rec.bit_errors
-        self.iter_sum += sum(rec.iterations)
-        self.layer_decodes += len(rec.iterations)
-        for it in rec.iterations:
-            self.iter_hist[it] = self.iter_hist.get(it, 0) + 1
-        self.edge_ops += rec.edge_ops
+        self.add_tally(np.array([[rec.global_error, rec.composite_errors, rec.bit_errors,
+                                  rec.edge_ops, rec.all_converged, *rec.iterations]]))
+
+    def add_tally(self, rows: np.ndarray) -> None:
+        """Count trials given as run_block tally rows, one per trial."""
+        ge, ce, be, ops, _ = rows[:, :5].sum(axis=0).tolist()
+        self.frames += len(rows)
+        self.global_errors += ge
+        self.composite_errors += ce
+        self.bit_errors += be
+        self.edge_ops += ops
+        self.iter_sum += int(rows[:, 5:].sum())
+        self.layer_decodes += rows[:, 5:].size
+        for it, times in zip(*np.unique(rows[:, 5:], return_counts=True)):
+            self.iter_hist[int(it)] = self.iter_hist.get(int(it), 0) + int(times)
 
     # -- derived estimators ------------------------------------------
 
@@ -159,60 +169,54 @@ def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
     return np.random.default_rng([master_seed, trial_index])
 
 
-def run_trials(tx: Transceiver, h: GlobalParityCheck, points, params: MsaParams,
-               master_seed: int, trial_index: int, verify: bool = True) -> list:
-    """Every outcome of one trial: out[p][j] is the record at SNR point
-    points[p] = (sigma, limits) under iteration limit limits[j].
+def run_block(tx: Transceiver, h: GlobalParityCheck, points, params: MsaParams,
+              master_seed: int, start: int, count: int, verify: bool = True) -> list:
+    """Tallies of trials start..start+count-1: out[p][i, j] holds trial
+    start+i at SNR point points[p] = (sigma, limits) under limits[j]: a
+    global-error flag, composite errors, bit errors, edge ops, an
+    all-layers-converged flag, then each layer's iterations.
 
-    The trial is drawn, encoded and multiplexed once.  Each point is
-    decoded once up to its largest limit (params gives scale and clip),
-    and each distinct per-layer iteration tuple is demultiplexed once:
-    equal tuples mean equal bits.  A decoded word equal to the
-    transmitted one is not demultiplexed: the round trip is exact, so
-    it has no composite or bit errors.
+    Each trial draws from its own generator; the chain then runs once over
+    the stack, and each point decodes all count*s layers in one call up to
+    its largest limit (params gives scale and clip).  A decoded word equal
+    to the transmitted one is not demultiplexed: the round trip is exact.
     """
-    rng = trial_rng(master_seed, trial_index)
-    streams = tx.random_streams(rng)
+    s, n = tx.s, tx.n
+    rngs = [trial_rng(master_seed, i) for i in range(start, start + count)]
+    streams = StreamBlock(bits=np.stack([tx.random_streams(r).bits for r in rngs]), n=n)
+    noise = np.stack([r.standard_normal(s * n * n) for r in rngs])
     composites = tx.encode_composites(streams)
     word, x = tx.multiplex(composites)
-    noise = rng.standard_normal(x.size)
     out = []
     for sigma, limits in points:
-        frame = LlrFrame(llr(x + sigma * noise, sigma), s=tx.s, n=tx.n)
-        layers = decode_frame(frame, h, params, limits)
+        frame = LlrFrame(llr(x + sigma * noise, sigma), s=s, n=n)
+        bits, iters, conv = decode_batch(frame.layers(), h, params, limits)
         top = limits.index(max(limits))   # holds every converged result
-        final = [lay[top] for lay in layers]
-        if verify and any(r.converged and h.syndrome_weight(r.hard_bits)
-                          for r in final):
+        if verify and h.syndrome_weight(bits[conv[:, top], top]).any():
             raise RuntimeError("early stop reported convergence on a nonzero syndrome")
-        errors, records = {}, []
-        for j in range(len(limits)):
-            results = [lay[j] for lay in layers]
-            iterations = [r.iterations_used for r in results]
-            key = tuple(iterations)
-            if key not in errors:
-                bits_hat = np.stack([r.hard_bits for r in results])
-                if np.array_equal(bits_hat, word.bits):
-                    errors[key] = (0, 0)
-                else:
-                    comps_hat, streams_hat = tx.demultiplex(GlobalWord(bits=bits_hat))
-                    errors[key] = (int((comps_hat != composites).any(axis=1).sum()),
-                                   streams.bit_errors(streams_hat))
-            word_errors, bit_errors = errors[key]
-            records.append(TrialRecord(
-                global_error=word_errors > 0, composite_errors=word_errors,
-                bit_errors=bit_errors, iterations=iterations,
-                edge_ops=sum(r.edge_ops for r in results),
-                all_converged=all(r.converged for r in results)))
-        out.append(records)
+        tally = np.zeros((count, len(limits), 5 + s), dtype=np.int64)
+        tally[..., 5:] = iters.reshape(count, s, -1).transpose(0, 2, 1)
+        tally[..., 3] = OPS_PER_EDGE * h.n_edges * tally[..., 5:].sum(axis=2)
+        tally[..., 4] = conv.reshape(count, s, -1).all(axis=1)
+        hat = bits.reshape(count, s, len(limits), -1).transpose(0, 2, 1, 3)
+        wrong = (hat != word.bits[:, None]).any(axis=(2, 3))   # [trial, limit]
+        if wrong.any():
+            trial = np.nonzero(wrong)[0]
+            comps_hat, streams_hat = tx.demultiplex(GlobalWord(bits=hat[wrong]))
+            tally[wrong, 1] = (comps_hat != composites[trial]).any(axis=2).sum(axis=1)
+            tally[wrong, 2] = (streams_hat.bits != streams.bits[trial]).sum(axis=(1, 2))
+        tally[..., 0] = tally[..., 1] > 0
+        out.append(tally)
     return out
 
 
 def run_trial(tx: Transceiver, h: GlobalParityCheck, sigma: float, params: MsaParams,
               master_seed: int, trial_index: int, verify: bool = True) -> TrialRecord:
     """One trial at one SNR under params.max_iterations."""
-    return run_trials(tx, h, [(sigma, (params.max_iterations,))], params,
-                      master_seed, trial_index, verify)[0][0]
+    ge, ce, be, ops, conv, *its = run_block(tx, h, [(sigma, (params.max_iterations,))],
+                                            params, master_seed, trial_index, 1,
+                                            verify)[0][0, 0].tolist()
+    return TrialRecord(bool(ge), ce, be, its, ops, bool(conv))
 
 
 # -- sweep engine -----------------------------------------------------------
@@ -229,69 +233,82 @@ class _Sweep:
     sigmas: list
     params: MsaParams
 
-    def trial(self, idx: int, active) -> dict:
-        """{cell: record} for every cell in active (ascending)."""
+    def block(self, start: int, count: int, active: tuple) -> list:
+        """run_block's tallies of trials start..start+count-1 per cell in active."""
         limits = self.cfg.iterations
         k = len(limits)
         points = [(self.sigmas[p],
                    tuple(limits[c % k] for c in active if c // k == p))
                   for p in sorted({c // k for c in active})]
-        records = run_trials(self.tx, self.h, points, self.params, self.cfg.seed,
-                             idx, self.cfg.verify)
-        return dict(zip(active, (r for recs in records for r in recs)))
+        return [t[:, j] for t in run_block(self.tx, self.h, points, self.params,
+                                           self.cfg.seed, start, count, self.cfg.verify)
+                for j in range(t.shape[1])]
 
-    def block(self, start: int, count: int, active: tuple) -> list:
-        return [self.trial(idx, active) for idx in range(start, start + count)]
+    def install(self) -> None:   # pool initializer: the sweep a worker serves
+        _Sweep.served = self
+
+    @staticmethod
+    def served_block(start: int, count: int, active: tuple) -> list:
+        return _Sweep.served.block(start, count, active)
 
 
 def monte_carlo(tx: Transceiver, h: GlobalParityCheck, cfg: SimConfig, rate: float,
                 workers: int = 1, progress=None) -> SimResult:
     """Sweep every (SNR, iteration-limit) cell to its frame/error budget.
 
-    Trial indices are walked once for the whole grid: each trial feeds
-    every cell still active, and a cell stops at the first trial index
-    where its budget is met, so it holds trials 0..frames-1 whatever the
-    worker count.  progress(cell) is called as each cell stops, with
-    wall_time measured from the start of the sweep.
+    Trial indices are walked once for the whole grid, in blocks run inline
+    or by a pool: each trial feeds every cell still active, and a cell
+    stops at the first trial index where its budget is met, so it holds
+    trials 0..frames-1 whatever the worker count.  progress(cell) is called
+    as each cell stops, with wall_time measured from the sweep's start.
     """
     sigmas = [ChannelParams(ebn0_db=e, rate=rate).sigma for e in cfg.ebn0_db]
     params = MsaParams(max_iterations=max(cfg.iterations), scale=cfg.scale,
                        clip=cfg.clip)
     sweep = _Sweep(tx, h, cfg, sigmas, params)
+    size = max(1, min(BLOCK_SIZE, BLOCK_LLRS // (tx.s * tx.n * tx.n)))
     cells = [CellResult(ebn0_db=e, iterations_limit=lim)
              for e in cfg.ebn0_db for lim in cfg.iterations]
     active = list(range(len(cells)))
     t0 = time.perf_counter()
 
-    def consume(records: dict) -> None:
-        for c in list(active):
+    def consume(snapshot: tuple, tallies: list) -> None:
+        stops = []
+        for c, rows in zip(snapshot, tallies):
+            if c not in active:
+                continue
             cell = cells[c]
-            cell.add(records[c])
-            if cell.frames >= cfg.max_frames or cell.global_errors >= cfg.target_errors:
-                active.remove(c)
-                cell.wall_time = time.perf_counter() - t0
-                if progress:
-                    progress(cell)
+            met = ((cell.frames + np.arange(1, len(rows) + 1) >= cfg.max_frames)
+                   | (cell.global_errors + np.cumsum(rows[:, 0]) >= cfg.target_errors))
+            take = int(met.argmax()) + 1 if met.any() else len(rows)
+            cell.add_tally(rows[:take])
+            if met.any():
+                stops.append((take, c))
+        for _, c in sorted(stops):   # in the order of the trials that stop them
+            active.remove(c)
+            cells[c].wall_time = time.perf_counter() - t0
+            if progress:
+                progress(cells[c])
 
-    if workers <= 1:
-        while active:   # each active cell has seen trials 0..frames-1
-            consume(sweep.trial(cells[active[0]].frames, active))
-    else:
-        # Blocks merge in index order.  The active set only shrinks, so
-        # every cell active at merge time is in its block's snapshot.
-        pool = ProcessPoolExecutor(max_workers=workers)
-        try:
-            pending, start = deque(), 0
-            while active:
-                while len(pending) < 2 * workers and start < cfg.max_frames:
-                    count = min(BLOCK_SIZE, cfg.max_frames - start)
-                    snapshot = tuple(active)
-                    pending.append(pool.submit(sweep.block, start, count, snapshot))
-                    start += count
-                for records in pending.popleft().result():
-                    if active:
-                        consume(records)
-        finally:
+    # Blocks merge in index order.  The active set only shrinks, so every
+    # cell active at merge time is in its block's snapshot.
+    pool = (ProcessPoolExecutor(max_workers=workers, initializer=sweep.install)
+            if workers > 1 else None)
+    ahead = 2 * workers if pool else 1
+    try:
+        pending, start = deque(), 0
+        while active:
+            while len(pending) < ahead and start < cfg.max_frames:
+                count = min(size, cfg.max_frames - start)
+                snapshot = tuple(active)
+                job = (pool.submit(_Sweep.served_block, start, count, snapshot) if pool
+                       else sweep.block(start, count, snapshot))
+                pending.append((snapshot, job))
+                start += count
+            snapshot, job = pending.popleft()
+            consume(snapshot, job.result() if pool else job)
+    finally:
+        if pool:
             pool.shutdown(wait=True, cancel_futures=True)
     return SimResult(cells=cells, n=tx.n, info_bits_per_frame=tx.info_bits,
                      seed=cfg.seed)

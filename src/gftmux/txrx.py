@@ -70,8 +70,8 @@ def bpsk_map(bits) -> np.ndarray:
 class Transceiver:
     """Precomputed end-to-end multiplexing context for one code spec.
 
-    Immutable after construction; transmit/demultiplex are pure, so one
-    instance can serve any number of concurrent trials.
+    Immutable and pure, so one instance serves any number of concurrent
+    trials; the chain methods also take frames stacked on leading axes.
     """
 
     def __init__(self, spec: BaseCodeSpec):
@@ -107,23 +107,27 @@ class Transceiver:
     def encode_composites(self, streams: StreamBlock) -> np.ndarray:
         """(n, n*s) bits; row k is composite word k, symbol-major."""
         n, m, s = self.n, self.m, self.s
-        if streams.bits.shape != (s, sum(self.msg_lengths)):
+        if streams.bits.shape[-2:] != (s, sum(self.msg_lengths)):
             raise ValueError("stream block shape does not match the code spec")
-        comp = np.empty((n, n, s), dtype=np.uint8)
-        comp[0] = cyclic.encode_spc(streams.bits[:, : n - 1].T)
-        msgs = streams.bits[:, n - 1 :].reshape(s, n - 1, n - m).transpose(1, 2, 0)
-        base_words = gf2_product(msgs.reshape(n - 1, -1), self._gen_bits)
-        comp[1:] = np.take_along_axis(base_words.reshape(n - 1, n, s),
-                                      self._perm[:, :, None], axis=1)
-        return comp.reshape(n, n * s)
+        bits = streams.bits.reshape(-1, s, sum(self.msg_lengths))
+        comp = np.empty((len(bits), n, n, s), dtype=np.uint8)
+        comp[:, 0] = cyclic.encode_spc(bits[:, :, : n - 1].transpose(2, 0, 1)
+                                       ).transpose(1, 0, 2)   # SPC along symbols
+        msgs = bits[:, :, n - 1 :].reshape(-1, s, n - 1, n - m).transpose(0, 2, 3, 1)
+        base_words = gf2_product(msgs.reshape(-1, (n - m) * s), self._gen_bits)
+        comp[:, 1:] = np.take_along_axis(base_words.reshape(-1, n - 1, n, s),
+                                         self._perm[None, :, :, None], axis=2)
+        return comp.reshape(streams.bits.shape[:-2] + (n, n * s))
 
     def multiplex(self, composites: np.ndarray) -> tuple:
         """S/P extraction, GFT per parallel vector, serialization, BPSK."""
         n, s = self.n, self.s
         # parallel vector j collects symbol j of every composite word
-        parallel = composites.reshape(n, n, s).transpose(1, 0, 2).reshape(n, n * s)
-        serial = gf2_product(parallel, self._v_bits).reshape(-1)
-        return GlobalWord(bits=serial.reshape(n * n, s).T), bpsk_map(serial)
+        parallel = composites.reshape(-1, n, n, s).transpose(0, 2, 1, 3)
+        serial = gf2_product(parallel.reshape(-1, n * s), self._v_bits)
+        serial = serial.reshape(composites.shape[:-2] + (n * n, s))
+        return GlobalWord(bits=np.swapaxes(serial, -1, -2)), bpsk_map(
+            serial.reshape(composites.shape[:-2] + (-1,)))
 
     def transmit(self, streams: StreamBlock, verify: bool = False) -> tuple:
         word, x = self.multiplex(self.encode_composites(streams))
@@ -136,11 +140,15 @@ class Transceiver:
     def demultiplex(self, word: GlobalWord) -> tuple:
         """Inverse GFT, P/S regrouping; returns (composites, StreamBlock)."""
         n, m, s = self.n, self.m, self.s
-        parallel = gf2_product(word.bits.T.reshape(n, n * s), self._vinv_bits)
-        comp = parallel.reshape(n, n, s).transpose(1, 0, 2)
-        msgs = np.take_along_axis(comp[1:], self._inv_perm[:, m:, None], axis=1)
-        msg_bits = np.concatenate([comp[0, : n - 1], msgs.reshape(-1, s)])
-        return comp.reshape(n, n * s), StreamBlock(bits=msg_bits.T, n=n)
+        lead = word.bits.shape[:-2]
+        serial = np.swapaxes(word.bits.reshape(-1, s, n * n), 1, 2)
+        parallel = gf2_product(serial.reshape(-1, n * s), self._vinv_bits)
+        comp = parallel.reshape(-1, n, n, s).transpose(0, 2, 1, 3)
+        msgs = np.take_along_axis(comp[:, 1:], self._inv_perm[None, :, m:, None], axis=2)
+        msg_bits = np.concatenate([comp[:, 0, : n - 1], msgs.reshape(len(comp), -1, s)],
+                                  axis=1)
+        return (comp.reshape(*lead, n, n * s),
+                StreamBlock(bits=np.swapaxes(msg_bits, 1, 2).reshape(*lead, s, -1), n=n))
 
 
 # -- cascaded / interleaved reference matrices ---------------------------

@@ -1,4 +1,11 @@
+import csv
 import json
+import os
+import select
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -351,3 +358,38 @@ def test_cmd_simulate_interrupt_before_any_cell(tmp_path, monkeypatch):
     args = ["simulate", "--preset", "desk_gf8", "--outdir", str(tmp_path), "--quiet"]
     assert main(args) == 130
     assert not (tmp_path / "desk_gf8.csv").exists()
+
+
+@pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs POSIX process groups")
+def test_cmd_simulate_sigint_through_pool(tmp_path):
+    """A real Ctrl-C (SIGINT to the whole process group) during a pooled
+    sweep writes the rows of the completed cells, which include every cell
+    whose progress line was printed, then the truncation marker; exit 130."""
+    src = Path(__file__).parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gftmux.cli", "simulate", "--preset", "desk_gf8",
+         "--workers", "2", "--outdir", str(tmp_path), "--set", "sim.baseline=false"],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, env=env,
+        start_new_session=True)
+    try:
+        assert select.select([proc.stderr], [], [], 120)[0], "no progress line"
+        first = proc.stderr.readline()
+        assert first.startswith("  ebn0="), first
+        os.killpg(proc.pid, signal.SIGINT)
+        _, err = proc.communicate(timeout=120)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    assert proc.returncode == 130, err
+    done = {tuple(field.split("=")[1] for field in line.split()[:3])
+            for line in (first + err).splitlines() if line.startswith("  ebn0=")}
+    lines = (tmp_path / "desk_gf8.csv").read_text().splitlines()
+    assert lines[-1] == "# truncated"
+    rows = list(csv.reader(lines[1:-1]))
+    assert done <= {(f"{float(e):g}", i, n) for e, i, n, *_ in rows} and rows
+    for _, _, frames, ger, *_ in rows:   # each row met the 100-error target
+        assert round(float(ger) * int(frames)) >= 100
+    manifest = json.loads((tmp_path / "desk_gf8.manifest.json").read_text())
+    assert manifest["truncated"] is True

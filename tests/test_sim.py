@@ -95,14 +95,13 @@ def test_trial_errors_at_low_snr(desk):
 
 def test_trial_verify_raises_on_false_convergence(desk, monkeypatch):
     from gftmux import sim
-    from gftmux.decoder import DecodeResult
 
-    def fake(frame, graph, params, limits):
-        bad = DecodeResult(hard_bits=np.ones(graph.n_vars, dtype=np.uint8),
-                           converged=True, iterations_used=1, edge_ops=0)
-        return [[bad] * len(limits) for _ in range(frame.s)]
+    def fake(channel, graph, params, limits):   # all ones, reported converged
+        shape = (len(channel), len(limits))
+        return (np.ones(shape + (graph.n_vars,), dtype=np.uint8),
+                np.ones(shape, dtype=np.int64), np.ones(shape, dtype=bool))
 
-    monkeypatch.setattr(sim, "decode_frame", fake)
+    monkeypatch.setattr(sim, "decode_batch", fake)
     params = MsaParams(max_iterations=10, scale=0.625)
     with pytest.raises(RuntimeError, match="nonzero syndrome"):
         run_trial(desk.transceiver, desk.parity_check, 1.0, params, 555, 0)
