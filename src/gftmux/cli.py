@@ -14,7 +14,7 @@ import json
 import os
 import sys
 
-from . import __version__
+from . import __version__, decoder
 from .config import ConfigError, build_system, list_presets, resolve
 from .cyclic import ConjugacyViolation, DuplicateRoots
 from .geometry import ScaleGuard, write_alist, write_dense_text
@@ -167,6 +167,7 @@ def _sweep_into(args, bundle, csv_fh, manifest_fh) -> bool | None:
         "truncated": truncated,
         "outputs": {"csv": csv_fh.name},
         "rng_contract": 1,
+        "decoder_kernel": "numpy" if decoder._kernel is None else "c",
         "cells": [{"ebn0_db": c.ebn0_db, "iters": c.iterations_limit,
                    "iter_hist": {str(k): v for k, v in sorted(c.iter_hist.items())},
                    "wall_time": c.wall_time,

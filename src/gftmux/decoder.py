@@ -18,7 +18,11 @@ SHA-256 of the source, the flags and the machine.  The kernel computes
 every message and every sum to the same double as _flood's numpy
 operations (the sums in numpy's pairwise order), so its decisions equal
 _flood's bit for bit; _flood stays as the reference and as the fallback
-when no compiler is available or the build fails (one warning).
+when no compiler is available or the build fails (one warning).  On
+x86-64 the library holds one clone of the kernel per ISA level
+(x86-64-v4, AVX2, baseline), picked for the CPU when it is loaded; vector
+lanes run across checks or variables, never along a sum, so every clone
+is exact and the cached file stays portable.
 """
 
 from __future__ import annotations
@@ -43,7 +47,8 @@ from .txrx import GlobalWord
 OPS_PER_EDGE = 3
 
 #: -ffp-contract=off keeps a*b+c from fusing; no -ffast-math or
-#: -march=native, so the cached library is exact and portable.
+#: -march=native, so the cached library is exact and portable (the
+#: source's target clones choose the vector width at load time).
 CFLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
 
 #: Widest variable row the kernel sums in numpy's order (numpy's
@@ -183,7 +188,7 @@ def decode_batch(channel: np.ndarray, h: GlobalParityCheck, params: MsaParams,
     kstar = np.full(n_layers, -1, dtype=np.int64)   # -1: left to _flood
     if _kernel is not None and h.m <= KERNEL_MAX_M:
         # every buffer is made here, C-contiguous with the dtype the kernel reads
-        work = np.empty(h.n_edges + (h.m + 10) * h.n)
+        work = np.empty(h.n_edges + 10 * h.n)
         _kernel(channel.ctypes.data, n_layers, h.n, h.m, expo.ctypes.data, params.scale,
                 np.inf if params.clip is None else params.clip, steps.ctypes.data, k,
                 work.ctypes.data, bits.ctypes.data, kstar.ctypes.data)

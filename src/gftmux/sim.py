@@ -192,7 +192,8 @@ def run_block(tx: Transceiver, h: GlobalParityCheck, points, params: MsaParams,
         frame = LlrFrame(llr(x + sigma * noise, sigma), s=s, n=n)
         bits, iters, conv = decode_batch(frame.layers(), h, params, limits)
         top = limits.index(max(limits))   # holds every converged result
-        if verify and h.syndrome_weight(bits[conv[:, top], top]).any():
+        # H is binary, so a check of 8 layers packed bytewise is nonzero iff one is
+        if verify and h.syndrome_weight(np.packbits(bits[conv[:, top], top], axis=0)).any():
             raise RuntimeError("early stop reported convergence on a nonzero syndrome")
         tally = np.zeros((count, len(limits), 5 + s), dtype=np.int64)
         tally[..., 5:] = iters.reshape(count, s, -1).transpose(0, 2, 1)

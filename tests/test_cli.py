@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from gftmux import decoder
 from gftmux.cli import main
 from gftmux.config import (
     ConfigError,
@@ -131,10 +132,20 @@ def test_cmd_simulate_desk(tmp_path, capsys):
     assert manifest["tool"] == "gftmux"
     assert manifest["config"]["sim"]["max_frames"] == 60
     assert manifest["truncated"] is False
+    assert manifest["decoder_kernel"] == ("numpy" if decoder._kernel is None else "c")
 
     # identical seed reproduces byte-identical data rows
     assert main(args) == 0
     assert (tmp_path / "desk_gf8.csv").read_text() == csv_text
+
+
+def test_cmd_simulate_manifest_names_numpy_kernel(numpy_kernel, tmp_path):
+    """Without the compiled kernel the manifest says that numpy decoded."""
+    assert main(["simulate", "--preset", "desk_gf8", "--outdir", str(tmp_path), "--quiet",
+                 "--set", "channel.ebn0_db=[4.0]", "--set", "decoder.iterations=[5]",
+                 "--set", "sim.max_frames=10", "--set", "sim.baseline=false"]) == 0
+    manifest = json.loads((tmp_path / "desk_gf8.manifest.json").read_text())
+    assert manifest["decoder_kernel"] == "numpy"
 
 
 def test_cmd_simulate_zero_noise_row(tmp_path):

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from gftmux import config, decoder
-from gftmux.channel import LlrFrame
+from gftmux.channel import ChannelParams, LlrFrame, llr
 from gftmux.decoder import MsaParams, _flood, decode_frame
 from gftmux.geometry import GlobalParityCheck
 from gftmux.sim import run_trial
@@ -34,14 +34,19 @@ def preset_graph(preset):
     return config.build_system(config.load_preset(preset)).parity_check
 
 
-def assert_matches_oracle(h, values, s, params, limits):
-    frame = LlrFrame(values, s=s, n=h.n)
-    got = decode_frame(frame, h, params, limits)
-    for lay, at_limits in zip(frame.layers(), got):
-        for ref, res in zip(_flood(lay, h, params, limits), at_limits):
+def assert_same_results(got, expected):
+    """got[l][j] and expected[l][j], layer l at limit j, agree in full."""
+    for results, refs in zip(got, expected, strict=True):
+        for res, ref in zip(results, refs, strict=True):
             assert (res.hard_bits == ref.hard_bits).all()
             assert (res.converged, res.iterations_used, res.edge_ops) == (
                 ref.converged, ref.iterations_used, ref.edge_ops)
+
+
+def assert_matches_oracle(h, values, s, params, limits):
+    frame = LlrFrame(values, s=s, n=h.n)
+    assert_same_results(decode_frame(frame, h, params, limits),
+                        [_flood(lay, h, params, limits) for lay in frame.layers()])
 
 
 def llr_values(mode, size, rng):
@@ -143,6 +148,66 @@ def test_kernel_compiles_without_warnings(tmp_path):
          str(SRC / "_flood.c"), "-o", str(tmp_path / "flood.so"), "-lm"],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def cpu_flags():
+    try:
+        for line in Path("/proc/cpuinfo").read_text().splitlines():
+            if line.startswith("flags"):
+                return set(line.split(":", 1)[1].split())
+    except OSError:
+        pass
+    return set()
+
+
+@functools.lru_cache(maxsize=None)
+def clone_cases():
+    """(graph, frame values, s, params, limits, _flood's results per layer):
+    chain-made noisy ex1 and ex3 frames, and tied and overflowing LLRs on a
+    random m = 20 exponent table."""
+    cases, limits = [], (4, 10)
+    for preset in ("ex1_bch127_113", "ex3_rs127_121"):
+        b = config.build_system(config.load_preset(preset))
+        tx, h = b.transceiver, b.parity_check
+        params = MsaParams(max_iterations=10, scale=b.sim.scale)
+        rng = np.random.default_rng(11)
+        for ebn0_db in (5.0, 7.0):
+            sigma = ChannelParams(ebn0_db=ebn0_db, rate=b.rate).sigma
+            for _ in range(2):
+                _, x = tx.transmit(tx.random_streams(rng))
+                cases.append((h, llr(x + sigma * rng.standard_normal(x.shape), sigma),
+                              tx.s, params, limits))
+    rng = np.random.default_rng(12)
+    h = GlobalParityCheck.from_exponents(rng.integers(0, 13, size=(20, 13)))
+    for mode, clip in (("ties", None), ("huge", 4.0)):
+        cases.append((h, llr_values(mode, 3 * h.n_vars, rng), 3,
+                      MsaParams(max_iterations=10, clip=clip), limits))
+    with np.errstate(all="ignore"):
+        return [(*case, [_flood(lay, case[0], case[3], limits)
+                         for lay in LlrFrame(case[1], s=case[2], n=case[0].n).layers()])
+                for case in cases]
+
+
+@needs_kernel
+@pytest.mark.skipif(shutil.which("gcc") is None, reason="no gcc")
+@pytest.mark.parametrize("march, flags", [("x86-64", ()), ("x86-64-v3", ("avx2",)),
+                                          ("x86-64-v4", ("avx2", "avx512f"))],
+                         ids=["x86-64", "x86-64-v3", "x86-64-v4"])
+def test_every_isa_clone_matches_flood(tmp_path, monkeypatch, march, flags):
+    """Each x86-64 level the loader may pick, built alone, decodes as _flood
+    does; levels this CPU cannot run are skipped."""
+    if os.uname().machine != "x86_64" or not set(flags) <= cpu_flags():
+        pytest.skip(f"this CPU cannot run -march={march}")
+    lib = tmp_path / f"flood-{march}.so"
+    subprocess.run(["gcc", *decoder.CFLAGS, "-DGFTMUX_ONE_TARGET", f"-march={march}",
+                    str(SRC / "_flood.c"), "-o", str(lib), "-lm"], check=True)
+    fn = ctypes.CDLL(str(lib)).gftmux_flood
+    fn.argtypes, fn.restype = decoder._kernel.argtypes, None
+    monkeypatch.setattr(decoder, "_kernel", fn)
+    for h, values, s, params, limits, expected in clone_cases():
+        with np.errstate(all="ignore"):
+            got = decode_frame(LlrFrame(values, s=s, n=h.n), h, params, limits)
+        assert_same_results(got, expected)
 
 
 def test_missing_compiler_falls_back_with_one_warning(tmp_path):
