@@ -13,7 +13,7 @@ from .cyclic import BaseCodeSpec, bch_spec, generator_poly, hadamard_perm
 from .geometry import GlobalParityCheck, cpm, cpm_dispersion, gf2_rank, vandermonde
 from .txrx import GlobalWord, StreamBlock, Transceiver
 from .channel import ChannelParams, LlrFrame, llr
-from .decoder import MsaParams, decode_frame, decode_global
+from .decoder import MsaParams, decode_batch, decode_global
 from .sim import SimConfig, confidence_interval, monte_carlo, run_trial
 from .config import build_system, list_presets, load_preset
 
@@ -24,7 +24,7 @@ __all__ = [
     "GlobalParityCheck", "cpm", "cpm_dispersion", "gf2_rank", "vandermonde",
     "GlobalWord", "StreamBlock", "Transceiver",
     "ChannelParams", "LlrFrame", "llr",
-    "MsaParams", "decode_frame", "decode_global",
+    "MsaParams", "decode_batch", "decode_global",
     "SimConfig", "confidence_interval", "monte_carlo", "run_trial",
     "build_system", "list_presets", "load_preset",
 ]

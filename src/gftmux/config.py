@@ -87,6 +87,14 @@ def _is_real(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _is_finite_real(value) -> bool:
+    return _is_real(value) and abs(value) <= sys.float_info.max
+
+
+def _is_count(value) -> bool:
+    return _is_int(value) and value >= 1
+
+
 #: Each optional field of the "expected" section: what it must be, and its check.
 _EXPECTED_FIELDS = {
     "shape": ("a list of two non-negative integers",
@@ -95,7 +103,30 @@ _EXPECTED_FIELDS = {
     "column_weight": ("an integer", _is_int),
     "row_weight": ("an integer", _is_int),
     "dimension": ("an integer", _is_int),
-    "rate": ("a finite real", lambda v: _is_real(v) and abs(v) <= sys.float_info.max),
+    "rate": ("a finite real", _is_finite_real),
+}
+
+
+#: Each channel, decoder, sim and output field: its default, what it must
+#: be, and its check.  |Eb/N0| <= 1000 dB keeps sigma and the LLRs finite
+#: for any rate above 1e-200.
+_FIELDS = {
+    ("channel", "ebn0_db"): ([0.0, 2.0, 4.0], "a nonempty list of reals in [-1000, 1000] dB",
+                             lambda v: isinstance(v, list) and v
+                             and all(_is_real(e) and -1000 <= e <= 1000 for e in v)),
+    ("channel", "seed"): (1, "a non-negative integer", lambda v: _is_int(v) and v >= 0),
+    ("decoder", "iterations"): ([10], "a nonempty list of positive integers",
+                                lambda v: isinstance(v, list) and v
+                                and all(_is_count(i) for i in v)),
+    ("decoder", "scale"): (0.625, "a real number in (0, 1]",
+                           lambda v: _is_real(v) and 0 < v <= 1),
+    ("decoder", "clip"): (None, "null or a positive finite real",
+                          lambda v: v is None or (_is_finite_real(v) and v > 0)),
+    ("sim", "max_frames"): (10_000, "a positive integer", _is_count),
+    ("sim", "target_errors"): (100, "a positive integer", _is_count),
+    ("sim", "verify"): (True, "true or false", lambda v: isinstance(v, bool)),
+    ("sim", "baseline"): (False, "true or false", lambda v: isinstance(v, bool)),
+    ("output", "dir"): ("results", "a string", lambda v: isinstance(v, str)),
 }
 
 
@@ -226,58 +257,15 @@ def build_system(cfg: dict) -> SystemBundle:
     else:
         raise ConfigError("code: needs roots or designed_distance")
 
-    ch = _section(cfg, "channel")
-    dec = _section(cfg, "decoder")
-    simsec = _section(cfg, "sim")
-    ebn0 = ch.get("ebn0_db", [0.0, 2.0, 4.0])
-    # |Eb/N0| <= 1000 dB keeps sigma and the LLRs finite for any rate above 1e-200
-    if (not isinstance(ebn0, list) or not ebn0
-            or not all(_is_real(e) and -1000 <= e <= 1000 for e in ebn0)):
-        raise ConfigError(
-            "channel.ebn0_db must be a nonempty list of reals in [-1000, 1000] dB")
-    seed = ch.get("seed", 1)
-    if not _is_int(seed) or seed < 0:
-        raise ConfigError(f"channel.seed must be a non-negative integer, got {seed!r}")
-    iterations = dec.get("iterations", [10])
-    if (not isinstance(iterations, list) or not iterations
-            or not all(_is_int(i) and i >= 1 for i in iterations)):
-        raise ConfigError("decoder.iterations must be a list of positive integers")
-    scale = dec.get("scale", 0.625)
-    if not _is_real(scale) or not 0 < scale <= 1:
-        raise ConfigError(
-            f"decoder.scale must be a real number in (0, 1], got {scale!r}")
-    clip = dec.get("clip")
-    if clip is not None and not (_is_real(clip) and 0 < clip <= sys.float_info.max):
-        raise ConfigError(
-            f"decoder.clip must be null or a positive finite real, got {clip!r}")
-    max_frames = simsec.get("max_frames", 10_000)
-    target_errors = simsec.get("target_errors", 100)
-    for key, value in (("max_frames", max_frames), ("target_errors", target_errors)):
-        if not _is_int(value):
-            raise ConfigError(f"sim.{key} must be an integer, got {value!r}")
-    verify = simsec.get("verify", True)
-    baseline = simsec.get("baseline", False)
-    for key, value in (("verify", verify), ("baseline", baseline)):
-        if not isinstance(value, bool):
-            raise ConfigError(f"sim.{key} must be true or false, got {value!r}")
-    try:
-        sim_cfg = SimConfig(
-            ebn0_db=[float(e) for e in ebn0],
-            iterations=iterations,
-            scale=float(scale),
-            max_frames=max_frames,
-            target_errors=target_errors,
-            seed=seed,
-            clip=None if clip is None else float(clip),
-            verify=verify,
-            baseline=baseline,
-        )
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"sim/channel: {e}") from None
-
-    output_dir = _section(cfg, "output").get("dir", "results")
-    if not isinstance(output_dir, str):
-        raise ConfigError(f"output.dir must be a string, got {output_dir!r}")
+    got = {}
+    for (sec, key), (default, what, valid) in _FIELDS.items():
+        got[key] = _section(cfg, sec).get(key, default)
+        if not valid(got[key]):
+            raise ConfigError(f"{sec}.{key} must be {what}, got {got[key]!r}")
+    output_dir = got.pop("dir")
+    sim_cfg = SimConfig(**dict(
+        got, ebn0_db=[float(e) for e in got["ebn0_db"]], iterations=list(got["iterations"]),
+        scale=float(got["scale"]), clip=None if got["clip"] is None else float(got["clip"])))
 
     expected = _section(cfg, "expected")
     for key, (what, valid) in _EXPECTED_FIELDS.items():

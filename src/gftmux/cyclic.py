@@ -256,7 +256,8 @@ def _codebook(spec: BaseCodeSpec) -> np.ndarray:
 
 
 def mld_oracle(received_hard, spec: BaseCodeSpec) -> np.ndarray:
-    """Exhaustive minimum-Hamming-distance decoding for tiny binary codes.
+    """Exhaustive minimum-Hamming-distance decoding of a (..., n) stack of
+    hard words over tiny binary codes.
 
     Ties break toward the lowest message index, making results
     deterministic.  Guarded to n <= 15 / binary mode.
@@ -267,5 +268,4 @@ def mld_oracle(received_hard, spec: BaseCodeSpec) -> np.ndarray:
         raise TooLarge(f"mld_oracle guard: n={spec.n} > 15")
     received_hard = np.asarray(received_hard, dtype=np.int64)
     cb = _codebook(spec)
-    dist = (cb ^ received_hard[None, :]).sum(axis=1)
-    return cb[int(np.argmin(dist))].copy()
+    return cb[(received_hard[..., None, :] != cb).sum(axis=-1).argmin(axis=-1)]

@@ -11,7 +11,7 @@ iteration, making the complexity accounting an exact measured
 identity rather than an instruction count.
 
 decode_batch runs the loop in _flood.c for any number of layers (B
-frames of s layers each; decode_frame is the batch of one), compiled
+frames of s layers each; one frame is the batch of one), compiled
 with gcc when this module is imported and cached under the user cache
 directory ($XDG_CACHE_HOME/gftmux or ~/.cache/gftmux), keyed by the
 SHA-256 of the source, the flags and the machine.  The kernel computes
@@ -119,22 +119,22 @@ class DecodeResult:
 
 
 def _flood(channel: np.ndarray, h: GlobalParityCheck, params: MsaParams,
-           limits) -> list:
-    """The flooding loop, run once to max(limits); one result per limit.
+           limits) -> tuple:
+    """The flooding loop on one layer, run once to max(limits); decode_batch's
+    (bits, iterations, converged) for that layer, entry j at limits[j].
 
     Flooding reaches the same state at iteration k whatever the limit, so
     if the syndrome first clears at iteration k*, limit L reports the
-    decision at min(k*, L), converged iff k* <= L, and 3E*min(k*, L)
-    operations.
+    decision at min(k*, L), converged iff k* <= L.
     """
     if channel.size != h.n_vars:
         raise ValueError(f"LLR length {channel.size} != {h.n_vars} variables")
     row_idx = np.arange(h.n_checks)
-    ops = OPS_PER_EDGE * h.n_edges
-    checkpoints = {}
+    at = np.array(limits, dtype=np.int64)
+    decided = np.zeros((at.size, h.n_vars), dtype=np.uint8)
 
     v2c = channel[h.check_vars]
-    for it in range(1, max(limits) + 1):
+    for it in range(1, at.max() + 1):
         mag = np.abs(v2c)
         sgn = np.where(v2c < 0, -1.0, 1.0)
         first = mag.argmin(axis=1)
@@ -155,13 +155,10 @@ def _flood(channel: np.ndarray, h: GlobalParityCheck, params: MsaParams,
 
         bits = (total < 0).astype(np.uint8)   # LLR >= 0 decides bit 0
         if h.syndrome_weight(bits) == 0:
-            done = DecodeResult(hard_bits=bits, converged=True,
-                                iterations_used=it, edge_ops=ops * it)
-            return [checkpoints[lim] if lim < it else done for lim in limits]
-        if it in limits:
-            checkpoints[it] = DecodeResult(hard_bits=bits, converged=False,
-                                           iterations_used=it, edge_ops=ops * it)
-    return [checkpoints[lim] for lim in limits]
+            decided[at >= it] = bits
+            return decided, np.minimum(at, it), at >= it
+        decided[at == it] = bits
+    return decided, at, np.zeros(at.size, dtype=bool)
 
 
 def decode_batch(channel: np.ndarray, h: GlobalParityCheck, params: MsaParams,
@@ -199,24 +196,16 @@ def decode_batch(channel: np.ndarray, h: GlobalParityCheck, params: MsaParams,
     bits = bits[np.arange(n_layers)[:, None],
                 np.where(converged, k, steps.searchsorted(at))]
     for l in (kstar < 0).nonzero()[0]:   # numpy's inf/NaN rules
-        for j, r in enumerate(_flood(channel[l], h, params, limits)):
-            bits[l, j], iterations[l, j], converged[l, j] = (
-                r.hard_bits, r.iterations_used, r.converged)
+        bits[l], iterations[l], converged[l] = _flood(channel[l], h, params, limits)
     return bits, iterations, converged
 
 
-def decode_frame(frame: LlrFrame, h: GlobalParityCheck, params: MsaParams,
-                 limits) -> list:
-    """decode_batch on one frame's layers: out[l][j] is layer l's result at
-    limits[j].  A single binary layer is a frame with s = 1."""
-    ops = OPS_PER_EDGE * h.n_edges
-    return [[DecodeResult(hard_bits=b, converged=c, iterations_used=i, edge_ops=ops * i)
-             for b, i, c in zip(bits, its.tolist(), conv.tolist())]
-            for bits, its, conv in zip(*decode_batch(frame.layers(), h, params, limits))]
-
-
 def decode_global(frame: LlrFrame, h: GlobalParityCheck, params: MsaParams) -> tuple:
-    """Decode the s layers independently; the word estimate stacks their bits."""
-    results = [lay[0] for lay in
-               decode_frame(frame, h, params, (params.max_iterations,))]
-    return GlobalWord(bits=np.stack([r.hard_bits for r in results])), results
+    """Decode the s layers independently under params.max_iterations; the
+    word estimate stacks their bits, with one DecodeResult per layer."""
+    bits, iterations, converged = decode_batch(frame.layers(), h, params,
+                                               (params.max_iterations,))
+    ops = OPS_PER_EDGE * h.n_edges
+    return GlobalWord(bits=bits[:, 0]), [
+        DecodeResult(hard_bits=b, converged=c, iterations_used=i, edge_ops=ops * i)
+        for b, i, c in zip(bits[:, 0], iterations[:, 0].tolist(), converged[:, 0].tolist())]

@@ -138,9 +138,9 @@ class GaloisField:
         b = np.atleast_2d(np.asarray(b, dtype=np.int64))
         if a.shape[1] != b.shape[0]:
             raise ValueError(f"shape mismatch {a.shape} x {b.shape}")
-        bits = decompose_arr(a.reshape(-1), self.s).T.reshape(len(a), -1)
-        out = gf2_product(bits, self.lift(b)).reshape(-1, self.s).T
-        return compose_arr(out).reshape(len(a), b.shape[1])
+        bits = decompose_arr(a, self.s).swapaxes(1, 2).reshape(len(a), -1)
+        out = gf2_product(bits, self.lift(b)).reshape(len(a), -1, self.s)
+        return compose_arr(out.swapaxes(1, 2))
 
     def __repr__(self):
         return f"GaloisField(s={self.s}, poly=0x{self.primitive_poly:x})"
@@ -208,31 +208,18 @@ def element_of_order(field: GaloisField, n: int) -> SubgroupGen:
 # is a bit slice and recomposition a shifted OR.
 
 
-def decompose(x: int, s: int) -> np.ndarray:
-    """Coordinates of x over {1, alpha, ..., alpha^(s-1)}, LSB first."""
-    return (x >> np.arange(s)) & 1
-
-
-def compose(bits) -> int:
-    bits = np.asarray(bits, dtype=np.int64)
-    if bits.ndim != 1:
-        raise ValueError("compose expects a flat bit sequence")
-    return int((bits << np.arange(bits.size)).sum())
-
-
 def decompose_arr(vec, s: int) -> np.ndarray:
-    """(s, len(vec)) uint8 array; row l is the coefficient-of-alpha^l layer."""
+    """(..., s, n) uint8 bits of a (..., n) stack of elements; row l of each
+    word is its coefficient-of-alpha^l layer."""
     vec = np.asarray(vec, dtype=np.int64)
-    return ((vec[None, :] >> np.arange(s)[:, None]) & 1).astype(np.uint8)
+    return ((vec[..., None, :] >> np.arange(s)[:, None]) & 1).astype(np.uint8)
 
 
 def compose_arr(layers) -> np.ndarray:
-    """Inverse of decompose_arr: stack s bit layers back into elements."""
+    """Inverse of decompose_arr: each (s, n) word of a (..., s, n) stack of
+    bit layers back into n elements."""
     layers = np.asarray(layers, dtype=np.int64)
-    if layers.ndim != 2:
-        raise ValueError("compose_arr expects an (s, n) bit array")
-    s = layers.shape[0]
-    return (layers << np.arange(s)[:, None]).sum(axis=0)
+    return (layers << np.arange(layers.shape[-2])[:, None]).sum(axis=-2)
 
 
 def gf2_product(bits, lifted) -> np.ndarray:

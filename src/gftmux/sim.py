@@ -26,7 +26,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .channel import ChannelParams, LlrFrame, llr
-from .cyclic import mld_oracle
+from .cyclic import generator_matrix, mld_oracle
 from .decoder import OPS_PER_EDGE, MsaParams, decode_batch
 from .geometry import GlobalParityCheck
 from .txrx import GlobalWord, StreamBlock, Transceiver, bpsk_map
@@ -328,20 +328,13 @@ def baseline_mld_wer(
     """(errors, words) for the uncoupled base code under hard-decision MLD.
 
     Each base codeword is transmitted alone at the code's own rate and
-    decoded by exhaustive nearest-codeword search; n <= 15 binary codes
-    only (enforced by the oracle guard).
+    decoded by mld_oracle; n <= 15 binary codes only (the oracle's guard).
     """
     spec = tx.spec
     n, m = spec.n, spec.m
     rate = (n - m) / n
     sigma = ChannelParams(ebn0_db=ebn0_db, rate=rate).sigma
     rng = np.random.default_rng([seed, 0xBA5E, int(round(ebn0_db * 1000)) & 0xFFFF])
-    probe = mld_oracle(np.zeros(n, dtype=np.int64), spec)  # trips the guard early
-    if probe.shape != (n,):
-        raise RuntimeError(f"MLD oracle returned shape {probe.shape}, not ({n},)")
-    from .cyclic import _codebook, generator_matrix
-
-    codebook = _codebook(spec)
     gmat = generator_matrix(spec)
     errors = 0
     words = 0
@@ -351,9 +344,7 @@ def baseline_mld_wer(
         msgs = rng.integers(0, 2, size=(count, n - m), dtype=np.int64)
         cws = (msgs @ gmat) % 2
         y = bpsk_map(cws) + sigma * rng.standard_normal(cws.shape)
-        hard = (y < 0).astype(np.int64)
-        dist = (hard[:, None, :] != codebook[None, :, :]).sum(axis=2)
-        decoded = codebook[dist.argmin(axis=1)]
+        decoded = mld_oracle(y < 0, spec)
         errors += int((decoded != cws).any(axis=1).sum())
         words += count
     return errors, words

@@ -84,12 +84,14 @@ class Transceiver:
         self._gen_bits = field.lift(cyclic.generator_matrix(spec))
         self._v_bits = field.lift(vandermonde(spec.subgroup, "forward").elements())
         self._vinv_bits = field.lift(vandermonde(spec.subgroup, "inverse").elements())
-        # perm[k-1, t] = t*k mod n for groups 1..n-1; inv_perm undoes it
-        ks = np.arange(1, n, dtype=np.int64)
-        t = np.arange(n, dtype=np.int64)
-        self._perm = (t[None, :] * ks[:, None]) % n
-        kinv = np.array([pow(int(k), -1, n) for k in ks], dtype=np.int64)
-        self._inv_perm = (t[None, :] * kinv[:, None]) % n
+        # Symbol t of composite word k >= 1 is symbol t*k mod n of base word
+        # k-1: one gather over the flat symbols of groups 1..n-1.
+        self._hadamard = np.concatenate(
+            [cyclic.hadamard_perm(np.arange((k - 1) * n, k * n), k, n) for k in range(1, n)])
+        # The message symbols among all n^2: group 0's first n-1, then the
+        # inverse gather at base positions m..n-1 of each group.
+        msg_at = np.argsort(self._hadamard).reshape(n - 1, n)[:, m:]
+        self._demux = np.concatenate([np.arange(n - 1), n + msg_at.reshape(-1)])
         self.msg_lengths = [n - 1] + [n - m] * (n - 1)
         self.info_bits = s * sum(self.msg_lengths)
 
@@ -110,13 +112,12 @@ class Transceiver:
         if streams.bits.shape[-2:] != (s, sum(self.msg_lengths)):
             raise ValueError("stream block shape does not match the code spec")
         bits = streams.bits.reshape(-1, s, sum(self.msg_lengths))
-        comp = np.empty((len(bits), n, n, s), dtype=np.uint8)
-        comp[:, 0] = cyclic.encode_spc(bits[:, :, : n - 1].transpose(2, 0, 1)
-                                       ).transpose(1, 0, 2)   # SPC along symbols
+        comp = np.empty((len(bits), n * n, s), dtype=np.uint8)   # symbol k*n + t
+        comp[:, :n] = cyclic.encode_spc(bits[:, :, : n - 1].transpose(2, 0, 1)
+                                        ).transpose(1, 0, 2)   # SPC along symbols
         msgs = bits[:, :, n - 1 :].reshape(-1, s, n - 1, n - m).transpose(0, 2, 3, 1)
         base_words = gf2_product(msgs.reshape(-1, (n - m) * s), self._gen_bits)
-        comp[:, 1:] = np.take_along_axis(base_words.reshape(-1, n - 1, n, s),
-                                         self._perm[None, :, :, None], axis=2)
+        comp[:, n:] = base_words.reshape(len(bits), -1, s)[:, self._hadamard]
         return comp.reshape(streams.bits.shape[:-2] + (n, n * s))
 
     def multiplex(self, composites: np.ndarray) -> tuple:
@@ -131,7 +132,7 @@ class Transceiver:
 
     def transmit(self, streams: StreamBlock, verify: bool = False) -> tuple:
         word, x = self.multiplex(self.encode_composites(streams))
-        if verify and self.parity_check.syndrome_weight(word.symbols) != 0:
+        if verify and self.parity_check.syndrome_weight(word.symbols).any():
             raise RuntimeError("transmitter output violates the global parity check")
         return word, x
 
@@ -139,14 +140,12 @@ class Transceiver:
 
     def demultiplex(self, word: GlobalWord) -> tuple:
         """Inverse GFT, P/S regrouping; returns (composites, StreamBlock)."""
-        n, m, s = self.n, self.m, self.s
+        n, s = self.n, self.s
         lead = word.bits.shape[:-2]
         serial = np.swapaxes(word.bits.reshape(-1, s, n * n), 1, 2)
         parallel = gf2_product(serial.reshape(-1, n * s), self._vinv_bits)
-        comp = parallel.reshape(-1, n, n, s).transpose(0, 2, 1, 3)
-        msgs = np.take_along_axis(comp[:, 1:], self._inv_perm[None, :, m:, None], axis=2)
-        msg_bits = np.concatenate([comp[:, 0, : n - 1], msgs.reshape(len(comp), -1, s)],
-                                  axis=1)
+        comp = parallel.reshape(-1, n, n, s).transpose(0, 2, 1, 3).reshape(-1, n * n, s)
+        msg_bits = comp[:, self._demux]
         return (comp.reshape(*lead, n, n * s),
                 StreamBlock(bits=np.swapaxes(msg_bits, 1, 2).reshape(*lead, s, -1), n=n))
 

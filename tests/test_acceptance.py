@@ -200,9 +200,8 @@ def test_criterion_06_noiseless_round_trip(name, mode):
         bits, iters, conv = decode_batch(frame.layers(), graph, params,
                                          (params.max_iterations,))
         est = bits[:, 0].reshape(k, tx.s, -1)
-        changed = [f for f in range(k) if not (GlobalWord(bits=est[f]).symbols
-                                               == GlobalWord(bits=word.bits[f]).symbols).all()]
-        if changed:
+        changed = (GlobalWord(bits=est).symbols != word.symbols[:k]).any(axis=1).nonzero()[0]
+        if changed.size:
             problems.append(f"noiseless decode changed frame {start + changed[0]}")
             break
         slow = (~conv[:, 0] | (iters[:, 0] != 1)).reshape(k, tx.s).any(axis=1).nonzero()[0]

@@ -211,6 +211,8 @@ def test_conjugacy_violation_reported(tmp_path, capsys):
     ("sim.max_frames=true", "sim.max_frames"),
     ("sim.max_frames=2.5", "sim.max_frames"),
     ("sim.target_errors=false", "sim.target_errors"),
+    ("sim.max_frames=0", "sim.max_frames"),
+    ("sim.target_errors=-3", "sim.target_errors"),
     ("channel.seed=7.9", "channel.seed"),
     ("channel.seed=true", "channel.seed"),
     ('channel.seed="7"', "channel.seed"),
@@ -371,31 +373,34 @@ def test_cmd_simulate_interrupt_before_any_cell(tmp_path, monkeypatch):
     assert not (tmp_path / "desk_gf8.csv").exists()
 
 
-@pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs POSIX process groups")
-def test_cmd_simulate_sigint_through_pool(tmp_path):
+def sigint_through_pool(tmp_path, **env) -> str:
     """A real Ctrl-C (SIGINT to the whole process group) during a pooled
     sweep writes the rows of the completed cells, which include every cell
-    whose progress line was printed, then the truncation marker; exit 130."""
+    whose progress line was printed, then the truncation marker; exit 130.
+    Returns the run's stderr."""
     src = Path(__file__).parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
+    env = dict(os.environ, PYTHONPATH=str(src), **env)
     proc = subprocess.Popen(
         [sys.executable, "-m", "gftmux.cli", "simulate", "--preset", "desk_gf8",
          "--workers", "2", "--outdir", str(tmp_path), "--set", "sim.baseline=false"],
-        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, env=env,
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, bufsize=0, env=env,
         start_new_session=True)
+    head = []   # stderr up to the first progress line; warnings may come first
     try:
-        assert select.select([proc.stderr], [], [], 120)[0], "no progress line"
-        first = proc.stderr.readline()
-        assert first.startswith("  ebn0="), first
+        while not (head and head[-1].startswith("  ebn0=")):
+            # unbuffered, so select sees every byte readline has not taken
+            assert select.select([proc.stderr], [], [], 120)[0], f"no progress line: {head}"
+            head.append(proc.stderr.readline().decode())
+            assert head[-1], f"stderr closed before a progress line: {head}"
         os.killpg(proc.pid, signal.SIGINT)
-        _, err = proc.communicate(timeout=120)
+        err = "".join(head) + proc.communicate(timeout=120)[1].decode()
     finally:
         if proc.poll() is None:
             os.killpg(proc.pid, signal.SIGKILL)
             proc.wait()
     assert proc.returncode == 130, err
     done = {tuple(field.split("=")[1] for field in line.split()[:3])
-            for line in (first + err).splitlines() if line.startswith("  ebn0=")}
+            for line in err.splitlines() if line.startswith("  ebn0=")}
     lines = (tmp_path / "desk_gf8.csv").read_text().splitlines()
     assert lines[-1] == "# truncated"
     rows = list(csv.reader(lines[1:-1]))
@@ -404,3 +409,19 @@ def test_cmd_simulate_sigint_through_pool(tmp_path):
         assert round(float(ger) * int(frames)) >= 100
     manifest = json.loads((tmp_path / "desk_gf8.manifest.json").read_text())
     assert manifest["truncated"] is True
+    return err
+
+
+@pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs POSIX process groups")
+def test_cmd_simulate_sigint_through_pool(tmp_path):
+    sigint_through_pool(tmp_path)
+
+
+@pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs POSIX process groups")
+def test_cmd_simulate_sigint_without_compiler(tmp_path):
+    """The same with no gcc on PATH and an empty cache: the decoder's
+    warning comes before the first progress line."""
+    (tmp_path / "bin").mkdir()
+    err = sigint_through_pool(tmp_path, PATH=str(tmp_path / "bin"),
+                              XDG_CACHE_HOME=str(tmp_path / "cache"))
+    assert "decoding with numpy" in err.split("  ebn0=")[0]

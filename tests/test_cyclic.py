@@ -307,6 +307,22 @@ def test_mld_oracle_two_flips_deterministic(desk_spec):
         assert (mld_oracle(noisy, desk_spec) == first).all()
 
 
+def test_mld_oracle_stack_matches_word_by_word(desk_spec, gf16):
+    """A stack decodes as its words do one at a time, ties included: every
+    odd-weight word is at distance 1 from 5 words of the (5, 4) parity code."""
+    spec = BaseCodeSpec(field=gf16, subgroup=galois.element_of_order(gf16, 5),
+                        roots=(0,), mode="binary")
+    rng = np.random.default_rng(23)
+    for sp, shape in ((desk_spec, (3, 4, 7)), (spec, (300, 5))):
+        words = rng.integers(0, 2, size=shape)
+        stacked = mld_oracle(words, sp)
+        assert stacked.shape == shape
+        flat = words.reshape(-1, sp.n)
+        assert (stacked.reshape(-1, sp.n)
+                == np.stack([mld_oracle(w, sp) for w in flat])).all()
+    assert (flat.sum(axis=1) % 2).sum() > 100   # tied words
+
+
 def test_mld_oracle_guards(rs5_spec, gf128):
     with pytest.raises(TooLarge):
         mld_oracle(np.zeros(5, dtype=int), rs5_spec)

@@ -3,13 +3,7 @@ import pytest
 
 from gftmux.channel import LlrFrame, llr
 from gftmux.cyclic import mld_oracle
-from gftmux.decoder import (
-    OPS_PER_EDGE,
-    DecodeResult,
-    MsaParams,
-    decode_frame,
-    decode_global,
-)
+from gftmux.decoder import OPS_PER_EDGE, MsaParams, decode_batch, decode_global
 from gftmux.txrx import Transceiver, bpsk_map
 
 
@@ -29,9 +23,11 @@ def _tx_layer(desk_tx, rng):
 
 
 def decode_layer(values, graph, params):
-    """One binary layer of the desk code, decoded as a frame with s = 1."""
-    frame = LlrFrame(values, s=1, n=7)
-    return decode_frame(frame, graph, params, (params.max_iterations,))[0][0]
+    """(bits, iterations, converged) of one binary layer of the desk code,
+    decoded as a batch of one under params.max_iterations."""
+    bits, iterations, converged = decode_batch(np.asarray(values)[None], graph, params,
+                                               (params.max_iterations,))
+    return bits[0, 0], int(iterations[0, 0]), bool(converged[0, 0])
 
 
 def test_graph_degrees(desk_graph):
@@ -67,11 +63,11 @@ def test_noiseless_converges_in_one_iteration(desk_tx, desk_graph):
     rng = np.random.default_rng(97)
     word, layers = _tx_layer(desk_tx, rng)
     for lay in layers:
-        res = decode_layer(llr(bpsk_map(lay), 0.5), desk_graph,
-                           MsaParams(max_iterations=10))
-        assert res.converged
-        assert res.iterations_used == 1
-        assert (res.hard_bits == lay).all()
+        bits, iterations, converged = decode_layer(llr(bpsk_map(lay), 0.5), desk_graph,
+                                                   MsaParams(max_iterations=10))
+        assert converged
+        assert iterations == 1
+        assert (bits == lay).all()
 
 
 def test_single_flip_corrected(desk_tx, desk_graph):
@@ -81,16 +77,17 @@ def test_single_flip_corrected(desk_tx, desk_graph):
     strong = llr(bpsk_map(lay), 0.5)
     weak = strong.copy()
     weak[17] = -0.4 * strong[17]        # one moderately wrong position
-    res = decode_layer(weak, desk_graph, MsaParams(max_iterations=10))
-    assert res.converged and res.iterations_used <= 10
-    assert (res.hard_bits == lay).all()
+    bits, iterations, converged = decode_layer(weak, desk_graph, MsaParams(max_iterations=10))
+    assert converged and iterations <= 10
+    assert (bits == lay).all()
 
 
 def test_edge_ops_accounting(desk_graph):
     rng = np.random.default_rng(103)
     noise = rng.normal(size=49)          # garbage input, never converges early
     iters = 7
-    res = decode_layer(noise * 0.1, desk_graph, MsaParams(max_iterations=iters))
+    _, (res,) = decode_global(LlrFrame(noise * 0.1, s=1, n=7), desk_graph,
+                              MsaParams(max_iterations=iters))
     if not res.converged:
         assert res.iterations_used == iters
     assert res.edge_ops == OPS_PER_EDGE * desk_graph.n_edges * res.iterations_used
@@ -112,17 +109,17 @@ def test_sign_symmetry_codeword_gauge(desk_tx, desk_graph):
         params = MsaParams(max_iterations=6)
         a = decode_layer(frame, desk_graph, params)
         b = decode_layer(frame * (1 - 2 * gauge), desk_graph, params)
-        assert (b.hard_bits == (a.hard_bits ^ gauge.astype(np.uint8))).all()
-        assert a.iterations_used == b.iterations_used
+        assert (b[0] == (a[0] ^ gauge.astype(np.uint8))).all()
+        assert a[1] == b[1]
 
 
 def test_determinism(desk_graph):
     rng = np.random.default_rng(109)
     frame = rng.normal(size=49)
     params = MsaParams(max_iterations=8, scale=0.625)
-    ref = decode_layer(frame, desk_graph, params)
+    ref = decode_global(LlrFrame(frame, s=1, n=7), desk_graph, params)[1][0]
     for _ in range(3):
-        again = decode_layer(frame, desk_graph, params)
+        again = decode_global(LlrFrame(frame, s=1, n=7), desk_graph, params)[1][0]
         assert (again.hard_bits == ref.hard_bits).all()
         assert again.iterations_used == ref.iterations_used
         assert again.edge_ops == ref.edge_ops
@@ -160,23 +157,24 @@ def test_layer_order_independence(desk_tx, desk_graph):
     params = MsaParams(max_iterations=6)
     joint = decode_global(frame, desk_graph, params)[1]
     solo = [decode_layer(lay, desk_graph, params) for lay in frame.layers()]
-    for a, b in zip(joint, solo):
-        assert (a.hard_bits == b.hard_bits).all()
-        assert a.iterations_used == b.iterations_used
+    for a, (bits, iterations, _) in zip(joint, solo):
+        assert (a.hard_bits == bits).all()
+        assert a.iterations_used == iterations
 
 
 def test_zero_llr_decides_bit_zero(desk_graph):
-    res = decode_layer(np.zeros(49), desk_graph, MsaParams(max_iterations=1))
-    assert (res.hard_bits == 0).all()
-    assert res.converged
+    bits, _, converged = decode_layer(np.zeros(49), desk_graph, MsaParams(max_iterations=1))
+    assert (bits == 0).all()
+    assert converged
 
 
 def test_clip_option(desk_graph):
     rng = np.random.default_rng(137)
     frame = rng.normal(size=49) * 10
-    res = decode_layer(frame, desk_graph,
-                       MsaParams(max_iterations=3, clip=1.0))
-    assert isinstance(res, DecodeResult)
+    bits, iterations, converged = decode_layer(frame, desk_graph,
+                                               MsaParams(max_iterations=3, clip=1.0))
+    assert bits.shape == (49,) and bits.dtype == np.uint8
+    assert 1 <= iterations <= 3
 
 
 @pytest.mark.parametrize("clip", [0.0, -1.0])
@@ -213,20 +211,21 @@ def test_checkpoints_match_separate_decodes(desk_tx, desk_graph):
     rng = np.random.default_rng(151)
     limits = (1, 3, 7, 20, 7)
     seen_unconverged = seen_converged = 0
+    ops = OPS_PER_EDGE * desk_graph.n_edges
     for _ in range(40):
         _, x = desk_tx.transmit(desk_tx.random_streams(rng))
         sigma = 0.9
         y = x + sigma * rng.standard_normal(3 * 49)
         frame = LlrFrame(llr(y, sigma), s=3, n=7)
         params = MsaParams(max_iterations=20, scale=0.75, clip=4.0)
-        per_layer = decode_frame(frame, desk_graph, params, limits)
-        for l, at_limits in enumerate(per_layer):
-            for lim, got in zip(limits, at_limits):
-                ref = decode_layer(frame.layers()[l], desk_graph,
-                                   MsaParams(max_iterations=lim, scale=0.75, clip=4.0))
-                assert (got.hard_bits == ref.hard_bits).all()
-                assert (got.converged, got.iterations_used, got.edge_ops) == (
-                    ref.converged, ref.iterations_used, ref.edge_ops)
-                seen_converged += got.converged
-                seen_unconverged += not got.converged
+        bits, iterations, converged = decode_batch(frame.layers(), desk_graph, params, limits)
+        for l, j in np.ndindex(iterations.shape):
+            ref_bits, ref_iterations, ref_converged = decode_layer(
+                frame.layers()[l], desk_graph,
+                MsaParams(max_iterations=limits[j], scale=0.75, clip=4.0))
+            assert (bits[l, j] == ref_bits).all()
+            assert (converged[l, j], iterations[l, j], ops * iterations[l, j]) == (
+                ref_converged, ref_iterations, ops * ref_iterations)
+            seen_converged += converged[l, j]
+            seen_unconverged += not converged[l, j]
     assert seen_converged and seen_unconverged

@@ -20,7 +20,7 @@ import pytest
 from gftmux import config, sim
 from gftmux.channel import ChannelParams, llr
 from gftmux.cli import main
-from gftmux.decoder import MsaParams, _flood
+from gftmux.decoder import OPS_PER_EDGE, MsaParams, _flood
 from gftmux.sim import SimConfig, monte_carlo
 from gftmux.txrx import GlobalWord
 
@@ -100,16 +100,16 @@ def _replay(desk, cfg, ebn0, limit):
         composites = tx.encode_composites(streams)
         _, x = tx.multiplex(composites)
         values = llr(x + sigma * rng.standard_normal(x.size), sigma)
-        results = [_flood(values[l :: tx.s], h, params, (limit,))[0] for l in range(tx.s)]
-        comps_hat, streams_hat = tx.demultiplex(
-            GlobalWord(bits=np.stack([r.hard_bits for r in results])))
+        bits, iterations, _ = (np.concatenate(a) for a in zip(
+            *(_flood(values[l :: tx.s], h, params, (limit,)) for l in range(tx.s))))
+        comps_hat, streams_hat = tx.demultiplex(GlobalWord(bits=bits))
         wrong = int((comps_hat != composites).any(axis=1).sum())
         frames += 1
         global_errors += wrong > 0
         composite_errors += wrong
         bit_errors += streams.bit_errors(streams_hat)
-        edge_ops += sum(r.edge_ops for r in results)
-        hist.update(r.iterations_used for r in results)
+        edge_ops += OPS_PER_EDGE * h.n_edges * int(iterations.sum())
+        hist.update(iterations.tolist())
     return (frames, global_errors, composite_errors, bit_errors,
             sum(k * v for k, v in hist.items()), sum(hist.values()), sorted(hist.items()),
             edge_ops)

@@ -9,9 +9,7 @@ from gftmux.galois import (
     NotADivisor,
     NotPrime,
     build_field,
-    compose,
     compose_arr,
-    decompose,
     decompose_arr,
     element_of_order,
 )
@@ -121,30 +119,34 @@ def test_subgroup_prime_divisors(s):
 
 
 def test_decompose_zero(gf8):
-    assert decompose(0, 3).tolist() == [0, 0, 0]
+    assert decompose_arr([0], 3).tolist() == [[0], [0], [0]]
 
 
 def test_decompose_basis_coordinate(gf8):
-    assert decompose(gf8.pow_alpha(2), 3).tolist() == [0, 0, 1]
+    assert decompose_arr([gf8.pow_alpha(2)], 3).tolist() == [[0], [0], [1]]
 
 
 @pytest.mark.parametrize("s", [3, 4, 7])
 def test_decompose_compose_round_trip_exhaustive(s):
-    for x in range(1 << s):
-        assert compose(decompose(x, s)) == x
+    x = np.arange(1 << s)
+    assert (compose_arr(decompose_arr(x, s)) == x).all()
 
 
 def test_decompose_is_gf2_linear(gf16):
-    for x in range(16):
-        for y in range(16):
-            lhs = decompose(x ^ y, 4)
-            rhs = decompose(x, 4) ^ decompose(y, 4)
-            assert (lhs == rhs).all()
+    x, y = np.meshgrid(np.arange(16), np.arange(16))
+    assert (decompose_arr(x ^ y, 4) == decompose_arr(x, 4) ^ decompose_arr(y, 4)).all()
 
 
-def test_compose_length_mismatch():
-    with pytest.raises(ValueError):
-        compose_arr(np.zeros((2, 3, 4)))
+def test_stack_round_trip(gf128):
+    """A (2, 3, n) stack of words decomposes to (2, 3, s, n) layers, each
+    word's layers those of the word alone, and composes back."""
+    vec = np.random.default_rng(2).integers(0, 128, size=(2, 3, 11))
+    layers = decompose_arr(vec, 7)
+    assert layers.shape == (2, 3, 7, 11)
+    for i, j in np.ndindex(2, 3):
+        assert (layers[i, j] == decompose_arr(vec[i, j], 7)).all()
+        assert (compose_arr(layers[i, j]) == vec[i, j]).all()
+    assert (compose_arr(layers) == vec).all()
 
 
 def test_array_round_trip(gf128):

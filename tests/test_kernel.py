@@ -2,7 +2,7 @@
 
 decoder._flood is the reference: on every layer the kernel must report
 the same hard bits, convergence flag, iteration count and operation
-count at every checkpoint limit.
+count (OPS_PER_EDGE per edge per iteration) at every checkpoint limit.
 """
 
 import ctypes
@@ -19,7 +19,7 @@ import pytest
 
 from gftmux import config, decoder
 from gftmux.channel import ChannelParams, LlrFrame, llr
-from gftmux.decoder import MsaParams, _flood, decode_frame
+from gftmux.decoder import OPS_PER_EDGE, MsaParams, _flood, decode_batch
 from gftmux.geometry import GlobalParityCheck
 from gftmux.sim import run_trial
 
@@ -34,18 +34,21 @@ def preset_graph(preset):
     return config.build_system(config.load_preset(preset)).parity_check
 
 
-def assert_same_results(got, expected):
-    """got[l][j] and expected[l][j], layer l at limit j, agree in full."""
-    for results, refs in zip(got, expected, strict=True):
-        for res, ref in zip(results, refs, strict=True):
-            assert (res.hard_bits == ref.hard_bits).all()
-            assert (res.converged, res.iterations_used, res.edge_ops) == (
-                ref.converged, ref.iterations_used, ref.edge_ops)
+def assert_same_results(h, got, expected):
+    """decode_batch's (bits, iterations, converged), entry [l, j] for layer l
+    at limit j, equal _flood's tuple for each layer in expected, and so do
+    the operation counts."""
+    bits, iterations, converged = got
+    ref_bits, ref_iterations, ref_converged = (np.stack(a) for a in zip(*expected))
+    assert bits.shape == ref_bits.shape and (bits == ref_bits).all()
+    assert (converged == ref_converged).all() and (iterations == ref_iterations).all()
+    ops = OPS_PER_EDGE * h.n_edges
+    assert (ops * iterations == ops * ref_iterations).all()
 
 
 def assert_matches_oracle(h, values, s, params, limits):
     frame = LlrFrame(values, s=s, n=h.n)
-    assert_same_results(decode_frame(frame, h, params, limits),
+    assert_same_results(h, decode_batch(frame.layers(), h, params, limits),
                         [_flood(lay, h, params, limits) for lay in frame.layers()])
 
 
@@ -109,7 +112,7 @@ def test_overflowing_layer_falls_back_to_flood(monkeypatch):
     values = np.where(np.arange(3 * 49) % 2, 1e308, -1e308)
     with np.errstate(all="ignore"):
         assert_matches_oracle(h, values, 3, MsaParams(max_iterations=5), (2, 5))
-    assert calls           # decode_frame handed an overflowing layer to _flood
+    assert calls           # decode_batch handed an overflowing layer to _flood
 
 
 def test_wide_columns_decode_with_flood(monkeypatch):
@@ -206,8 +209,8 @@ def test_every_isa_clone_matches_flood(tmp_path, monkeypatch, march, flags):
     monkeypatch.setattr(decoder, "_kernel", fn)
     for h, values, s, params, limits, expected in clone_cases():
         with np.errstate(all="ignore"):
-            got = decode_frame(LlrFrame(values, s=s, n=h.n), h, params, limits)
-        assert_same_results(got, expected)
+            got = decode_batch(LlrFrame(values, s=s, n=h.n).layers(), h, params, limits)
+        assert_same_results(h, got, expected)
 
 
 def test_missing_compiler_falls_back_with_one_warning(tmp_path):
@@ -223,9 +226,10 @@ with warnings.catch_warnings(record=True) as caught:
     from gftmux.channel import LlrFrame
     h = config.build_system(config.load_preset("desk_gf8")).parity_check
     frame = LlrFrame(np.ones(3 * 49), s=3, n=7)
-    res = decoder.decode_frame(frame, h, decoder.MsaParams(max_iterations=5), (5,))
+    _, _, converged = decoder.decode_batch(frame.layers(), h,
+                                           decoder.MsaParams(max_iterations=5), (5,))
 print(json.dumps({"kernel": decoder._kernel is not None,
-                  "converged": all(lay[0].converged for lay in res),
+                  "converged": bool(converged.all()),
                   "warnings": [str(w.message) for w in caught]}))
 """
     env = dict(os.environ, PATH=str(tmp_path / "bin"),

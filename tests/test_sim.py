@@ -247,6 +247,15 @@ def test_baseline_mld_runs(desk):
     assert 0.02 < errors / words < 0.4
 
 
+@pytest.mark.parametrize("ebn0, counts", [(0.0, (1000, 4000)), (2.0, (485, 4000)),
+                                          (4.0, (143, 4000))])
+def test_baseline_mld_pinned(desk, ebn0, counts):
+    """The baseline's draws and the oracle's lowest-index tie break fix its
+    counts for a seed."""
+    assert baseline_mld_wer(desk.transceiver, ebn0, max_words=4000,
+                            target_errors=10 ** 6, seed=20260810) == counts
+
+
 def test_baseline_improves_with_snr(desk):
     rates = []
     for ebn0 in (2.0, 6.0):
