@@ -1,9 +1,10 @@
 """Command-line surface: construct, verify, simulate, export.
 
 Exit codes: 0 success, 1 verification/construction failure, 2 config
-error, 130 simulate interrupted.  Every simulate run writes a manifest
-alongside the CSV so the run can be reproduced exactly; an interrupted
-one writes the cells completed so far and a "# truncated" marker.
+or usage error (a seed below 0, a worker count below 1), 130 simulate
+interrupted.  Every simulate run writes a manifest alongside the CSV so
+the run can be reproduced exactly; an interrupted one writes the cells
+completed so far and a "# truncated" marker.
 """
 
 from __future__ import annotations
@@ -29,6 +30,16 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--set", dest="overrides", action="append", default=[],
                    metavar="PATH=VALUE",
                    help="override a scalar config field, e.g. channel.seed=7")
+
+
+def _at_least(low: int):
+    """argparse type for an integer no smaller than low."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return integer
 
 
 def _bundle(args):
@@ -218,12 +229,12 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("verify", help="run the structural verifier battery")
     _add_common(p)
-    p.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
+    p.add_argument("--seed", type=_at_least(0), default=0, help="seed for sampled checks")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("simulate", help="run the Monte Carlo sweep")
     _add_common(p)
-    p.add_argument("--workers", type=int, default=1,
+    p.add_argument("--workers", type=_at_least(1), default=1,
                    help="parallel trial workers (results are identical across counts)")
     p.add_argument("--outdir", help="output directory (default from config)")
     p.add_argument("--quiet", action="store_true", help="suppress progress lines")

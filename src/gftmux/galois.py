@@ -133,14 +133,15 @@ class GaloisField:
         return bits.reshape(r * self.s, c * self.s).astype(np.float32)
 
     def matmul(self, a, b) -> np.ndarray:
-        """Matrix product over GF(2^s) of a (p x r) by b (r x c)."""
+        """Matrix product over GF(2^s) of each (p x r) matrix of a (..., p, r)
+        stack by b (r x c); b is lifted once for the whole stack."""
         a = np.atleast_2d(np.asarray(a, dtype=np.int64))
         b = np.atleast_2d(np.asarray(b, dtype=np.int64))
-        if a.shape[1] != b.shape[0]:
+        if a.shape[-1] != b.shape[0]:
             raise ValueError(f"shape mismatch {a.shape} x {b.shape}")
-        bits = decompose_arr(a, self.s).swapaxes(1, 2).reshape(len(a), -1)
-        out = gf2_product(bits, self.lift(b)).reshape(len(a), -1, self.s)
-        return compose_arr(out.swapaxes(1, 2))
+        bits = decompose_arr(a, self.s).swapaxes(-1, -2).reshape(-1, a.shape[-1] * self.s)
+        out = gf2_product(bits, self.lift(b)).reshape(a.shape[:-1] + (-1, self.s))
+        return compose_arr(out.swapaxes(-1, -2))
 
     def __repr__(self):
         return f"GaloisField(s={self.s}, poly=0x{self.primitive_poly:x})"

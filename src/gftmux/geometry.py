@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclic import BaseMatrix, DuplicateRoots
+from .cyclic import BaseCodeSpec, BaseMatrix, DuplicateRoots
 from .galois import SubgroupGen
 
-#: Largest n for which dense materialization / brute-force cross-checks run.
+#: Largest n for which dense materialization and exhaustive cross-checks run.
 DENSE_LIMIT = 31
 
 
@@ -24,39 +24,23 @@ class ScaleGuard(ValueError):
     """Dense-only operation requested beyond the desk-scale limit."""
 
 
-@dataclass(eq=False)
-class VandermondeMatrix:
-    """n x n matrix [beta^(i*j)] (forward) or [beta^(-i*j)] (inverse)."""
-
-    subgroup: SubgroupGen
-    exponents: np.ndarray
-    direction: str
-
-    @property
-    def n(self) -> int:
-        return self.subgroup.n
-
-    def elements(self) -> np.ndarray:
-        return self.subgroup.pow_table[self.exponents]
-
-
-def vandermonde(subgroup: SubgroupGen, direction: str = "forward") -> VandermondeMatrix:
+def vandermonde(subgroup: SubgroupGen, direction: str = "forward") -> np.ndarray:
+    """n x n elements [beta^(i*j)] (forward) or [beta^(-i*j)] (inverse)."""
     if direction not in ("forward", "inverse"):
         raise ValueError(f"unknown direction {direction!r}")
-    n = subgroup.n
-    ij = np.arange(n, dtype=np.int64)[:, None] * np.arange(n, dtype=np.int64)[None, :]
-    expo = ij % n if direction == "forward" else (-ij) % n
-    return VandermondeMatrix(subgroup=subgroup, exponents=expo, direction=direction)
+    ij = np.outer(np.arange(subgroup.n), np.arange(subgroup.n))
+    return subgroup.pow_table[(ij if direction == "forward" else -ij) % subgroup.n]
 
 
-def cpm(e: int, n: int) -> np.ndarray:
-    """n x n binary circulant permutation: row r has its 1 at (r + e) mod n."""
-    if not 0 <= e < n:
-        raise ValueError(f"CPM exponent e={e} out of range [0, {n})")
-    out = np.zeros((n, n), dtype=np.uint8)
+def cpm(e, n: int) -> np.ndarray:
+    """n x n binary circulant permutation: row r has its 1 at (r + e) mod n;
+    an array of exponents gives the (..., n, n) stack of their CPMs."""
+    e = np.asarray(e, dtype=np.int64)
+    bad = e[(e < 0) | (e >= n)]
+    if bad.size:
+        raise ValueError(f"CPM exponent e={bad[0]} out of range [0, {n})")
     r = np.arange(n)
-    out[r, (r + e) % n] = 1
-    return out
+    return (r == (r[:, None] + e[..., None, None]) % n).astype(np.uint8)
 
 
 @dataclass(eq=False)
@@ -143,6 +127,45 @@ def cpm_dispersion(bmat: BaseMatrix) -> GlobalParityCheck:
     return h
 
 
+# -- transform similarity ----------------------------------------------
+
+
+@dataclass
+class SimilarityReport:
+    ok: bool
+    blocks_checked: int
+    first_mismatch: tuple | None
+
+    def __bool__(self):
+        return self.ok
+
+
+def verify_similarity(spec: BaseCodeSpec, h: GlobalParityCheck, num_blocks: int = 20,
+                      rng: np.random.Generator | None = None) -> SimilarityReport:
+    """Check V.D(i,j).V^-1 == CPM(e(i,j)), D(i,j) = diag(beta^(t*j*l_i)).
+
+    All m*n blocks when n <= DENSE_LIMIT, else num_blocks drawn by rng
+    (seed 0 by default).  V.D scales the columns of V, and one stacked
+    product by V^-1 covers every block; the report names the first
+    failing block in checking order.
+    """
+    n, m, field = spec.n, spec.m, spec.field
+    if n <= DENSE_LIMIT:
+        blocks = np.arange(m * n)
+    else:
+        rng = np.random.default_rng(0) if rng is None else rng
+        blocks = rng.choice(m * n, size=min(num_blocks, m * n), replace=False)
+    i, j = np.divmod(blocks, n)
+    l_i = np.asarray(spec.roots, dtype=np.int64)[i]
+    diag = spec.subgroup.pow_table[(j * l_i)[:, None] * np.arange(n) % n]
+    vd = field.mul_arr(vandermonde(spec.subgroup), diag[:, None, :])
+    product = field.matmul(vd, vandermonde(spec.subgroup, "inverse"))
+    bad = (product != cpm(h.cpm_exponents[i, j], n)).any(axis=(1, 2)).nonzero()[0]
+    first = (int(i[bad[0]]), int(j[bad[0]])) if bad.size else None
+    return SimilarityReport(ok=first is None, blocks_checked=len(blocks),
+                            first_mismatch=first)
+
+
 # -- RC constraint and girth -------------------------------------------
 
 
@@ -156,7 +179,7 @@ class RcReport:
         return self.ok
 
 
-def rc_check(h: GlobalParityCheck, brute_force: bool | None = None) -> RcReport:
+def rc_check(h: GlobalParityCheck) -> RcReport:
     """No two rows may share more than one 1-entry.
 
     Blocks (i1, j1), (i1, j2), (i2, j1), (i2, j2) close a 4-cycle iff
@@ -180,11 +203,8 @@ def rc_check(h: GlobalParityCheck, brute_force: bool | None = None) -> RcReport:
             break
     ok = violation is None
 
-    if brute_force is None:
-        brute_force = n <= DENSE_LIMIT
-    if brute_force:
-        if n > DENSE_LIMIT:
-            raise ScaleGuard(f"brute-force RC check limited to n <= {DENSE_LIMIT}")
+    brute_forced = n <= DENSE_LIMIT
+    if brute_forced:
         masks = [0] * h.n_checks
         for c, cols in enumerate(h.check_vars):
             for v in cols:
@@ -196,7 +216,7 @@ def rc_check(h: GlobalParityCheck, brute_force: bool | None = None) -> RcReport:
         )
         if brute_ok != ok:
             raise AssertionError("algebraic RC criterion disagrees with brute force")
-    return RcReport(ok=ok, violation=violation, brute_forced=brute_force)
+    return RcReport(ok=ok, violation=violation, brute_forced=brute_forced)
 
 
 def _bfs_girth(adj: list) -> int:
@@ -229,7 +249,7 @@ def girth_lower_bound(h: GlobalParityCheck) -> int:
     RC pass guarantees no 4-cycles, hence girth >= 6 in a bipartite
     graph; RC failure pins a 4-cycle.
     """
-    rc = rc_check(h, brute_force=False)
+    rc = rc_check(h)
     if h.n > DENSE_LIMIT:
         return 6 if rc.ok else 4
     nc = h.n_checks

@@ -359,26 +359,20 @@ CSV_COLUMNS = [
 
 
 def write_csv(result: SimResult, destination, truncated: bool = False) -> None:
+    """Write the counter table of result as CSV to an open text file."""
     import csv
 
-    def emit(fh):
-        w = csv.writer(fh)
-        w.writerow(CSV_COLUMNS)
-        for c in result.cells:
-            lo, hi = c.wilson_wer(result.n)
-            lam = c.lambda_hat
-            w.writerow([
-                c.ebn0_db, c.iterations_limit, c.frames,
-                repr(c.ger), repr(c.wer(result.n)),
-                repr(c.ber(result.info_bits_per_frame)),
-                "" if lam is None else repr(lam),
-                repr(lo), repr(hi), repr(c.mean_iterations), c.edge_ops,
-            ])
-        if truncated:
-            fh.write("# truncated\n")
-
-    if hasattr(destination, "write"):
-        emit(destination)
-    else:
-        with open(destination, "w", newline="") as fh:
-            emit(fh)
+    w = csv.writer(destination)
+    w.writerow(CSV_COLUMNS)
+    for c in result.cells:
+        lo, hi = c.wilson_wer(result.n)
+        lam = c.lambda_hat
+        w.writerow([
+            c.ebn0_db, c.iterations_limit, c.frames,
+            repr(c.ger), repr(c.wer(result.n)),
+            repr(c.ber(result.info_bits_per_frame)),
+            "" if lam is None else repr(lam),
+            repr(lo), repr(hi), repr(c.mean_iterations), c.edge_ops,
+        ])
+    if truncated:
+        destination.write("# truncated\n")

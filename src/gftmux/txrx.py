@@ -6,10 +6,6 @@ words by serial-to-parallel extraction, apply the Galois Fourier
 transform per parallel vector, serialize, and map the s*n^2 constituent
 bits to BPSK.  Receive inverts the chain.  It all runs on symbol-major
 bits, each GF(2^s) matrix applied as its GF(2) lift.
-
-Also holds the cascaded/interleaved reference matrices used to verify
-that the transform similarity turns the block-diagonal local structure
-into the CPM dispersion.
 """
 
 from __future__ import annotations
@@ -22,14 +18,7 @@ import numpy as np
 from . import cyclic
 from .cyclic import BaseCodeSpec, base_matrix
 from .galois import compose_arr, decompose_arr, gf2_product
-from .geometry import (
-    DENSE_LIMIT,
-    GlobalParityCheck,
-    ScaleGuard,
-    cpm,
-    cpm_dispersion,
-    vandermonde,
-)
+from .geometry import cpm_dispersion, vandermonde
 
 
 @dataclass(eq=False)
@@ -82,8 +71,8 @@ class Transceiver:
         # GF(2) lifts of the generator (G (x) I_s in binary mode), V, V^-1
         field = spec.field
         self._gen_bits = field.lift(cyclic.generator_matrix(spec))
-        self._v_bits = field.lift(vandermonde(spec.subgroup, "forward").elements())
-        self._vinv_bits = field.lift(vandermonde(spec.subgroup, "inverse").elements())
+        self._v_bits = field.lift(vandermonde(spec.subgroup, "forward"))
+        self._vinv_bits = field.lift(vandermonde(spec.subgroup, "inverse"))
         # Symbol t of composite word k >= 1 is symbol t*k mod n of base word
         # k-1: one gather over the flat symbols of groups 1..n-1.
         self._hadamard = np.concatenate(
@@ -150,111 +139,6 @@ class Transceiver:
                 StreamBlock(bits=np.swapaxes(msg_bits, 1, 2).reshape(*lead, s, -1), n=n))
 
 
-# -- cascaded / interleaved reference matrices ---------------------------
-
-
-@dataclass(eq=False)
-class CascadedRef:
-    """Reference matrices for the similarity-transform verification.
-
-    Dense mode materializes the block-diagonal cascade matrix, the
-    interleaved variant, and the row/column maps between them; sampled
-    mode serves individual diagonal blocks on demand for large n.
-    """
-
-    spec: BaseCodeSpec
-    dense: bool
-    h_casc: np.ndarray | None
-    h_casc_pi: np.ndarray | None
-    row_map: np.ndarray | None
-    col_map: np.ndarray | None
-
-    def d_block(self, i: int, j: int) -> np.ndarray:
-        """Diagonal of block (i, j): element t is beta^(t*j*l_i)."""
-        n = self.spec.n
-        l_i = self.spec.roots[i]
-        t = np.arange(n, dtype=np.int64)
-        return self.spec.subgroup.pow_table[(t * j * l_i) % n]
-
-    def v_elements(self) -> np.ndarray:
-        return vandermonde(self.spec.subgroup, "forward").elements()
-
-    def vinv_elements(self) -> np.ndarray:
-        return vandermonde(self.spec.subgroup, "inverse").elements()
-
-
-def build_cascaded_ref(spec: BaseCodeSpec, dense: bool | None = None) -> CascadedRef:
-    n, m = spec.n, spec.m
-    if dense is None:
-        dense = n <= DENSE_LIMIT
-    if not dense:
-        return CascadedRef(spec=spec, dense=False, h_casc=None, h_casc_pi=None,
-                           row_map=None, col_map=None)
-    if n > DENSE_LIMIT:
-        raise ScaleGuard(f"dense cascade reference limited to n <= {DENSE_LIMIT}")
-    h_casc = np.zeros((m * n, n * n), dtype=np.int64)
-    for k in range(n):
-        h_casc[k * m : (k + 1) * m, k * n : (k + 1) * n] = base_matrix(
-            spec, k
-        ).elements()
-    # interleaving: new row i*n + k <- old row k*m + i; same index map on columns
-    i_idx = np.arange(m * n) // n
-    k_idx = np.arange(m * n) % n
-    row_map = k_idx * m + i_idx
-    j_idx = np.arange(n * n) // n
-    t_idx = np.arange(n * n) % n
-    col_map = t_idx * n + j_idx
-    h_casc_pi = h_casc[row_map][:, col_map]
-    return CascadedRef(spec=spec, dense=True, h_casc=h_casc, h_casc_pi=h_casc_pi,
-                       row_map=row_map, col_map=col_map)
-
-
-@dataclass
-class SimilarityReport:
-    ok: bool
-    blocks_checked: int
-    first_mismatch: tuple | None
-
-    def __bool__(self):
-        return self.ok
-
-
-def verify_similarity(
-    ref: CascadedRef,
-    h: GlobalParityCheck,
-    num_blocks: int | None = None,
-    rng: np.random.Generator | None = None,
-) -> SimilarityReport:
-    """Check V.D(i,j).V^-1 == CPM(e(i,j)) block by block.
-
-    Dense references check all m*n blocks; sampled references check
-    num_blocks random ones (default 20).
-    """
-    spec = ref.spec
-    field = spec.field
-    n, m = spec.n, spec.m
-    v = ref.v_elements()
-    vi = ref.vinv_elements()
-    if ref.dense:
-        blocks = [(i, j) for i in range(m) for j in range(n)]
-    else:
-        if num_blocks is None:
-            num_blocks = 20
-        if rng is None:
-            rng = np.random.default_rng(0)
-        chosen = rng.choice(m * n, size=min(num_blocks, m * n), replace=False)
-        blocks = [(int(b) // n, int(b) % n) for b in chosen]
-    for i, j in blocks:
-        d = np.zeros((n, n), dtype=np.int64)
-        np.fill_diagonal(d, ref.d_block(i, j))
-        product = field.matmul(field.matmul(v, d), vi)
-        expected = cpm(int(h.cpm_exponents[i, j]), n)
-        if not (product == expected).all():
-            return SimilarityReport(ok=False, blocks_checked=len(blocks),
-                                    first_mismatch=(i, j))
-    return SimilarityReport(ok=True, blocks_checked=len(blocks), first_mismatch=None)
-
-
 # -- binary trace dump -----------------------------------------------------
 #
 # Layout (little endian): magic b"GMTR", u8 version, u8 s, u16 n, then
@@ -266,28 +150,17 @@ _TRACE_MAGIC = b"GMTR"
 
 def write_trace(destination, word: GlobalWord, streams: StreamBlock) -> None:
     n, bits = streams.n, streams.bits.astype(np.uint8)
-    payload = [_TRACE_MAGIC, struct.pack("<BBH", 1, bits.shape[0], n)]
-    payload.append(
-        np.asarray(word.symbols, dtype="<u2").tobytes()
-    )
+    payload = [_TRACE_MAGIC, struct.pack("<BBH", 1, bits.shape[0], n),
+               np.asarray(word.symbols, dtype="<u2").tobytes()]
     lk = (bits.shape[1] - (n - 1)) // (n - 1)          # n - m
     for g in np.split(bits, (n - 1) + lk * np.arange(n - 1), axis=1):
         payload.append(struct.pack("<H", g.shape[1]))
         payload.append(g.tobytes())
-    blob = b"".join(payload)
-    if hasattr(destination, "write"):
-        destination.write(blob)
-    else:
-        with open(destination, "wb") as fh:
-            fh.write(blob)
+    destination.write(b"".join(payload))
 
 
 def read_trace(source) -> tuple:
-    if hasattr(source, "read"):
-        blob = source.read()
-    else:
-        with open(source, "rb") as fh:
-            blob = fh.read()
+    blob = source.read()
     if blob[:4] != _TRACE_MAGIC:
         raise ValueError("not a trace file")
     version, s, n = struct.unpack_from("<BBH", blob, 4)

@@ -13,9 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import LlrFrame, llr
-from .decoder import MsaParams, decode_global
-from .geometry import DENSE_LIMIT, girth_lower_bound, rc_check, vandermonde
-from .txrx import build_cascaded_ref, verify_similarity
+from .decoder import MsaParams, decode_batch
+from .geometry import (DENSE_LIMIT, girth_lower_bound, rc_check, vandermonde,
+                       verify_similarity)
+from .txrx import StreamBlock
 
 
 @dataclass
@@ -34,9 +35,7 @@ def _check(name, ok, detail) -> CheckResult:
 
 def verify_vandermonde(bundle) -> CheckResult:
     sub = bundle.subgroup
-    v = vandermonde(sub, "forward").elements()
-    vi = vandermonde(sub, "inverse").elements()
-    prod = bundle.field.matmul(v, vi)
+    prod = bundle.field.matmul(vandermonde(sub, "forward"), vandermonde(sub, "inverse"))
     ok = (prod == np.eye(sub.n, dtype=np.int64)).all()
     return _check("gft-inverse", ok, f"V x V^-1 == I over GF(2^{bundle.field.s})")
 
@@ -94,12 +93,9 @@ def verify_rank(bundle) -> CheckResult:
 
 
 def verify_eq_similarity(bundle, num_blocks: int = 20, seed: int = 0) -> CheckResult:
-    spec = bundle.spec
-    dense = spec.n <= DENSE_LIMIT
-    ref = build_cascaded_ref(spec, dense=dense)
-    rep = verify_similarity(ref, bundle.parity_check, num_blocks=num_blocks,
+    rep = verify_similarity(bundle.spec, bundle.parity_check, num_blocks=num_blocks,
                             rng=np.random.default_rng(seed))
-    scope = "all" if dense else "sampled"
+    scope = "all" if bundle.spec.n <= DENSE_LIMIT else "sampled"
     detail = f"V.D.V^-1 == CPM on {scope} {rep.blocks_checked} blocks"
     if not rep.ok:
         detail = f"mismatch at block {rep.first_mismatch}"
@@ -135,19 +131,19 @@ def verify_layer_decomposition(bundle, random_vectors: int = 1000,
 
 
 def verify_round_trip(bundle, frames: int = 5, seed: int = 0) -> CheckResult:
+    """The frames go through transmit, demultiplex and decode_batch as one stack."""
     tx = bundle.transceiver
     rng = np.random.default_rng(seed)
     params = MsaParams(max_iterations=4, scale=bundle.sim.scale)
-    ok = True
-    for _ in range(frames):
-        streams = tx.random_streams(rng)
-        word, x = tx.transmit(streams, verify=True)
-        back = tx.demultiplex(word)[1]
-        ok &= streams.equal(back)
-        frame = LlrFrame(llr(x, 1.0), s=tx.s, n=tx.n)
-        word_hat, results = decode_global(frame, bundle.parity_check, params)
-        ok &= (word_hat.bits == word.bits).all()
-        ok &= all(r.converged and r.iterations_used == 1 for r in results)
+    streams = StreamBlock(bits=np.stack([tx.random_streams(rng).bits
+                                         for _ in range(frames)]), n=tx.n)
+    word, x = tx.transmit(streams, verify=True)
+    frame = LlrFrame(llr(x, 1.0), s=tx.s, n=tx.n)
+    bits, iterations, converged = decode_batch(frame.layers(), bundle.parity_check,
+                                               params, (params.max_iterations,))
+    ok = (streams.equal(tx.demultiplex(word)[1])
+          and (bits[:, 0].reshape(word.bits.shape) == word.bits).all()
+          and converged.all() and (iterations == 1).all())
     return _check("round-trip", ok,
                   f"{frames} random frames: receive(transmit(x)) == x, "
                   f"noiseless decode converges in 1 iteration")

@@ -89,3 +89,17 @@ def code_syndrome(word, bmat, field) -> np.ndarray:
     """word . B^T over GF(2^s) for a Hadamard power matrix B."""
     word = np.asarray(word, dtype=np.int64)
     return np.bitwise_xor.reduce(field.mul_arr(word[None, :], bmat.elements()), axis=1)
+
+
+def cascade(spec):
+    """The desk-scale reference of the similarity transform: the
+    block-diagonal cascade of the n Hadamard powers, its interleaved form
+    (row i*n + k <- k*m + i, column j*n + t <- t*n + j) and that column map."""
+    n, m = spec.n, spec.m
+    h_casc = np.zeros((m * n, n * n), dtype=np.int64)
+    for k in range(n):
+        h_casc[k * m : (k + 1) * m, k * n : (k + 1) * n] = cyclic.base_matrix(spec, k).elements()
+    rows, cols = np.arange(m * n), np.arange(n * n)
+    row_map = rows % n * m + rows // n
+    col_map = cols % n * n + cols // n
+    return h_casc, h_casc[row_map][:, col_map], col_map

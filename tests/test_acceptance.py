@@ -26,14 +26,14 @@ from gftmux.decoder import (
     decode_batch,
     decode_global,
 )
-from gftmux.geometry import DENSE_LIMIT, girth_lower_bound, rc_check
+from gftmux.geometry import DENSE_LIMIT, girth_lower_bound, rc_check, verify_similarity
 from gftmux.sim import (
     SimConfig,
     baseline_mld_wer,
     confidence_interval,
     monte_carlo,
 )
-from gftmux.txrx import GlobalWord, StreamBlock, build_cascaded_ref, verify_similarity
+from gftmux.txrx import GlobalWord, StreamBlock
 
 ALL_PRESETS = ["desk_gf8", "ex1_bch127_113", "ex2_bch127_120",
                "ex3_rs127_121", "ex5_rs89_85"]
@@ -103,14 +103,12 @@ def test_criterion_03_transform_similarity():
     """V.D(i,j).V^-1 == CPM(beta^(j l_i)): dense at desk, sampled at scale."""
     problems = []
     desk = bundle("desk_gf8")
-    rep = verify_similarity(build_cascaded_ref(desk.spec, dense=True),
-                            desk.parity_check)
+    rep = verify_similarity(desk.spec, desk.parity_check)
     if not (rep.ok and rep.blocks_checked == 21):
         problems.append(f"desk dense check failed at block {rep.first_mismatch}")
     for name in ["ex1_bch127_113", "ex2_bch127_120", "ex3_rs127_121"]:
         b = bundle(name)
-        rep = verify_similarity(build_cascaded_ref(b.spec, dense=False),
-                                b.parity_check, num_blocks=20,
+        rep = verify_similarity(b.spec, b.parity_check, num_blocks=20,
                                 rng=np.random.default_rng(101))
         if not (rep.ok and rep.blocks_checked >= 20):
             problems.append(f"{name}: sampled check failed "

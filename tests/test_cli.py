@@ -83,6 +83,14 @@ def test_cmd_verify_desk(capsys):
     assert "FAIL" not in out
 
 
+def test_cmd_verify_production_scale(capsys):
+    """The sampled battery (n = 89 > DENSE_LIMIT) passes every check."""
+    assert main(["verify", "--preset", "ex5_rs89_85"]) == 0
+    out = capsys.readouterr().out
+    assert "8/8 checks passed" in out
+    assert "PASS transform-similarity: V.D.V^-1 == CPM on sampled 20 blocks" in out
+
+
 def test_cmd_verify_duplicate_roots(tmp_path, capsys):
     cfg = load_preset("desk_gf8")
     cfg["code"] = {"n": 7, "roots": [1, 2, 4, 8], "mode": "binary"}
@@ -188,6 +196,26 @@ def test_config_error_exit_code(tmp_path, capsys):
     not_object = tmp_path / "list.json"
     not_object.write_text("[1, 2]")
     assert main(["construct", str(not_object)]) == 2
+
+
+@pytest.mark.parametrize("command, flag, value, low", [
+    ("verify", "--seed", "-1", 0),
+    ("simulate", "--workers", "0", 1),
+    ("simulate", "--workers", "-2", 1),
+])
+def test_cli_rejects_out_of_range_numbers(tmp_path, capsys, command, flag, value, low):
+    """Seeds below 0 and worker counts below 1 are usage errors (exit 2)."""
+    args = [command, "--preset", "desk_gf8", flag, value]
+    if command == "simulate":   # kept small in case the value is let through
+        args += ["--outdir", str(tmp_path), "--quiet", "--set", "channel.ebn0_db=[2.0]",
+                 "--set", "sim.max_frames=20", "--set", "sim.baseline=false"]
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: must be >= {low}, got {value}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "desk_gf8.csv").exists()
 
 
 def test_conjugacy_violation_reported(tmp_path, capsys):

@@ -175,6 +175,28 @@ def test_matmul_matches_naive(gf8):
 
 
 @pytest.mark.parametrize("s", [3, 4, 11])
+def test_matmul_stack_matches_each_matrix(s):
+    from conftest import naive_gf_matmul
+
+    field = build_field(s)
+    rng = np.random.default_rng(200 + s)
+    a = rng.integers(0, field.order, size=(4, 3, 5))
+    b = rng.integers(0, field.order, size=(5, 2))
+    a[1] = a[2, :, 0] = b[3] = 0
+    out = field.matmul(a, b)
+    assert out.shape == (4, 3, 2)
+    for k in range(4):
+        assert (out[k] == field.matmul(a[k], b)).all()
+        assert (out[k] == naive_gf_matmul(a[k], b, field)).all()
+    assert (field.matmul(a.reshape(2, 2, 3, 5), b) == out.reshape(2, 2, 3, 2)).all()
+    assert (field.matmul(a[0, 0], b) == out[0, :1]).all()     # a 1-D row is one matrix
+    with pytest.raises(ValueError, match="shape mismatch"):
+        field.matmul(a, b.T)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        field.matmul(a[0], b[:4])
+
+
+@pytest.mark.parametrize("s", [3, 4, 11])
 def test_lift_matches_naive(s):
     from conftest import naive_gf_matmul
 

@@ -34,18 +34,19 @@ def desk_h(desk_spec):
 
 def test_vandermonde_border_ones(sub7):
     v = vandermonde(sub7)
-    assert (v.elements()[0] == 1).all()
-    assert (v.elements()[:, 0] == 1).all()
+    assert v.shape == (7, 7)
+    assert (v[0] == 1).all()
+    assert (v[:, 0] == 1).all()
 
 
 def test_vandermonde_symmetric(sub7):
-    v = vandermonde(sub7).elements()
+    v = vandermonde(sub7)
     assert (v == v.T).all()
 
 
 def test_vandermonde_inverse_identity(gf8, sub7):
-    v = vandermonde(sub7, "forward").elements()
-    vi = vandermonde(sub7, "inverse").elements()
+    v = vandermonde(sub7, "forward")
+    vi = vandermonde(sub7, "inverse")
     prod = naive_gf_matmul(v, vi, gf8)          # independent dense oracle
     assert (prod == np.eye(7, dtype=np.int64)).all()
     assert (gf8.matmul(v, vi) == prod).all()
@@ -54,15 +55,15 @@ def test_vandermonde_inverse_identity(gf8, sub7):
 def test_vandermonde_unit_row(gf8, sub7):
     e0 = np.zeros(7, dtype=np.int64)
     e0[0] = 1
-    out = gf8.matmul(e0[None, :], vandermonde(sub7).elements())[0]
+    out = gf8.matmul(e0[None, :], vandermonde(sub7))[0]
     assert (out == 1).all()
 
 
 def test_vandermonde_inverse_identity_gf2048():
     f = galois.build_field(11)
     sub = galois.element_of_order(f, 89)
-    v = vandermonde(sub, "forward").elements()
-    vi = vandermonde(sub, "inverse").elements()
+    v = vandermonde(sub, "forward")
+    vi = vandermonde(sub, "inverse")
     assert (f.matmul(v, vi) == np.eye(89, dtype=np.int64)).all()
 
 
@@ -93,6 +94,17 @@ def test_cpm_product_adds_exponents():
 def test_cpm_exponent_range():
     with pytest.raises(ValueError):
         cpm(7, 7)
+
+
+def test_cpm_stacks_exponent_arrays():
+    e = np.array([[0, 3, 6], [5, 1, 2]])
+    stack = cpm(e, 7)
+    assert stack.shape == (2, 3, 7, 7) and stack.dtype == np.uint8
+    for idx in np.ndindex(e.shape):
+        assert (stack[idx] == cpm(int(e[idx]), 7)).all()
+    for bad in ([[0, 3], [7, 1]], [2, -1]):     # one exponent out of range
+        with pytest.raises(ValueError, match="out of range"):
+            cpm(np.array(bad), 7)
 
 
 # -- CPM dispersion --------------------------------------------------------

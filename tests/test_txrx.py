@@ -5,19 +5,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import code_syndrome, naive_gf_matmul
+from conftest import cascade, code_syndrome, naive_gf_matmul
 from gftmux import config, cyclic, galois
 from gftmux.cyclic import base_matrix
 from gftmux.galois import compose_arr, decompose_arr
-from gftmux.geometry import ScaleGuard, cpm, cpm_dispersion
+from gftmux.geometry import GlobalParityCheck, cpm, vandermonde, verify_similarity
 from gftmux.txrx import (
     GlobalWord,
     StreamBlock,
     Transceiver,
     bpsk_map,
-    build_cascaded_ref,
     read_trace,
-    verify_similarity,
     write_trace,
 )
 
@@ -137,12 +135,10 @@ def test_stream_shape_mismatch_rejected(desk_tx):
 
 
 def test_sp_extract_definition(desk_tx, gf8, sub7):
-    from gftmux.geometry import vandermonde
-
     # segment j of the word is the GFT of c[j] = (c_{0,j},...,c_{6,j})
     comps = np.arange(49).reshape(7, 7) % 8
     word, _ = desk_tx.multiplex(bits_of(comps, 3))
-    v = vandermonde(sub7, "forward").elements()
+    v = vandermonde(sub7, "forward")
     want = naive_gf_matmul(comps.T, v, gf8)
     assert (word.symbols.reshape(7, 7) == want).all()
 
@@ -188,11 +184,9 @@ def test_receive_recovers_published_bit_count():
 
 
 def test_gft_igft_segment_round_trip(gf8, sub7):
-    from gftmux.geometry import vandermonde
-
     rng = np.random.default_rng(67)
-    v = vandermonde(sub7, "forward").elements()
-    vi = vandermonde(sub7, "inverse").elements()
+    v = vandermonde(sub7, "forward")
+    vi = vandermonde(sub7, "inverse")
     seg = rng.integers(0, 8, size=(7, 7))
     assert (gf8.matmul(gf8.matmul(seg, v), vi) == seg).all()
 
@@ -201,89 +195,100 @@ def test_gft_igft_segment_round_trip(gf8, sub7):
 
 
 def test_cascade_blocks_are_hadamard_powers(desk_spec):
-    ref = build_cascaded_ref(desk_spec)
+    h_casc, _, _ = cascade(desk_spec)
     for k in range(7):
-        block = ref.h_casc[k * 3 : (k + 1) * 3, k * 7 : (k + 1) * 7]
+        block = h_casc[k * 3 : (k + 1) * 3, k * 7 : (k + 1) * 7]
         assert (block == base_matrix(desk_spec, k).elements()).all()
-    off = ref.h_casc.copy()
+    off = h_casc.copy()
     for k in range(7):
         off[k * 3 : (k + 1) * 3, k * 7 : (k + 1) * 7] = 0
     assert not off.any()
 
 
 def test_interleaved_blocks_are_diagonal(desk_spec):
-    ref = build_cascaded_ref(desk_spec)
+    _, h_casc_pi, _ = cascade(desk_spec)
     sub = desk_spec.subgroup
     for i, l in enumerate(desk_spec.roots):
         for j in range(7):
-            block = ref.h_casc_pi[i * 7 : (i + 1) * 7, j * 7 : (j + 1) * 7]
+            block = h_casc_pi[i * 7 : (i + 1) * 7, j * 7 : (j + 1) * 7]
             want = np.zeros((7, 7), dtype=np.int64)
             np.fill_diagonal(want, sub.pow_table[(np.arange(7) * j * l) % 7])
             assert (block == want).all()
-            assert (ref.d_block(i, j) == np.diag(want)).all()
 
 
 def test_cascade_and_interleaved_syndromes(desk_spec, desk_tx):
-    ref = build_cascaded_ref(desk_spec)
+    h_casc, h_casc_pi, col_map = cascade(desk_spec)
     f = desk_spec.field
     rng = np.random.default_rng(71)
     comps = symbols_of(desk_tx.encode_composites(desk_tx.random_streams(rng)), 3)
     c_casc = comps.reshape(-1)               # the pre-interleave cascade order
-    assert not f.matmul(c_casc[None, :], ref.h_casc.T).any()
+    assert not f.matmul(c_casc[None, :], h_casc.T).any()
     c_icc = comps.T.reshape(-1)              # S/P extraction
-    assert not f.matmul(c_icc[None, :], ref.h_casc_pi.T).any()
+    assert not f.matmul(c_icc[None, :], h_casc_pi.T).any()
     # the interleaved word is the column-permuted cascade word
-    assert (c_icc == c_casc[ref.col_map]).all()
+    assert (c_icc == c_casc[col_map]).all()
 
 
 def test_similarity_all_desk_blocks(desk_spec, desk_tx):
-    ref = build_cascaded_ref(desk_spec)
-    rep = verify_similarity(ref, desk_tx.parity_check)
+    rep = verify_similarity(desk_spec, desk_tx.parity_check)
     assert rep.ok and rep.blocks_checked == 21
 
 
 def test_similarity_block_oracle(desk_spec, desk_tx):
     """Independent dense-multiply oracle for V D V^-1 == CPM."""
-    ref = build_cascaded_ref(desk_spec)
-    f = desk_spec.field
-    v, vi = ref.v_elements(), ref.vinv_elements()
+    f, sub = desk_spec.field, desk_spec.subgroup
+    v, vi = vandermonde(sub, "forward"), vandermonde(sub, "inverse")
     h = desk_tx.parity_check
-    for i in range(3):
+    for i, l in enumerate(desk_spec.roots):
         for j in range(7):
-            d = np.diag(ref.d_block(i, j))
+            d = np.diag(sub.pow_table[(np.arange(7) * j * l) % 7])
             product = naive_gf_matmul(naive_gf_matmul(v, d, f), vi, f)
             assert (product == cpm(int(h.cpm_exponents[i, j]), 7)).all()
 
 
 def test_similarity_identity_block(desk_spec, desk_tx):
-    # block (i, 0): D = I so V I V^-1 = I = CPM(0)
-    ref = build_cascaded_ref(desk_spec)
-    assert (ref.d_block(1, 0) == 1).all()
+    # block (i, 0): D = diag(beta^0) = I so V I V^-1 = I = CPM(0)
+    assert desk_spec.subgroup.pow_table[0] == 1
     assert (desk_tx.parity_check.cpm_exponents[:, 0] == 0).all()
 
 
 def test_full_similarity_transform_desk(desk_spec, desk_tx):
     """Whole-matrix check: blockdiag(V) H_pi blockdiag(V^-1) == H_global."""
-    ref = build_cascaded_ref(desk_spec)
-    f = desk_spec.field
-    left = np.kron(np.eye(3, dtype=np.int64), ref.v_elements())       # m blocks of V
-    right = np.kron(np.eye(7, dtype=np.int64), ref.vinv_elements())   # n blocks of V^-1
-    product = f.matmul(f.matmul(left, ref.h_casc_pi), right)
+    _, h_casc_pi, _ = cascade(desk_spec)
+    f, sub = desk_spec.field, desk_spec.subgroup
+    left = np.kron(np.eye(3, dtype=np.int64), vandermonde(sub))                # m blocks of V
+    right = np.kron(np.eye(7, dtype=np.int64), vandermonde(sub, "inverse"))    # n blocks of V^-1
+    product = f.matmul(f.matmul(left, h_casc_pi), right)
     assert (product == desk_tx.parity_check.dense()).all()
 
 
 def test_similarity_sampled_at_scale():
     b = config.build_system(config.load_preset("ex1_bch127_113"))
-    ref = build_cascaded_ref(b.spec, dense=False)
-    rep = verify_similarity(ref, b.parity_check, num_blocks=20,
+    rep = verify_similarity(b.spec, b.parity_check, num_blocks=20,
                             rng=np.random.default_rng(73))
     assert rep.ok and rep.blocks_checked == 20
 
 
-def test_cascaded_ref_scale_guard():
-    b = config.build_system(config.load_preset("ex1_bch127_113"))
-    with pytest.raises(ScaleGuard):
-        build_cascaded_ref(b.spec, dense=True)
+def _shifted(h, *blocks):
+    """h with the CPM exponent of each (i, j) block moved up by one."""
+    expo = h.cpm_exponents.copy()
+    for i, j in blocks:
+        expo[i, j] = (expo[i, j] + 1) % h.n
+    return GlobalParityCheck.from_exponents(expo)
+
+
+@pytest.mark.parametrize("preset,blocks,ok,first", [
+    ("desk_gf8", [(1, 3)], False, (1, 3)),
+    # the seed-0 sample draws (1, 84) fifth and (0, 60) eleventh
+    ("ex5_rs89_85", [(0, 60), (1, 84)], False, (1, 84)),
+    ("ex5_rs89_85", [(2, 40)], True, None),    # not in the seed-0 sample
+])
+def test_similarity_catches_shifted_block(preset, blocks, ok, first):
+    b = config.build_system(config.load_preset(preset))
+    rep = verify_similarity(b.spec, _shifted(b.parity_check, *blocks),
+                            rng=np.random.default_rng(0))
+    assert rep.ok is ok and rep.first_mismatch == first
+    assert rep.blocks_checked == (21 if preset == "desk_gf8" else 20)
 
 
 # -- trace dump ----------------------------------------------------------------
