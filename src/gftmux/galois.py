@@ -82,29 +82,6 @@ class GaloisField:
         self.antilog_table = antilog
         self.log_table = log
 
-    # -- scalar ops --------------------------------------------------
-
-    def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        q1 = self.order - 1
-        return int(self.antilog_table[(self.log_table[a] + self.log_table[b]) % q1])
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("zero has no inverse in GF(2^s)")
-        q1 = self.order - 1
-        return int(self.antilog_table[(q1 - self.log_table[a]) % q1])
-
-    def pow(self, a: int, e: int) -> int:
-        """a**e with e any integer (negative allowed for nonzero a)."""
-        if a == 0:
-            if e <= 0:
-                raise ZeroDivisionError("0**e undefined for e <= 0")
-            return 0
-        q1 = self.order - 1
-        return int(self.antilog_table[(self.log_table[a] * e) % q1])
-
     def pow_alpha(self, e: int) -> int:
         """alpha**e for any integer exponent."""
         return int(self.antilog_table[e % (self.order - 1)])
@@ -211,16 +188,23 @@ def element_of_order(field: GaloisField, n: int) -> SubgroupGen:
 
 def decompose_arr(vec, s: int) -> np.ndarray:
     """(..., s, n) uint8 bits of a (..., n) stack of elements; row l of each
-    word is its coefficient-of-alpha^l layer."""
+    word is its coefficient-of-alpha^l layer.  Filled one layer at a time,
+    so the only int64 temporary is one layer's shift."""
     vec = np.asarray(vec, dtype=np.int64)
-    return ((vec[..., None, :] >> np.arange(s)[:, None]) & 1).astype(np.uint8)
+    out = np.empty(vec.shape[:-1] + (s, vec.shape[-1]), dtype=np.uint8)
+    for l in range(s):
+        np.bitwise_and(vec >> l, 1, out=out[..., l, :], casting="unsafe")
+    return out
 
 
 def compose_arr(layers) -> np.ndarray:
     """Inverse of decompose_arr: each (s, n) word of a (..., s, n) stack of
-    bit layers back into n elements."""
-    layers = np.asarray(layers, dtype=np.int64)
-    return (layers << np.arange(layers.shape[-2])[:, None]).sum(axis=-2)
+    bit layers back into n elements, OR-ed in one layer at a time."""
+    layers = np.asarray(layers)
+    out = np.zeros(layers.shape[:-2] + layers.shape[-1:], dtype=np.int64)
+    for l in range(layers.shape[-2]):
+        out |= np.left_shift(layers[..., l, :], l, dtype=np.int64)
+    return out
 
 
 def gf2_product(bits, lifted) -> np.ndarray:

@@ -10,6 +10,7 @@ the exponent table and the derived adjacency.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -105,12 +106,20 @@ class GlobalParityCheck:
     def row_weights(self) -> np.ndarray:
         return np.full(self.n_checks, self.check_vars.shape[1])
 
+    def row_masks(self):
+        """Yield each check row as a Python int whose bit v is H[c, v],
+        one row at a time so that no packed copy of H is held."""
+        row = np.zeros(self.n_vars, dtype=np.uint8)
+        for cols in self.check_vars:
+            row[cols] = 1
+            yield int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
+            row[cols] = 0
+
     def dense(self) -> np.ndarray:
         if self.n > DENSE_LIMIT:
             raise ScaleGuard(f"dense materialization limited to n <= {DENSE_LIMIT}")
         out = np.zeros(self.shape, dtype=np.uint8)
-        rows = np.repeat(np.arange(self.n_checks), self.check_vars.shape[1])
-        out[rows, self.check_vars.reshape(-1)] = 1
+        np.put_along_axis(out, self.check_vars, 1, axis=1)
         return out
 
 
@@ -169,54 +178,30 @@ def verify_similarity(spec: BaseCodeSpec, h: GlobalParityCheck, num_blocks: int 
 # -- RC constraint and girth -------------------------------------------
 
 
-@dataclass
-class RcReport:
-    ok: bool
-    violation: tuple | None
-    brute_forced: bool
-
-    def __bool__(self):
-        return self.ok
-
-
-def rc_check(h: GlobalParityCheck) -> RcReport:
-    """No two rows may share more than one 1-entry.
+def rc_check(h: GlobalParityCheck) -> tuple | None:
+    """The first RC violation (i1, i2, j1, j2), or None: no two rows may
+    share more than one 1-entry.
 
     Blocks (i1, j1), (i1, j2), (i2, j1), (i2, j2) close a 4-cycle iff
     e(i1,j1) - e(i1,j2) - e(i2,j1) + e(i2,j2) = 0 mod n, i.e. iff the
-    difference row e(i1,.) - e(i2,.) mod n repeats a value.  For n <= 31
-    the result is cross-validated by pairwise row-support intersection.
+    difference row e(i1,.) - e(i2,.) mod n repeats a value.  The first
+    pair i1 < i2 with a repeat names its first one; for n <= 31 the result
+    is cross-validated by pairwise row-support intersection.
     """
-    expo, n, m = h.cpm_exponents, h.n, h.m
+    i1, i2 = np.triu_indices(h.m, 1)
+    d = (h.cpm_exponents[i1] - h.cpm_exponents[i2]) % h.n
+    order = np.argsort(d, axis=1, kind="stable")    # stable: j1 < j2 within a repeat
+    ds = np.take_along_axis(d, order, axis=1)
+    repeats = np.argwhere(ds[:, 1:] == ds[:, :-1])   # row-major: (pair, position)
     violation = None
-    for i1 in range(m):
-        for i2 in range(i1 + 1, m):
-            d = (expo[i1] - expo[i2]) % n
-            order = np.argsort(d, kind="stable")
-            ds = d[order]
-            dup = np.nonzero(ds[1:] == ds[:-1])[0]
-            if dup.size:
-                j1, j2 = sorted((int(order[dup[0]]), int(order[dup[0] + 1])))
-                violation = (i1, i2, j1, j2)
-                break
-        if violation:
-            break
-    ok = violation is None
-
-    brute_forced = n <= DENSE_LIMIT
-    if brute_forced:
-        masks = [0] * h.n_checks
-        for c, cols in enumerate(h.check_vars):
-            for v in cols:
-                masks[c] |= 1 << int(v)
-        brute_ok = all(
-            (masks[a] & masks[b]).bit_count() <= 1
-            for a in range(len(masks))
-            for b in range(a + 1, len(masks))
-        )
-        if brute_ok != ok:
+    if repeats.size:
+        p, k = repeats[0]
+        violation = (int(i1[p]), int(i2[p]), int(order[p, k]), int(order[p, k + 1]))
+    if h.n <= DENSE_LIMIT:
+        brute_ok = all((a & b).bit_count() <= 1 for a, b in combinations(h.row_masks(), 2))
+        if brute_ok != (violation is None):
             raise AssertionError("algebraic RC criterion disagrees with brute force")
-    return RcReport(ok=ok, violation=violation, brute_forced=brute_forced)
+    return violation
 
 
 def _bfs_girth(adj: list) -> int:
@@ -249,17 +234,12 @@ def girth_lower_bound(h: GlobalParityCheck) -> int:
     RC pass guarantees no 4-cycles, hence girth >= 6 in a bipartite
     graph; RC failure pins a 4-cycle.
     """
-    rc = rc_check(h)
+    rc_ok = rc_check(h) is None
     if h.n > DENSE_LIMIT:
-        return 6 if rc.ok else 4
-    nc = h.n_checks
-    adj = [[] for _ in range(nc + h.n_vars)]
-    for c, cols in enumerate(h.check_vars):
-        for v in cols:
-            adj[c].append(nc + int(v))
-            adj[nc + int(v)].append(c)
-    g = _bfs_girth(adj)
-    if rc.ok and not (g == 0 or g >= 6):
+        return 6 if rc_ok else 4
+    # checks are vertices 0..mn-1 and variable v is vertex mn + v
+    g = _bfs_girth((h.check_vars + h.n_checks).tolist() + (h.var_edges // h.n).tolist())
+    if rc_ok and not (g == 0 or g >= 6):
         raise AssertionError("BFS girth contradicts the RC constraint")
     return g
 
@@ -269,13 +249,7 @@ def girth_lower_bound(h: GlobalParityCheck) -> int:
 
 def gf2_rank(h: GlobalParityCheck) -> int:
     """Rank over GF(2) via bit-packed elimination on int rows."""
-    rows = []
-    for cols in h.check_vars:
-        row = 0
-        for v in cols:
-            row |= 1 << int(v)
-        rows.append(row)
-    return gf2_rank_rows(rows)
+    return gf2_rank_rows(h.row_masks())
 
 
 def gf2_rank_rows(rows: list) -> int:
@@ -317,13 +291,10 @@ class AlistMatrix:
 
 
 def to_alist(h: GlobalParityCheck) -> AlistMatrix:
-    row_adj = [sorted(int(v) for v in cols) for cols in h.check_vars]
-    col_adj = [[] for _ in range(h.n_vars)]
-    for c, cols in enumerate(row_adj):
-        for v in cols:
-            col_adj[v].append(c)
+    # var_edges lists each variable's edge slots c*n + j in ascending check order
     return AlistMatrix(n_cols=h.n_vars, n_rows=h.n_checks,
-                       col_adj=col_adj, row_adj=row_adj)
+                       col_adj=(h.var_edges // h.n).tolist(),
+                       row_adj=np.sort(h.check_vars, axis=1).tolist())
 
 
 def write_alist(h_or_alist, destination) -> None:
@@ -337,12 +308,7 @@ def write_alist(h_or_alist, destination) -> None:
     ]
     # an empty list is written as the usual "0" pad, never as a blank line
     lines += [" ".join(str(i + 1) for i in adj) or "0" for adj in a.col_adj + a.row_adj]
-    text = "\n".join(lines) + "\n"
-    if hasattr(destination, "write"):
-        destination.write(text)
-    else:
-        with open(destination, "w") as fh:
-            fh.write(text)
+    _write_text("\n".join(lines) + "\n", destination)
 
 
 def read_alist(source) -> AlistMatrix:
@@ -390,8 +356,12 @@ def _alist_adjacency(lines: list, degrees: list, bound: int, what: str) -> list:
 
 def write_dense_text(h: GlobalParityCheck, destination) -> None:
     """Debug dump: one 0/1 text row per matrix row (n <= 31 only)."""
-    dense = h.dense()
-    text = "\n".join("".join(str(b) for b in row) for row in dense) + "\n"
+    _write_text("\n".join("".join(str(b) for b in row) for row in h.dense()) + "\n",
+                destination)
+
+
+def _write_text(text: str, destination) -> None:
+    """Write text to an open text file or to a path."""
     if hasattr(destination, "write"):
         destination.write(text)
     else:

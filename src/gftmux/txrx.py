@@ -11,13 +11,12 @@ bits, each GF(2^s) matrix applied as its GF(2) lift.
 from __future__ import annotations
 
 from dataclasses import dataclass
-import struct
 
 import numpy as np
 
 from . import cyclic
 from .cyclic import BaseCodeSpec, base_matrix
-from .galois import compose_arr, decompose_arr, gf2_product
+from .galois import compose_arr, gf2_product
 from .geometry import cpm_dispersion, vandermonde
 
 
@@ -138,43 +137,3 @@ class Transceiver:
         return (comp.reshape(*lead, n, n * s),
                 StreamBlock(bits=np.swapaxes(msg_bits, 1, 2).reshape(*lead, s, -1), n=n))
 
-
-# -- binary trace dump -----------------------------------------------------
-#
-# Layout (little endian): magic b"GMTR", u8 version, u8 s, u16 n, then
-# n^2 u16 symbols, then per group a u16 length L_k followed by s*L_k
-# message bits, one byte each, stream-major.
-
-_TRACE_MAGIC = b"GMTR"
-
-
-def write_trace(destination, word: GlobalWord, streams: StreamBlock) -> None:
-    n, bits = streams.n, streams.bits.astype(np.uint8)
-    payload = [_TRACE_MAGIC, struct.pack("<BBH", 1, bits.shape[0], n),
-               np.asarray(word.symbols, dtype="<u2").tobytes()]
-    lk = (bits.shape[1] - (n - 1)) // (n - 1)          # n - m
-    for g in np.split(bits, (n - 1) + lk * np.arange(n - 1), axis=1):
-        payload.append(struct.pack("<H", g.shape[1]))
-        payload.append(g.tobytes())
-    destination.write(b"".join(payload))
-
-
-def read_trace(source) -> tuple:
-    blob = source.read()
-    if blob[:4] != _TRACE_MAGIC:
-        raise ValueError("not a trace file")
-    version, s, n = struct.unpack_from("<BBH", blob, 4)
-    if version != 1:
-        raise ValueError(f"unsupported trace version {version}")
-    off = 8
-    symbols = np.frombuffer(blob, dtype="<u2", count=n * n, offset=off).astype(np.int64)
-    off += 2 * n * n
-    groups = []
-    for _ in range(n):
-        (lk,) = struct.unpack_from("<H", blob, off)
-        off += 2
-        bits = np.frombuffer(blob, dtype=np.uint8, count=s * lk, offset=off)
-        off += s * lk
-        groups.append(bits.reshape(s, lk))
-    streams = StreamBlock(bits=np.concatenate(groups, axis=1), n=n)
-    return GlobalWord(bits=decompose_arr(symbols, s)), streams

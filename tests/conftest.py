@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,24 @@ def gf2_poly_divisible(dividend_bits, divisor_bits) -> bool:
     return not any(r)
 
 
+def gf_mul(a: int, b: int, field) -> int:
+    """a*b in GF(2^s) through the field's log/antilog tables."""
+    if a == 0 or b == 0:
+        return 0
+    q1 = field.order - 1
+    return int(field.antilog_table[(field.log_table[a] + field.log_table[b]) % q1])
+
+
+def gf_inv(a: int, field) -> int:
+    """a^-1 for nonzero a."""
+    return int(field.antilog_table[-field.log_table[a] % (field.order - 1)])
+
+
+def gf_pow(a: int, e: int, field) -> int:
+    """a**e for nonzero a and any integer e."""
+    return int(field.antilog_table[field.log_table[a] * e % (field.order - 1)])
+
+
 def naive_gf_matmul(a, b, field) -> np.ndarray:
     """Triple-loop GF(2^s) matrix product; oracle for the vectorized path."""
     a = np.asarray(a)
@@ -72,7 +92,7 @@ def naive_gf_matmul(a, b, field) -> np.ndarray:
         for j in range(b.shape[1]):
             acc = 0
             for k in range(a.shape[1]):
-                acc ^= field.mul(int(a[i, k]), int(b[k, j]))
+                acc ^= gf_mul(int(a[i, k]), int(b[k, j]), field)
             out[i, j] = acc
     return out
 
@@ -81,7 +101,7 @@ def poly_eval(coeffs, x: int, field) -> int:
     """Horner evaluation of an ascending-coefficient polynomial at x."""
     acc = 0
     for c in reversed(np.asarray(coeffs, dtype=np.int64)):
-        acc = field.mul(acc, x) ^ int(c)
+        acc = gf_mul(acc, x, field) ^ int(c)
     return acc
 
 
@@ -103,3 +123,18 @@ def cascade(spec):
     row_map = rows % n * m + rows // n
     col_map = cols % n * n + cols // n
     return h_casc, h_casc[row_map][:, col_map], col_map
+
+
+def trace_bytes(word, streams) -> bytes:
+    """Binary trace of one transmission, little endian: magic b"GMTR", u8
+    version 1, u8 s, u16 n, then the n^2 symbols as u16, then per group a
+    u16 length L_k followed by its s*L_k message bits, one byte each,
+    stream-major."""
+    n, bits = streams.n, streams.bits.astype(np.uint8)
+    payload = [b"GMTR", struct.pack("<BBH", 1, bits.shape[0], n),
+               np.asarray(word.symbols, dtype="<u2").tobytes()]
+    lk = (bits.shape[1] - (n - 1)) // (n - 1)          # n - m
+    for g in np.split(bits, (n - 1) + lk * np.arange(n - 1), axis=1):
+        payload.append(struct.pack("<H", g.shape[1]))
+        payload.append(g.tobytes())
+    return b"".join(payload)

@@ -152,9 +152,9 @@ def test_criterion_05_rc_and_girth():
     problems = []
     for name in ALL_PRESETS:
         b = bundle(name)
-        rep = rc_check(b.parity_check)
-        if not rep.ok:
-            problems.append(f"{name}: RC violated at {rep.violation}")
+        violation = rc_check(b.parity_check)
+        if violation is not None:
+            problems.append(f"{name}: RC violated at {violation}")
         g = girth_lower_bound(b.parity_check)
         if g < 6:
             problems.append(f"{name}: girth {g} < 6")

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import select
@@ -110,6 +111,20 @@ def test_cmd_export_desk(tmp_path, capsys):
     assert back.n_cols == 49 and back.n_rows == 21
 
 
+@pytest.mark.parametrize("preset, digest", [
+    ("desk_gf8", "9873912f8502a86bd8c9637ce6e94798968f22df01e592906aed202ea0b9dbc1"),
+    ("ex1_bch127_113", "fd46ad50677638c7367a0164a25233d0b43859a0ec700f28163785d020e1f6d8"),
+    ("ex2_bch127_120", "ffdc51483537ae2710c888a3829272052eaa29d079af0aac93883194b6f69363"),
+    ("ex3_rs127_121", "d8052620e5ed3bfae259acc6da79b49a8aa746fefb877040ff36b7efeef3b410"),
+    ("ex5_rs89_85", "0616efa0539fb3474144f7efb1aaae48286610ec80b471f96baf864546ac3bc9"),
+])
+def test_cmd_export_alist_digest(tmp_path, capsys, preset, digest):
+    """Pins the exported parity-check matrix of every preset byte for byte."""
+    out_path = tmp_path / f"{preset}.alist"
+    assert main(["export", "--preset", preset, "--out", str(out_path)]) == 0
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
+
+
 def test_cmd_export_dense(tmp_path):
     out_path = tmp_path / "desk.txt"
     assert main(["export", "--preset", "desk_gf8", "--format", "dense",
@@ -191,8 +206,12 @@ def test_config_error_exit_code(tmp_path, capsys):
     missing = tmp_path / "missing.json"
     missing.write_text(json.dumps({"field": {"s": 3}}))
     assert main(["construct", str(missing)]) == 2
-    assert main(["construct", "--preset", "desk_gf8", "--preset2"] if False
-                else ["construct"]) == 2
+    assert main(["construct"]) == 2                    # no source
+    desk = tmp_path / "desk.json"
+    desk.write_text(json.dumps(load_preset("desk_gf8")))
+    assert main(["construct", str(desk)]) == 0
+    assert main(["construct", "--preset", "desk_gf8", str(desk)]) == 2   # both sources
+    assert capsys.readouterr().err.count("exactly one of --preset or a config path") == 2
     not_object = tmp_path / "list.json"
     not_object.write_text("[1, 2]")
     assert main(["construct", str(not_object)]) == 2

@@ -1,8 +1,10 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from conftest import gf_inv, gf_mul, gf_pow
 from gftmux import galois
 from gftmux.galois import (
     NonPrimitivePolynomial,
@@ -21,7 +23,7 @@ def test_gf8_alpha_period_seven(gf8):
     x = 1
     for _ in range(7):
         seen.append(x)
-        x = gf8.mul(x, gf8.alpha)
+        x = gf_mul(x, gf8.alpha, gf8)
     assert x == 1
     assert sorted(seen) == list(range(1, 8))
     # alpha^3 = alpha + 1 under X^3 + X + 1
@@ -61,13 +63,13 @@ def test_field_axioms_exhaustive(s):
     f = build_field(s)
     elems = range(f.order)
     for a, b, c in itertools.product(elems, repeat=3):
-        assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
-        assert f.mul(a, b ^ c) == f.mul(a, b) ^ f.mul(a, c)
+        assert gf_mul(gf_mul(a, b, f), c, f) == gf_mul(a, gf_mul(b, c, f), f)
+        assert gf_mul(a, b ^ c, f) == gf_mul(a, b, f) ^ gf_mul(a, c, f)
 
 
 def test_inverses(gf16):
     for a in range(1, 16):
-        assert gf16.mul(a, gf16.inv(a)) == 1
+        assert gf_mul(a, gf_inv(a, gf16), gf16) == 1
 
 
 def test_log_antilog_consistency(gf128):
@@ -82,9 +84,9 @@ def test_element_of_order_gf2048():
     f = build_field(11)
     sub = element_of_order(f, 89)
     assert sub.beta == f.pow_alpha(23)        # 2047 = 23 * 89
-    assert f.pow(sub.beta, 89) == 1
+    assert gf_pow(sub.beta, 89, f) == 1
     for t in range(1, 89):
-        assert f.pow(sub.beta, t) != 1
+        assert gf_pow(sub.beta, t, f) != 1
 
 
 def test_element_of_order_gf128(gf128):
@@ -95,8 +97,8 @@ def test_element_of_order_gf128(gf128):
 def test_element_of_order_gf16(gf16):
     sub = element_of_order(gf16, 5)
     assert sub.beta == gf16.pow_alpha(3)      # (2^4 - 1)/5 = 3
-    assert gf16.pow(sub.beta, 5) == 1
-    assert all(gf16.pow(sub.beta, t) != 1 for t in range(1, 5))
+    assert gf_pow(sub.beta, 5, gf16) == 1
+    assert all(gf_pow(sub.beta, t, gf16) != 1 for t in range(1, 5))
 
 
 def test_element_of_order_errors(gf16):
@@ -113,8 +115,8 @@ def test_subgroup_prime_divisors(s):
     q1 = f.order - 1
     for n in [p for p in range(2, q1 + 1) if q1 % p == 0 and galois.is_prime(p)]:
         sub = element_of_order(f, n)
-        assert f.pow(sub.beta, n) == 1
-        assert all(f.pow(sub.beta, t) != 1 for t in range(1, n))
+        assert gf_pow(sub.beta, n, f) == 1
+        assert all(gf_pow(sub.beta, t, f) != 1 for t in range(1, n))
         assert (sub.pow_table[0], sub.pow_table[1 % n]) == (1, sub.beta)
 
 
@@ -157,11 +159,31 @@ def test_array_round_trip(gf128):
     assert (compose_arr(layers) == vec).all()
 
 
+def test_layer_routines_peak_memory():
+    """decompose_arr and compose_arr work one layer at a time: on a
+    (20, 127, 127) GF(2^7) stack neither peaks above 3x its output's bytes
+    (an int64 per bit of the whole stack peaked at 9x and 15x)."""
+    vec = np.random.default_rng(6).integers(0, 128, size=(20, 127, 127))
+    tracemalloc.start()
+    try:
+        layers = decompose_arr(vec, 7)
+        _, decompose_peak = tracemalloc.get_traced_memory()
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        back = compose_arr(layers)
+        compose_peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert (back == vec).all()
+    assert decompose_peak <= 3 * layers.nbytes
+    assert compose_peak <= 3 * back.nbytes
+
+
 def test_mul_arr_matches_scalar(gf16):
     rng = np.random.default_rng(4)
     a = rng.integers(0, 16, size=50)
     b = rng.integers(0, 16, size=50)
-    expect = [gf16.mul(int(x), int(y)) for x, y in zip(a, b)]
+    expect = [gf_mul(int(x), int(y), gf16) for x, y in zip(a, b)]
     assert gf16.mul_arr(a, b).tolist() == expect
 
 

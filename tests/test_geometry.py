@@ -174,24 +174,56 @@ def test_dense_scale_guard():
 # -- RC constraint and girth ------------------------------------------------
 
 
+def _pairwise_rc_violation(h):
+    """The RC criterion one row pair at a time, in lexicographic pair order:
+    the first difference row e(i1,.) - e(i2,.) mod n that repeats a value
+    names the sorted columns of its first adjacent repeat in stable order."""
+    expo, n = h.cpm_exponents, h.n
+    for i1 in range(h.m):
+        for i2 in range(i1 + 1, h.m):
+            d = (expo[i1] - expo[i2]) % n
+            order = np.argsort(d, kind="stable")
+            ds = d[order]
+            dup = np.nonzero(ds[1:] == ds[:-1])[0]
+            if dup.size:
+                j1, j2 = sorted((int(order[dup[0]]), int(order[dup[0] + 1])))
+                return (i1, i2, j1, j2)
+    return None
+
+
 def test_rc_desk_passes_and_cross_validates(desk_h):
-    rep = rc_check(desk_h)
-    assert rep.ok and rep.brute_forced and rep.violation is None
+    assert desk_h.n <= geometry.DENSE_LIMIT    # the brute-force cross-check runs
+    assert rc_check(desk_h) is None
 
 
 def test_rc_brute_force_agreement_random_tables():
     rng = np.random.default_rng(23)
     for _ in range(20):
         expo = rng.integers(0, 11, size=(3, 11))
-        rep = rc_check(GlobalParityCheck.from_exponents(expo))
-        assert rep.brute_forced   # agreement asserted inside rc_check
+        rc_check(GlobalParityCheck.from_exponents(expo))   # raises on disagreement
+
+
+@pytest.mark.parametrize("n", [5, 7, 11, 13, 31, 37])
+def test_rc_stacked_matches_pairwise_oracle(n):
+    """Random tables, with and without violations: the stacked criterion
+    reports the pairwise loop's first violation, or None with it."""
+    rng = np.random.default_rng(n)
+    seen = set()
+    for m in range(1, 6):
+        for _ in range(30):
+            expo = rng.integers(0, n, size=(m, n))
+            if rng.random() < 0.5:      # distinct roots l_i give RC-free rows
+                expo = np.outer(rng.permutation(n)[:m], np.arange(n)) % n
+            h = GlobalParityCheck.from_exponents(expo)
+            want = _pairwise_rc_violation(h)
+            assert rc_check(h) == want
+            seen.add(want is None)
+    assert seen == {True, False}
 
 
 def test_rc_duplicate_block_rows_fail():
     expo = np.stack([np.arange(7), np.arange(7)])   # l_0 = l_1 = 1
-    rep = rc_check(GlobalParityCheck.from_exponents(expo))
-    assert not rep.ok
-    i1, i2, j1, j2 = rep.violation
+    i1, i2, j1, j2 = rc_check(GlobalParityCheck.from_exponents(expo))
     assert (i1, i2) == (0, 1) and j1 != j2
 
 
@@ -199,7 +231,7 @@ def test_rc_prime_configs_always_pass(gf128):
     sub = galois.element_of_order(gf128, 127)
     for d in (3, 5):
         spec = cyclic.bch_spec(gf128, sub, d)
-        assert rc_check(cpm_dispersion(base_matrix(spec, 1))).ok
+        assert rc_check(cpm_dispersion(base_matrix(spec, 1))) is None
 
 
 def test_girth_desk_exactly_six(desk_h):
@@ -256,6 +288,11 @@ def test_rank_desk(desk_h):
     assert _dense_rank_oracle(desk_h.dense()) == 19
     # the pattern m(n-1)+1 inferred from the published dimensions
     assert gf2_rank(desk_h) == 3 * 6 + 1
+
+
+def test_row_masks_match_dense(desk_h):
+    rows = [int("".join(map(str, row[::-1])), 2) for row in desk_h.dense()]
+    assert list(desk_h.row_masks()) == rows
 
 
 def test_rank_rows_small_cases():

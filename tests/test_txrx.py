@@ -1,23 +1,15 @@
 import hashlib
-import io
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import cascade, code_syndrome, naive_gf_matmul
+from conftest import cascade, code_syndrome, naive_gf_matmul, trace_bytes
 from gftmux import config, cyclic, galois
 from gftmux.cyclic import base_matrix
 from gftmux.galois import compose_arr, decompose_arr
 from gftmux.geometry import GlobalParityCheck, cpm, vandermonde, verify_similarity
-from gftmux.txrx import (
-    GlobalWord,
-    StreamBlock,
-    Transceiver,
-    bpsk_map,
-    read_trace,
-    write_trace,
-)
+from gftmux.txrx import GlobalWord, StreamBlock, Transceiver, bpsk_map
 
 DATA = Path(__file__).parent / "data"
 
@@ -294,33 +286,14 @@ def test_similarity_catches_shifted_block(preset, blocks, ok, first):
 # -- trace dump ----------------------------------------------------------------
 
 
-def test_trace_round_trip(desk_tx):
-    rng = np.random.default_rng(79)
-    streams = desk_tx.random_streams(rng)
-    word, _ = desk_tx.transmit(streams)
-    buf = io.BytesIO()
-    write_trace(buf, word, streams)
-    word2, streams2 = read_trace(io.BytesIO(buf.getvalue()))
-    assert (word2.symbols == word.symbols).all()
-    assert streams.equal(streams2)
-
-
 def test_trace_golden_desk(desk_bundle):
     """The desk trace in tests/data was written when StreamBlock held one
-    array per group; the flat layout writes and reads the same bytes."""
+    array per group; the flat layout gives the same bytes."""
     golden = (DATA / "golden_trace_desk.bin").read_bytes()
     tx = desk_bundle.transceiver
     streams = tx.random_streams(np.random.default_rng(20260810))
     word, _ = tx.transmit(streams, verify=True)
-    buf = io.BytesIO()
-    write_trace(buf, word, streams)
-    assert buf.getvalue() == golden
-    word2, streams2 = read_trace(io.BytesIO(golden))
-    assert (word2.symbols == word.symbols).all()
-    assert streams2.equal(streams)
-    buf = io.BytesIO()
-    write_trace(buf, word2, streams2)
-    assert buf.getvalue() == golden
+    assert trace_bytes(word, streams) == golden
 
 
 @pytest.mark.parametrize("preset,digest", [
@@ -334,6 +307,4 @@ def test_trace_digest_at_scale(preset, digest):
     tx = config.build_system(config.load_preset(preset)).transceiver
     streams = tx.random_streams(np.random.default_rng(20260810))
     word, _ = tx.transmit(streams, verify=True)
-    buf = io.BytesIO()
-    write_trace(buf, word, streams)
-    assert hashlib.sha256(buf.getvalue()).hexdigest() == digest
+    assert hashlib.sha256(trace_bytes(word, streams)).hexdigest() == digest
