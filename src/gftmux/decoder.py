@@ -11,79 +11,42 @@ iteration, making the complexity accounting an exact measured
 identity rather than an instruction count.
 
 decode_batch runs the loop in _flood.c for any number of layers (B
-frames of s layers each; one frame is the batch of one), compiled
-with gcc when this module is imported and cached under the user cache
-directory ($XDG_CACHE_HOME/gftmux or ~/.cache/gftmux), keyed by the
-SHA-256 of the source, the flags and the machine.  The kernel computes
-every message and every sum to the same double as _flood's numpy
-operations (the sums in numpy's pairwise order), so its decisions equal
-_flood's bit for bit; _flood stays as the reference and as the fallback
-when no compiler is available or the build fails (one warning).  On
-x86-64 the library holds one clone of the kernel per ISA level
-(x86-64-v4, AVX2, baseline), picked for the CPU when it is loaded; vector
-lanes run across checks or variables, never along a sum, so every clone
-is exact and the cached file stays portable.
+frames of s layers each; one frame is the batch of one), from the C
+library that galois builds and loads.  The kernel computes every message
+and every sum to the same double as _flood's numpy operations (the sums
+in numpy's pairwise order), so its decisions equal _flood's bit for bit;
+_flood stays as the reference and as the fallback when the library did
+not load.  On x86-64 the library holds one clone of the kernel per ISA
+level (x86-64-v4, AVX2, baseline), picked for the CPU when it is loaded;
+vector lanes run across checks or variables, never along a sum, so every
+clone is exact and the cached file stays portable.
 """
 
 from __future__ import annotations
 
 import ctypes
-import hashlib
-import os
-import platform
-import subprocess
-import tempfile
-import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .channel import LlrFrame
+from .galois import c_library
 from .geometry import GlobalParityCheck
 from .txrx import GlobalWord
 
 #: Real-number operations charged per edge per iteration.
 OPS_PER_EDGE = 3
 
-#: -ffp-contract=off keeps a*b+c from fusing; no -ffast-math or
-#: -march=native, so the cached library is exact and portable (the
-#: source's target clones choose the vector width at load time).
-CFLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
-
 #: Widest variable row the kernel sums in numpy's order (numpy's
 #: pairwise block size); wider codes decode with _flood.
 KERNEL_MAX_M = 128
 
 
-def _load_kernel():
-    """Compile _flood.c into the user cache unless already there, load it,
-    and return its entry point; None, with one warning, when that fails."""
-    source = Path(__file__).with_name("_flood.c")
-    try:
-        key = hashlib.sha256(source.read_bytes() + repr(
-            (CFLAGS, platform.machine())).encode()).hexdigest()[:16]
-        cache = Path(os.environ.get("XDG_CACHE_HOME")
-                     or Path.home() / ".cache") / "gftmux"
-        lib = cache / f"flood-{key}.so"
-        if not lib.exists():
-            cache.mkdir(parents=True, exist_ok=True)
-            # concurrent builders each write their own file; replace is atomic
-            fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
-            os.close(fd)
-            try:
-                subprocess.run(["gcc", *CFLAGS, str(source), "-o", tmp, "-lm"],
-                               check=True, capture_output=True, text=True)
-                os.replace(tmp, lib)
-            finally:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
-        fn = ctypes.CDLL(str(lib)).gftmux_flood
-    except (OSError, subprocess.CalledProcessError) as exc:
-        detail = getattr(exc, "stderr", None) or exc
-        warnings.warn(f"gftmux: C min-sum kernel unavailable, decoding with "
-                      f"numpy ({detail})", RuntimeWarning, stacklevel=2)
+def _flood_entry():
+    """The kernel's entry point in the C library, or None without one."""
+    if c_library is None:
         return None
+    fn = c_library.gftmux_flood
     ptr, int64, double = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
     fn.argtypes = [ptr, int64, int64, int64, ptr, double, double, ptr, int64,
                    ptr, ptr, ptr]
@@ -92,7 +55,7 @@ def _load_kernel():
 
 
 #: The compiled kernel, or None to decode with _flood.
-_kernel = _load_kernel()
+_kernel = _flood_entry()
 
 
 @dataclass(frozen=True)

@@ -1,17 +1,84 @@
-"""GF(2^s) arithmetic on integer bit-vector elements.
+"""GF(2^s) arithmetic on integer bit-vector elements, and the package's
+C library.
 
 An element is an int in [0, 2^s) whose bit l is the coordinate on
 alpha^l in the polynomial basis {1, alpha, ..., alpha^(s-1)}, where
 alpha is the class of X modulo the primitive polynomial.  Addition is
 XOR; multiplication goes through log/antilog tables, so fields stay
 cheap to build for s up to 16.
+
+The C library holds the min-sum kernel (_flood.c, see decoder) and the
+GF(2) table product (_gf2.c, see Gf2Map).  It is compiled with gcc when
+this module is imported and cached under the user cache directory
+($XDG_CACHE_HOME/gftmux or ~/.cache/gftmux), keyed by the SHA-256 of the
+sources, the flags and the machine.  When no compiler is available or
+the build fails, c_library is None, one warning says so, and both users
+run their numpy paths, which give the same results.
 """
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
+import os
+import platform
+import subprocess
+import tempfile
+import warnings
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
+
+#: -ffp-contract=off keeps a*b+c from fusing; no -ffast-math or
+#: -march=native, so the cached library is exact and portable (the
+#: kernel's target clones choose the vector width at load time).
+CFLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
+
+#: The C sources built into the one library, beside this module.
+C_SOURCES = ("_flood.c", "_gf2.c")
+
+
+def _load_library():
+    """Compile C_SOURCES into the user cache unless already there and load
+    the library; None, with one warning, when that fails."""
+    sources = [Path(__file__).with_name(name) for name in C_SOURCES]
+    try:
+        key = hashlib.sha256(b"".join(p.read_bytes() for p in sources) + repr(
+            (CFLAGS, platform.machine())).encode()).hexdigest()[:16]
+        cache = Path(os.environ.get("XDG_CACHE_HOME")
+                     or Path.home() / ".cache") / "gftmux"
+        lib = cache / f"gftmux-{key}.so"
+        if not lib.exists():
+            cache.mkdir(parents=True, exist_ok=True)
+            # concurrent builders each write their own file; replace is atomic
+            fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
+            os.close(fd)
+            try:
+                subprocess.run(["gcc", *CFLAGS, *map(str, sources), "-o", tmp, "-lm"],
+                               check=True, capture_output=True, text=True)
+                os.replace(tmp, lib)
+            finally:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
+        library = ctypes.CDLL(str(lib))
+    except (OSError, subprocess.CalledProcessError) as exc:
+        detail = getattr(exc, "stderr", None) or exc
+        warnings.warn(f"gftmux: C library unavailable, decoding with numpy and "
+                      f"applying the GF(2) maps with numpy tables ({detail})",
+                      RuntimeWarning, stacklevel=2)
+        return None
+    ptr, int64 = ctypes.c_void_p, ctypes.c_int64
+    library.gftmux_gf2_apply.argtypes = [ptr, int64, int64, int64, ptr, ptr]
+    library.gftmux_gf2_apply.restype = None
+    return library
+
+
+#: The loaded C library, or None to run the numpy paths.
+c_library = _load_library()
+
+#: The compiled table product, or None to apply Gf2Map's tables in numpy.
+_gf2_apply = None if c_library is None else c_library.gftmux_gf2_apply
 
 
 class NonPrimitivePolynomial(ValueError):
@@ -97,7 +164,9 @@ class GaloisField:
         return np.where((a != 0) & (b != 0), out, 0)
 
     def lift(self, mat) -> np.ndarray:
-        """(r*s, c*s) 0/1 float32 M with bits(x) @ M == bits(x @ mat) mod 2.
+        """(r*s, c*s) 0/1 float32 M with bits(x) @ M == bits(x @ mat) mod 2:
+        the GF(2) map that gf2_product multiplies by and Gf2Map packs into
+        XOR tables.
 
         Bits are symbol-major (bit l of symbol t at t*s + l); row t*s + l
         holds the bits of alpha^l * mat[t].  float32 sums of at most r*s
@@ -209,6 +278,55 @@ def compose_arr(layers) -> np.ndarray:
 
 def gf2_product(bits, lifted) -> np.ndarray:
     """bits @ lifted over GF(2), as uint8; lifted comes from GaloisField.lift,
-    whose float32 sums are exact integers, so their low bit is the parity."""
+    whose float32 sums are exact integers, so their low bit is the parity.
+    Gf2Map's oracle."""
     return ((np.asarray(bits, dtype=np.float32) @ lifted).astype(np.int32) & 1
             ).astype(np.uint8)
+
+
+class Gf2Map:
+    """x -> x @ M over GF(2) for a fixed K x C 0/1 matrix M, such as a
+    GaloisField.lift, by packed 4-bit XOR tables (the Four Russians method).
+
+    tables[g, v] is the XOR of the rows 4g + i of M with bit i of v set,
+    packed little-endian into ceil(C/64) uint64 words; rows past K are
+    zero.  A product row is the XOR of one table row per group of four
+    inputs: ceil(K/4) lookups instead of K row additions.  The C library
+    applies the tables when it loaded, numpy otherwise; both equal
+    gf2_product bit for bit.
+    """
+
+    def __init__(self, matrix):
+        matrix = np.asarray(matrix, dtype=np.uint8)
+        k, c = self.shape = matrix.shape
+        groups, words = -(-k // 4), -(-c // 64)
+        rows = np.zeros((4 * groups, 8 * words), dtype=np.uint8)
+        rows[:k, : -(-c // 8)] = np.packbits(matrix, axis=1, bitorder="little")
+        rows = rows.view("<u8").astype(np.uint64).reshape(groups, 4, words)
+        subset = np.arange(16)[:, None] >> np.arange(4) & 1       # (v, i)
+        self.tables = np.zeros((groups, 16, words), dtype=np.uint64)
+        for i in range(4):
+            self.tables[:, subset[:, i] == 1] ^= rows[:, i, None]
+
+    def __call__(self, bits) -> np.ndarray:
+        """(..., C) uint8 product of a (..., K) stack of 0/1 rows."""
+        k, c = self.shape
+        bits = np.ascontiguousarray(bits, dtype=np.uint8)
+        if bits.shape[-1:] != (k,):
+            raise ValueError(f"rows of length {bits.shape[-1:]} do not match {self.shape}")
+        rows = bits.reshape(-1, k)
+        if _gf2_apply is not None:
+            out = np.empty((len(rows), c), dtype=np.uint8)
+            _gf2_apply(rows.ctypes.data, len(rows), k, c, self.tables.ctypes.data,
+                       out.ctypes.data)
+        else:
+            groups = len(self.tables)
+            padded = np.zeros((len(rows), 4 * groups), dtype=np.uint8)
+            padded[:, :k] = rows & 1
+            nibbles = padded.reshape(len(rows), groups, 4) @ np.array([1, 2, 4, 8], np.uint8)
+            acc = np.zeros((len(rows), self.tables.shape[-1]), dtype=np.uint64)
+            for table, v in zip(self.tables, nibbles.T):
+                acc ^= table[v]
+            out = np.unpackbits(acc.astype("<u8").view(np.uint8), axis=1, count=c,
+                                bitorder="little")
+        return out.reshape(bits.shape[:-1] + (c,))

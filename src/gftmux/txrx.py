@@ -5,7 +5,7 @@ equivalent (group 0 onto the SPC code), interleave the n composite
 words by serial-to-parallel extraction, apply the Galois Fourier
 transform per parallel vector, serialize, and map the s*n^2 constituent
 bits to BPSK.  Receive inverts the chain.  It all runs on symbol-major
-bits, each GF(2^s) matrix applied as its GF(2) lift.
+bits, each GF(2^s) matrix applied as its GF(2) lift by a Gf2Map.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from . import cyclic
 from .cyclic import BaseCodeSpec, base_matrix
-from .galois import compose_arr, gf2_product
+from .galois import Gf2Map, compose_arr
 from .geometry import cpm_dispersion, vandermonde
 
 
@@ -67,11 +67,11 @@ class Transceiver:
         n, m, s = spec.n, spec.m, spec.s
         self.n, self.m, self.s = n, m, s
         self.parity_check = cpm_dispersion(base_matrix(spec, 1))
-        # GF(2) lifts of the generator (G (x) I_s in binary mode), V, V^-1
+        # GF(2) maps of the generator (G (x) I_s in binary mode), V, V^-1
         field = spec.field
-        self._gen_bits = field.lift(cyclic.generator_matrix(spec))
-        self._v_bits = field.lift(vandermonde(spec.subgroup, "forward"))
-        self._vinv_bits = field.lift(vandermonde(spec.subgroup, "inverse"))
+        self._gen = Gf2Map(field.lift(cyclic.generator_matrix(spec)))
+        self._v = Gf2Map(field.lift(vandermonde(spec.subgroup, "forward")))
+        self._vinv = Gf2Map(field.lift(vandermonde(spec.subgroup, "inverse")))
         # Symbol t of composite word k >= 1 is symbol t*k mod n of base word
         # k-1: one gather over the flat symbols of groups 1..n-1.
         self._hadamard = np.concatenate(
@@ -82,15 +82,25 @@ class Transceiver:
         self._demux = np.concatenate([np.arange(n - 1), n + msg_at.reshape(-1)])
         self.msg_lengths = [n - 1] + [n - m] * (n - 1)
         self.info_bits = s * sum(self.msg_lengths)
+        # Group k's s*L_k bits are the top bits of the first s*L_k bytes of
+        # its ceil(s*L_k/4) uint32 words, row-major (s, L_k): where
+        # rng.integers(0, 2, (s, L_k), uint8) would take them.
+        words = [-(-s * lk // 4) for lk in self.msg_lengths]
+        first = 4 * np.cumsum([0] + words[:-1])
+        self._draw_words = sum(words)
+        self._draw_at = np.concatenate(
+            [b + np.arange(s * lk).reshape(s, lk) for b, lk in zip(first, self.msg_lengths)],
+            axis=1)
 
     # -- stream handling ------------------------------------------------
 
     def random_streams(self, rng: np.random.Generator) -> StreamBlock:
-        # One draw per group, in group order: the trial RNG contract.
-        bits = np.concatenate(
-            [rng.integers(0, 2, size=(self.s, lk), dtype=np.uint8)
-             for lk in self.msg_lengths], axis=1)
-        return StreamBlock(bits=bits, n=self.n)
+        """The bits and generator state of one rng.integers(0, 2, (s, L_k),
+        uint8) draw per group, in group order (the trial RNG contract), from
+        a single draw of raw uint32 words."""
+        raw = rng.integers(0, 2 ** 32, self._draw_words, dtype=np.uint32)
+        raw = raw.astype("<u4", copy=False)   # byte 0 is the one drawn first
+        return StreamBlock(bits=raw.view(np.uint8)[self._draw_at] >> 7, n=self.n)
 
     # -- transmit ---------------------------------------------------------
 
@@ -104,7 +114,7 @@ class Transceiver:
         comp[:, :n] = cyclic.encode_spc(bits[:, :, : n - 1].transpose(2, 0, 1)
                                         ).transpose(1, 0, 2)   # SPC along symbols
         msgs = bits[:, :, n - 1 :].reshape(-1, s, n - 1, n - m).transpose(0, 2, 3, 1)
-        base_words = gf2_product(msgs.reshape(-1, (n - m) * s), self._gen_bits)
+        base_words = self._gen(msgs.reshape(-1, (n - m) * s))
         comp[:, n:] = base_words.reshape(len(bits), -1, s)[:, self._hadamard]
         return comp.reshape(streams.bits.shape[:-2] + (n, n * s))
 
@@ -113,7 +123,7 @@ class Transceiver:
         n, s = self.n, self.s
         # parallel vector j collects symbol j of every composite word
         parallel = composites.reshape(-1, n, n, s).transpose(0, 2, 1, 3)
-        serial = gf2_product(parallel.reshape(-1, n * s), self._v_bits)
+        serial = self._v(parallel.reshape(-1, n * s))
         serial = serial.reshape(composites.shape[:-2] + (n * n, s))
         return GlobalWord(bits=np.swapaxes(serial, -1, -2)), bpsk_map(
             serial.reshape(composites.shape[:-2] + (-1,)))
@@ -131,7 +141,7 @@ class Transceiver:
         n, s = self.n, self.s
         lead = word.bits.shape[:-2]
         serial = np.swapaxes(word.bits.reshape(-1, s, n * n), 1, 2)
-        parallel = gf2_product(serial.reshape(-1, n * s), self._vinv_bits)
+        parallel = self._vinv(serial.reshape(-1, n * s))
         comp = parallel.reshape(-1, n, n, s).transpose(0, 2, 1, 3).reshape(-1, n * n, s)
         msg_bits = comp[:, self._demux]
         return (comp.reshape(*lead, n, n * s),

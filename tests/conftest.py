@@ -8,9 +8,11 @@ from gftmux import config, cyclic, decoder, galois
 
 @pytest.fixture
 def numpy_kernel(monkeypatch):
-    """Decode with the numpy _flood oracle, as on a machine without a
-    compiler; forked pool workers inherit the choice."""
+    """Decode with the numpy _flood oracle and apply the GF(2) maps with
+    numpy tables, as on a machine without a compiler; forked pool workers
+    inherit the choice."""
     monkeypatch.setattr(decoder, "_kernel", None)
+    monkeypatch.setattr(galois, "_gf2_apply", None)
 
 
 @pytest.fixture(scope="session")
@@ -123,6 +125,14 @@ def cascade(spec):
     row_map = rows % n * m + rows // n
     col_map = cols % n * n + cols // n
     return h_casc, h_casc[row_map][:, col_map], col_map
+
+
+def per_group_streams(tx, rng) -> np.ndarray:
+    """The trial RNG contract in its first form, the oracle for
+    Transceiver.random_streams: one rng.integers(0, 2, (s, L_k), uint8)
+    draw per group, in group order, concatenated along the columns."""
+    return np.concatenate([rng.integers(0, 2, size=(tx.s, lk), dtype=np.uint8)
+                           for lk in tx.msg_lengths], axis=1)
 
 
 def trace_bytes(word, streams) -> bytes:

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from gftmux.channel import LlrFrame, llr
-from gftmux.cyclic import mld_oracle
 from gftmux.decoder import OPS_PER_EDGE, MsaParams, decode_batch, decode_global
 from gftmux.txrx import Transceiver, bpsk_map
 

@@ -1,0 +1,44 @@
+"""No module of the package or of the tests imports a name it never uses.
+
+A plain ast scan (no linter is a dependency): a name bound by an import
+counts as used when it is read anywhere in the module or listed in the
+module's __all__; `from __future__` imports bind nothing.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+FILES = sorted([*(ROOT / "src" / "gftmux").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+
+
+def unused_imports(source: str) -> list:
+    tree = ast.parse(source)
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used |= set(ast.literal_eval(node.value))
+    return sorted(f"line {line}: {name}" for name, line in bound.items()
+                  if name not in used)
+
+
+def test_scan_finds_unused_imports():
+    source = ("from __future__ import annotations\nimport os\nimport numpy as np\n"
+              "import a.b\nfrom x import y, z as w\n__all__ = ['y']\nprint(np.pi)\n")
+    assert unused_imports(source) == ["line 2: os", "line 4: a", "line 5: w"]
+
+
+@pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []

@@ -1,8 +1,10 @@
-"""The compiled flooding kernel against its numpy oracle, and its build.
+"""The C library's kernels against their numpy oracles, and its build.
 
-decoder._flood is the reference: on every layer the kernel must report
-the same hard bits, convergence flag, iteration count and operation
-count (OPS_PER_EDGE per edge per iteration) at every checkpoint limit.
+decoder._flood is the reference for the flooding kernel: on every layer
+it must report the same hard bits, convergence flag, iteration count and
+operation count (OPS_PER_EDGE per edge per iteration) at every
+checkpoint limit.  galois.gf2_product is the reference for Gf2Map, in C
+and in numpy.
 """
 
 import ctypes
@@ -17,9 +19,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gftmux import config, decoder
+from gftmux import config, decoder, galois
 from gftmux.channel import ChannelParams, LlrFrame, llr
 from gftmux.decoder import OPS_PER_EDGE, MsaParams, _flood, decode_batch
+from gftmux.galois import Gf2Map, gf2_product
 from gftmux.geometry import GlobalParityCheck
 from gftmux.sim import run_trial
 
@@ -144,13 +147,70 @@ def test_false_convergence_trips_verify(desk_bundle, monkeypatch):
     run_trial(tx, h, 1.0, params, 555, 0, verify=False)
 
 
+def gf2_map_results(gmap, bits):
+    """gmap(bits) from every applier this machine has: C, then numpy."""
+    appliers = [galois._gf2_apply, None] if galois._gf2_apply is not None else [None]
+    results = []
+    for apply in appliers:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(galois, "_gf2_apply", apply)
+            results.append(gmap(bits))
+    return results
+
+
+def assert_gf2_map_matches_product(k, c, rows, seed):
+    rng = np.random.default_rng(seed)
+    matrix = rng.integers(0, 2, size=(k, c)).astype(np.float32)
+    bits = rng.integers(0, 2, size=(rows, k), dtype=np.uint8)
+    expected = gf2_product(bits, matrix)
+    for got in gf2_map_results(Gf2Map(matrix), bits):
+        assert got.dtype == np.uint8 and got.shape == (rows, c)
+        assert (got == expected).all()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7, 8, 61])
+@pytest.mark.parametrize("c", [1, 63, 64, 65, 200, 1100])
+def test_gf2_map_matches_product_at_edges(k, c):
+    """Every K mod 4, K < 4, C below, at and above one 64-bit word and past
+    the C applier's 1024-column chunk, and zero rows."""
+    assert_gf2_map_matches_product(k, c, 9, seed=k * 10_000 + c)
+    assert_gf2_map_matches_product(k, c, 0, seed=0)
+
+
+def test_gf2_map_matches_product():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None)
+    @hypothesis.given(k=st.integers(1, 300), c=st.integers(1, 300),
+                      rows=st.integers(0, 12), seed=st.integers(0, 2 ** 32 - 1))
+    def run(k, c, rows, seed):
+        assert_gf2_map_matches_product(k, c, rows, seed)
+
+    run()
+
+
+def test_gf2_map_keeps_leading_axes_and_checks_width():
+    lift = galois.build_field(3).lift([[1, 2], [3, 4], [5, 6]])
+    gmap = Gf2Map(lift)
+    bits = np.random.default_rng(5).integers(0, 2, size=(2, 3, 9), dtype=np.uint8)
+    for got in gf2_map_results(gmap, bits):
+        assert (got == gf2_product(bits.reshape(-1, 9), lift).reshape(2, 3, 6)).all()
+    with pytest.raises(ValueError, match="do not match"):
+        gmap(bits[..., :8])
+
+
 @pytest.mark.skipif(shutil.which("gcc") is None, reason="no gcc")
 def test_kernel_compiles_without_warnings(tmp_path):
+    """Every source of the library, the flooding kernel and the GF(2)
+    table product, builds cleanly under -Wall -Wextra -Werror."""
     proc = subprocess.run(
-        ["gcc", *decoder.CFLAGS, "-Wall", "-Wextra", "-Werror",
-         str(SRC / "_flood.c"), "-o", str(tmp_path / "flood.so"), "-lm"],
+        ["gcc", *galois.CFLAGS, "-Wall", "-Wextra", "-Werror",
+         *(str(SRC / name) for name in galois.C_SOURCES),
+         "-o", str(tmp_path / "gftmux.so"), "-lm"],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+    assert set(galois.C_SOURCES) == {p.name for p in SRC.glob("*.c")}
 
 
 def cpu_flags():
@@ -202,7 +262,7 @@ def test_every_isa_clone_matches_flood(tmp_path, monkeypatch, march, flags):
     if os.uname().machine != "x86_64" or not set(flags) <= cpu_flags():
         pytest.skip(f"this CPU cannot run -march={march}")
     lib = tmp_path / f"flood-{march}.so"
-    subprocess.run(["gcc", *decoder.CFLAGS, "-DGFTMUX_ONE_TARGET", f"-march={march}",
+    subprocess.run(["gcc", *galois.CFLAGS, "-DGFTMUX_ONE_TARGET", f"-march={march}",
                     str(SRC / "_flood.c"), "-o", str(lib), "-lm"], check=True)
     fn = ctypes.CDLL(str(lib)).gftmux_flood
     fn.argtypes, fn.restype = decoder._kernel.argtypes, None
@@ -214,22 +274,29 @@ def test_every_isa_clone_matches_flood(tmp_path, monkeypatch, march, flags):
 
 
 def test_missing_compiler_falls_back_with_one_warning(tmp_path):
-    """With no gcc on PATH and an empty cache, importing the decoder warns
-    once and decoding runs on _flood without further warnings."""
+    """With no gcc on PATH and an empty cache, importing the package warns
+    once; decoding runs on _flood and the GF(2) maps on numpy tables, and
+    desk's chain still round-trips, without further warnings."""
     (tmp_path / "bin").mkdir()
     script = """
 import json, warnings
 import numpy as np
 with warnings.catch_warnings(record=True) as caught:
     warnings.simplefilter("always")
-    from gftmux import config, decoder
+    from gftmux import config, decoder, galois
     from gftmux.channel import LlrFrame
-    h = config.build_system(config.load_preset("desk_gf8")).parity_check
+    b = config.build_system(config.load_preset("desk_gf8"))
+    h, tx = b.parity_check, b.transceiver
     frame = LlrFrame(np.ones(3 * 49), s=3, n=7)
     _, _, converged = decoder.decode_batch(frame.layers(), h,
                                            decoder.MsaParams(max_iterations=5), (5,))
+    rng = np.random.default_rng(7)
+    streams = [tx.random_streams(rng) for _ in range(20)]
+    round_trip = all(st.equal(tx.demultiplex(tx.transmit(st, verify=True)[0])[1])
+                     for st in streams)
 print(json.dumps({"kernel": decoder._kernel is not None,
-                  "converged": bool(converged.all()),
+                  "gf2_apply": galois._gf2_apply is not None,
+                  "converged": bool(converged.all()), "round_trip": round_trip,
                   "warnings": [str(w.message) for w in caught]}))
 """
     env = dict(os.environ, PATH=str(tmp_path / "bin"),
@@ -238,6 +305,8 @@ print(json.dumps({"kernel": decoder._kernel is not None,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert out["kernel"] is False and out["converged"]
+    assert out["kernel"] is False and out["gf2_apply"] is False
+    assert out["converged"] and out["round_trip"]
     assert len(out["warnings"]) == 1
     assert "decoding with numpy" in out["warnings"][0]
+    assert "GF(2) maps with numpy" in out["warnings"][0]

@@ -4,11 +4,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import cascade, code_syndrome, naive_gf_matmul, trace_bytes
-from gftmux import config, cyclic, galois
+from conftest import cascade, code_syndrome, naive_gf_matmul, per_group_streams, trace_bytes
+from gftmux import config
 from gftmux.cyclic import base_matrix
 from gftmux.galois import compose_arr, decompose_arr
 from gftmux.geometry import GlobalParityCheck, cpm, vandermonde, verify_similarity
+from gftmux.sim import trial_rng
 from gftmux.txrx import GlobalWord, StreamBlock, Transceiver, bpsk_map
 
 DATA = Path(__file__).parent / "data"
@@ -121,6 +122,19 @@ def test_stream_shape_mismatch_rejected(desk_tx):
     streams.bits = streams.bits[:, :-1]
     with pytest.raises(ValueError):
         desk_tx.transmit(streams)
+
+
+@pytest.mark.parametrize("preset", config.list_presets())
+def test_random_streams_match_per_group_draw(preset):
+    """The single raw draw gives the per-group draw's bits and leaves the
+    generator in its state, buffered half word (has_uint32, uinteger)
+    included, so the noise drawn next is the same too."""
+    tx = config.build_system(config.load_preset(preset)).transceiver
+    for idx in range(200):
+        rng, oracle = trial_rng(20260810, idx), trial_rng(20260810, idx)
+        bits = tx.random_streams(rng).bits
+        assert bits.dtype == np.uint8 and (bits == per_group_streams(tx, oracle)).all()
+        assert rng.bit_generator.state == oracle.bit_generator.state
 
 
 # -- S/P extraction ---------------------------------------------------------
