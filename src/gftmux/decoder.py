@@ -18,8 +18,10 @@ in numpy's pairwise order), so its decisions equal _flood's bit for bit;
 _flood stays as the reference and as the fallback when the library did
 not load.  On x86-64 the library holds one clone of the kernel per ISA
 level (x86-64-v4, AVX2, baseline), picked for the CPU when it is loaded;
-vector lanes run across checks or variables, never along a sum, so every
-clone is exact and the cached file stays portable.
+vector lanes run across checks, variables or layers, never along a fold
+or a sum, so every clone is exact and the cached file stays portable.
+Short codes decode up to MAX_LANES layers side by side, each in its own
+lane of every vector, so that their loops are not only n long.
 """
 
 from __future__ import annotations
@@ -41,6 +43,13 @@ OPS_PER_EDGE = 3
 #: pairwise block size); wider codes decode with _flood.
 KERNEL_MAX_M = 128
 
+#: The kernel decodes G = max(1, min(MAX_LANES, L, LANE_BYTES // (8 * E)))
+#: of a call's L layers side by side, E the edges of one layer, so that G
+#: layers' messages fit in LANE_BYTES: 8 on desk, 1 on the 89- and
+#: 127-symbol codes, whose loops are long without lanes.
+MAX_LANES = 8
+LANE_BYTES = 2 ** 15
+
 
 def _flood_entry():
     """The kernel's entry point in the C library, or None without one."""
@@ -49,7 +58,7 @@ def _flood_entry():
     fn = c_library.gftmux_flood
     ptr, int64, double = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
     fn.argtypes = [ptr, int64, int64, int64, ptr, double, double, ptr, int64,
-                   ptr, ptr, ptr]
+                   int64, ptr, ptr, ptr]
     fn.restype = None
     return fn
 
@@ -124,13 +133,20 @@ def _flood(channel: np.ndarray, h: GlobalParityCheck, params: MsaParams,
     return decided, at, np.zeros(at.size, dtype=bool)
 
 
+def work_doubles(h: GlobalParityCheck, g: int) -> int:
+    """Doubles of work the kernel uses at g lanes, as _flood.c documents."""
+    nv = h.n * h.n
+    return g * ((h.m + 1) * nv + 11 * h.n + 3) + -(-g * (nv + 1) // 8)
+
+
 def decode_batch(channel: np.ndarray, h: GlobalParityCheck, params: MsaParams,
                  limits) -> tuple:
     """Decode each row of channel, an (L, n^2) array of binary layers, once
     to max(limits); (bits, iterations, converged)[l, j] report layer l at
     limits[j].  params supplies the scale and clip.
 
-    All L layers go to the compiled kernel in one call; _flood decodes the
+    All L layers go to the compiled kernel in one call, which decodes
+    G of them at a time side by side (see MAX_LANES); _flood decodes the
     layers it cannot take (no kernel, m > KERNEL_MAX_M, or a variable total
     that overflowed).  Either way the arrays equal _flood's results.
     """
@@ -148,10 +164,11 @@ def decode_batch(channel: np.ndarray, h: GlobalParityCheck, params: MsaParams,
     kstar = np.full(n_layers, -1, dtype=np.int64)   # -1: left to _flood
     if _kernel is not None and h.m <= KERNEL_MAX_M:
         # every buffer is made here, C-contiguous with the dtype the kernel reads
-        work = np.empty(h.n_edges + 10 * h.n)
+        g = max(1, min(MAX_LANES, n_layers, LANE_BYTES // (8 * h.n_edges)))
+        work = np.empty(work_doubles(h, g))
         _kernel(channel.ctypes.data, n_layers, h.n, h.m, expo.ctypes.data, params.scale,
                 np.inf if params.clip is None else params.clip, steps.ctypes.data, k,
-                work.ctypes.data, bits.ctypes.data, kstar.ctypes.data)
+                g, work.ctypes.data, bits.ctypes.data, kstar.ctypes.data)
     at, done = np.array(limits, dtype=np.int64), kstar[:, None]
     converged = (done > 0) & (done <= at)
     iterations = np.where(converged, done, at)

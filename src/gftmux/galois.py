@@ -11,9 +11,10 @@ The C library holds the min-sum kernel (_flood.c, see decoder) and the
 GF(2) table product (_gf2.c, see Gf2Map).  It is compiled with gcc when
 this module is imported and cached under the user cache directory
 ($XDG_CACHE_HOME/gftmux or ~/.cache/gftmux), keyed by the SHA-256 of the
-sources, the flags and the machine.  When no compiler is available or
-the build fails, c_library is None, one warning says so, and both users
-run their numpy paths, which give the same results.
+sources, the flags and the machine; a build removes the libraries of
+other keys there.  When no compiler is available or the build fails,
+c_library is None, one warning says so, and both users run their numpy
+paths, which give the same results.
 """
 
 from __future__ import annotations
@@ -61,6 +62,14 @@ def _load_library():
             finally:
                 if os.path.exists(tmp):
                     os.unlink(tmp)
+            # libraries of other sources (flood-*: the kernel's own, before
+            # _gf2.c) are stale; another process may be removing them too
+            for old in [*cache.glob("gftmux-*.so"), *cache.glob("flood-*.so")]:
+                if old != lib:
+                    try:
+                        old.unlink()
+                    except OSError:
+                        pass
         library = ctypes.CDLL(str(lib))
     except (OSError, subprocess.CalledProcessError) as exc:
         detail = getattr(exc, "stderr", None) or exc

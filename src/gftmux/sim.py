@@ -169,6 +169,21 @@ def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
     return np.random.default_rng([master_seed, trial_index])
 
 
+#: The bit each row of a group of 8 takes in _pack_rows.
+_ROW_WEIGHTS = 1 << np.arange(7, -1, -1, dtype=np.uint8)
+
+
+def _pack_rows(bits: np.ndarray) -> np.ndarray:
+    """np.packbits(bits, axis=0) of 0/1 uint8 rows: row l sets bit 7 - l % 8
+    of byte row l // 8.  H is binary, so a check of 8 layers packed
+    bytewise is nonzero iff a check of one of them is."""
+    out = np.zeros((-(-len(bits) // 8), bits.shape[1]), dtype=np.uint8)
+    for l, weight in enumerate(_ROW_WEIGHTS[:len(bits)]):
+        rows = bits[l::8]
+        out[:len(rows)] |= rows * weight   # a uint8 product; uint8 shifts are slower
+    return out
+
+
 def run_block(tx: Transceiver, h: GlobalParityCheck, points, params: MsaParams,
               master_seed: int, start: int, count: int, verify: bool = True) -> list:
     """Tallies of trials start..start+count-1: out[p][i, j] holds trial
@@ -192,8 +207,7 @@ def run_block(tx: Transceiver, h: GlobalParityCheck, points, params: MsaParams,
         frame = LlrFrame(llr(x + sigma * noise, sigma), s=s, n=n)
         bits, iters, conv = decode_batch(frame.layers(), h, params, limits)
         top = limits.index(max(limits))   # holds every converged result
-        # H is binary, so a check of 8 layers packed bytewise is nonzero iff one is
-        if verify and h.syndrome_weight(np.packbits(bits[conv[:, top], top], axis=0)).any():
+        if verify and h.syndrome_weight(_pack_rows(bits[conv[:, top], top])).any():
             raise RuntimeError("early stop reported convergence on a nonzero syndrome")
         tally = np.zeros((count, len(limits), 5 + s), dtype=np.int64)
         tally[..., 5:] = iters.reshape(count, s, -1).transpose(0, 2, 1)

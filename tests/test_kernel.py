@@ -24,7 +24,8 @@ from gftmux.channel import ChannelParams, LlrFrame, llr
 from gftmux.decoder import OPS_PER_EDGE, MsaParams, _flood, decode_batch
 from gftmux.galois import Gf2Map, gf2_product
 from gftmux.geometry import GlobalParityCheck
-from gftmux.sim import run_trial
+from gftmux.sim import run_trial, trial_rng
+from gftmux.txrx import StreamBlock
 
 SRC = Path(decoder.__file__).parent
 
@@ -66,9 +67,13 @@ def llr_values(mode, size, rng):
 
 
 @needs_kernel
-def test_kernel_matches_flood():
+def test_kernel_matches_flood(monkeypatch):
     """Random LLRs on desk and ex5 (m < 8), ex1 (m = 14) and random QC
-    exponent tables up to m = 20 (so numpy's blocks of eight repeat)."""
+    exponent tables up to m = 20 (so numpy's blocks of eight repeat), with
+    the lane cap at 1, 2, 3 and 8: lane counts that do not divide the
+    layer count, and lanes whose layers overflow beside lanes whose layers
+    converge.  ex1 and ex5 decode one layer at a time whatever the cap,
+    and hold at most 3 layers so that the oracle stays quick."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
@@ -85,21 +90,90 @@ def test_kernel_matches_flood():
 
     @hypothesis.settings(max_examples=150, deadline=None, database=None)
     @hypothesis.given(
-        h=graphs(), s=st.integers(1, 3),
+        h=graphs(), s=st.integers(1, 10),
         mode=st.sampled_from(["noisy", "ties", "huge"]),
         seed=st.integers(0, 2 ** 32 - 1),
         scale=st.sampled_from([0.625, 0.75, 1.0]),
         clip=st.sampled_from([None, 1.0, 4.0, 1e-3]),
         limits=st.lists(st.integers(1, 8), min_size=1, max_size=4))
     def run(h, s, mode, seed, scale, clip, limits):
+        s = s if h.n <= 13 else min(s, 3)
         rng = np.random.default_rng(seed)
         values = llr_values(mode, s * h.n_vars, rng)
         assert_matches_oracle(h, values, s, MsaParams(max_iterations=max(limits),
                                                       scale=scale, clip=clip),
                               tuple(limits))
 
-    with np.errstate(all="ignore"):   # the oracle's overflowing sums
-        run()
+    for max_lanes in (1, 2, 3, 8):
+        monkeypatch.setattr(decoder, "MAX_LANES", max_lanes)
+        with np.errstate(all="ignore"):   # the oracle's overflowing sums
+            run()
+
+
+def run_kernel(h, layers, params, limits, lanes, pad=0):
+    """The raw kernel on layers at the given lane count, with a work buffer
+    of the documented size plus pad sentinel doubles: (bits, kstar, work)."""
+    layers = np.ascontiguousarray(layers, dtype=np.float64)
+    steps = np.array(sorted(set(limits)), dtype=np.int64)
+    expo = np.ascontiguousarray(h.cpm_exponents % h.n, dtype=np.int64)
+    bits = np.zeros((len(layers), steps.size + 1, h.n_vars), dtype=np.uint8)
+    kstar = np.zeros(len(layers), dtype=np.int64)
+    work = np.full(decoder.work_doubles(h, lanes) + pad, -7.25)
+    decoder._kernel(layers.ctypes.data, len(layers), h.n, h.m, expo.ctypes.data,
+                    params.scale, np.inf if params.clip is None else params.clip,
+                    steps.ctypes.data, steps.size, lanes, work.ctypes.data,
+                    bits.ctypes.data, kstar.ctypes.data)
+    return bits, kstar, work
+
+
+def desk_block_llrs(ebn0_db, trials=64, seed=20260810):
+    """The (trials, 147) LLR frames of desk trials 0..trials-1 at ebn0_db,
+    drawn as run_block draws them."""
+    b = config.build_system(config.load_preset("desk_gf8"))
+    tx = b.transceiver
+    rngs = [trial_rng(seed, i) for i in range(trials)]
+    streams = StreamBlock(bits=np.stack([tx.random_streams(r).bits for r in rngs]), n=tx.n)
+    noise = np.stack([r.standard_normal(tx.s * tx.n * tx.n) for r in rngs])
+    _, x = tx.multiplex(tx.encode_composites(streams))
+    sigma = ChannelParams(ebn0_db=ebn0_db, rate=b.rate).sigma
+    return llr(x + sigma * noise, sigma)
+
+
+@needs_kernel
+@pytest.mark.parametrize("lanes", [1, 2, 3, 8])
+def test_overflowing_lane_between_converging_lanes(lanes):
+    """Eleven desk layers, the fifth overflowing: the kernel reports
+    kstar = -1 for it alone, every other layer converges with _flood's
+    iteration count and bits, and a lane never carries its layer's state
+    into the next layer it takes."""
+    h = preset_graph("desk_gf8")
+    params, limits = MsaParams(max_iterations=10), (3, 10)
+    layers = LlrFrame(desk_block_llrs(4.0, trials=4), s=3, n=7).layers()[:11].copy()
+    layers[4] = np.where(np.arange(h.n_vars) % 2, 1e308, -1e308)
+    bits, kstar, _ = run_kernel(h, layers, params, limits, lanes)
+    with np.errstate(all="ignore"):
+        expected = [_flood(lay, h, params, limits) for lay in layers]
+    assert kstar[4] == -1
+    for l, (ref_bits, ref_iterations, ref_converged) in enumerate(expected):
+        if l != 4:
+            assert ref_converged[-1] and kstar[l] == ref_iterations[-1]
+            assert (bits[l, -1] == ref_bits[-1]).all()
+
+
+@needs_kernel
+@pytest.mark.parametrize("preset, lanes", [("desk_gf8", 1), ("desk_gf8", 3), ("desk_gf8", 8),
+                                           (None, 2), (None, 5)])
+def test_kernel_stays_inside_documented_work(preset, lanes):
+    """Sentinels past the work size _flood.c documents come back untouched,
+    on desk (m = 3) and on a random m = 20, n = 13 table (the pairwise sum
+    in blocks of eight)."""
+    h = preset_graph(preset) if preset else GlobalParityCheck.from_exponents(
+        np.random.default_rng(9).integers(0, 13, size=(20, 13)))
+    layers = llr_values("noisy", (7, h.n_vars), np.random.default_rng(10))
+    _, kstar, work = run_kernel(h, layers, MsaParams(max_iterations=6), (2, 6), lanes,
+                                pad=256)
+    assert (kstar >= 0).all()
+    assert (work[-256:] == -7.25).all()
 
 
 @needs_kernel
@@ -133,7 +207,7 @@ def test_wide_columns_decode_with_flood(monkeypatch):
 def test_false_convergence_trips_verify(desk_bundle, monkeypatch):
     """A kernel that reports convergence on a nonzero syndrome is caught by
     SimConfig.verify's re-check."""
-    def lying(channel, s, n, m, expo, scale, clip, limits, k, work, bits, kstar):
+    def lying(channel, s, n, m, expo, scale, clip, limits, k, lanes, work, bits, kstar):
         ctypes.memset(bits, 1, s * (k + 1) * n * n)   # all ones: odd-weight checks fail
         converged = ctypes.cast(kstar, ctypes.POINTER(ctypes.c_int64))
         for l in range(s):
@@ -226,9 +300,14 @@ def cpu_flags():
 @functools.lru_cache(maxsize=None)
 def clone_cases():
     """(graph, frame values, s, params, limits, _flood's results per layer):
-    chain-made noisy ex1 and ex3 frames, and tied and overflowing LLRs on a
-    random m = 20 exponent table."""
+    chain-made noisy ex1 and ex3 frames, a 64-trial desk block at 0 and
+    4 dB (decoded 8 layers side by side), and tied and overflowing LLRs on
+    a random m = 20 exponent table."""
     cases, limits = [], (4, 10)
+    desk = preset_graph("desk_gf8")
+    for ebn0_db in (0.0, 4.0):
+        cases.append((desk, desk_block_llrs(ebn0_db), 3, MsaParams(max_iterations=10),
+                      limits))
     for preset in ("ex1_bch127_113", "ex3_rs127_121"):
         b = config.build_system(config.load_preset(preset))
         tx, h = b.transceiver, b.parity_check
@@ -271,6 +350,30 @@ def test_every_isa_clone_matches_flood(tmp_path, monkeypatch, march, flags):
         with np.errstate(all="ignore"):
             got = decode_batch(LlrFrame(values, s=s, n=h.n).layers(), h, params, limits)
         assert_same_results(h, got, expected)
+
+
+@pytest.mark.skipif(shutil.which("gcc") is None, reason="no gcc")
+def test_build_removes_stale_libraries(tmp_path):
+    """A build into an empty slot removes the libraries of other sources
+    from the cache and leaves other files; loading a cached library removes
+    nothing."""
+    cache = tmp_path / "cache" / "gftmux"
+    cache.mkdir(parents=True)
+    stale = ["gftmux-0123456789abcdef.so", "flood-5290d82f7a13386a.so"]
+    for name in [*stale, "notes.txt"]:
+        (cache / name).write_bytes(b"x")
+    env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path / "cache"),
+               PYTHONPATH=str(SRC.parent))
+    load = [sys.executable, "-c", "from gftmux import galois; assert galois.c_library"]
+    proc = subprocess.run(load, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    libs = sorted(p.name for p in cache.glob("*.so"))
+    assert len(libs) == 1 and libs[0].startswith("gftmux-") and libs[0] not in stale
+    assert (cache / "notes.txt").exists()
+    (cache / stale[0]).write_bytes(b"x")
+    proc = subprocess.run(load, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(p.name for p in cache.glob("*.so")) == sorted([*libs, stale[0]])
 
 
 def test_missing_compiler_falls_back_with_one_warning(tmp_path):
