@@ -156,19 +156,18 @@ def decode_batch(channel: np.ndarray, h: GlobalParityCheck, params: MsaParams,
     steps = np.array(sorted(set(limits)), dtype=np.int64)
     if steps[0] < 1:
         raise ValueError("iteration limits must be positive")
-    expo = np.ascontiguousarray(h.cpm_exponents, dtype=np.int64) % h.n
-    if expo.shape != (h.m, h.n):
-        raise ValueError(f"CPM exponent table {expo.shape} is not m x n = {(h.m, h.n)}")
     n_layers, k = len(channel), steps.size
     bits = np.zeros((n_layers, k + 1, h.n_vars), dtype=np.uint8)
     kstar = np.full(n_layers, -1, dtype=np.int64)   # -1: left to _flood
     if _kernel is not None and h.m <= KERNEL_MAX_M:
-        # every buffer is made here, C-contiguous with the dtype the kernel reads
+        # every buffer is C-contiguous with the dtype the kernel reads; the
+        # exponent table is made so when h is built
         g = max(1, min(MAX_LANES, n_layers, LANE_BYTES // (8 * h.n_edges)))
         work = np.empty(work_doubles(h, g))
-        _kernel(channel.ctypes.data, n_layers, h.n, h.m, expo.ctypes.data, params.scale,
-                np.inf if params.clip is None else params.clip, steps.ctypes.data, k,
-                g, work.ctypes.data, bits.ctypes.data, kstar.ctypes.data)
+        _kernel(channel.ctypes.data, n_layers, h.n, h.m, h.cpm_exponents.ctypes.data,
+                params.scale, np.inf if params.clip is None else params.clip,
+                steps.ctypes.data, k, g, work.ctypes.data, bits.ctypes.data,
+                kstar.ctypes.data)
     at, done = np.array(limits, dtype=np.int64), kstar[:, None]
     converged = (done > 0) & (done <= at)
     iterations = np.where(converged, done, at)

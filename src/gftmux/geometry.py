@@ -60,6 +60,13 @@ class GlobalParityCheck:
     check_vars: np.ndarray    # (m*n, n) variable indices
     var_edges: np.ndarray     # (n^2, m) edge slots into check_vars.reshape(-1)
 
+    def __post_init__(self):   # the table as the decoding kernel reads it, read-only
+        self.cpm_exponents = np.ascontiguousarray(self.cpm_exponents, dtype=np.int64) % self.n
+        if self.cpm_exponents.shape != (self.m, self.n):
+            raise ValueError(f"CPM exponent table {self.cpm_exponents.shape} "
+                             f"is not m x n = {(self.m, self.n)}")
+        self.cpm_exponents.flags.writeable = False
+
     @classmethod
     def from_exponents(cls, exponents) -> "GlobalParityCheck":
         expo = np.asarray(exponents, dtype=np.int64)

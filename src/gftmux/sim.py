@@ -166,7 +166,83 @@ class SimResult:
 
 
 def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
+    """The generator of one trial (the RNG contract): Transceiver.random_streams
+    then standard_normal(s*n^2) on it give the trial's bits and noise.  The
+    reference that draw_block is checked against, and perfbench's entry point."""
     return np.random.default_rng([master_seed, trial_index])
+
+
+# numpy's SeedSequence hash (a pool of 4 uint32 words) and PCG64 seeding.
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG_MULT, _MASK128 = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1
+
+
+def _seed_states(entropy: np.ndarray) -> list:
+    """The {"state", "inc"} of PCG64(SeedSequence(e)) for each column e of a
+    (words, count) uint32 entropy array, as numpy seeds them."""
+    ent = np.zeros((max(4, len(entropy)), entropy.shape[1]), dtype=np.uint32)
+    ent[:len(entropy)] = entropy   # the pool takes a zero for each missing word
+    consts = np.cumprod([_INIT_A] + [_MULT_A] * 4 * len(ent), dtype=np.uint32)[:, None]
+    used = 0
+
+    def hashmix(value, calls):   # the next calls hash steps, one per row
+        nonlocal used
+        value = (value ^ consts[used:used + calls]) * consts[used + 1:used + calls + 1]
+        used += calls
+        return value ^ value >> 16
+
+    def mix(x, y):
+        value = _MIX_L * x - _MIX_R * y
+        return value ^ value >> 16
+
+    pool = hashmix(ent[:4], 4)
+    for src in range(4):   # pool[src] is fixed while it mixes into the others
+        dst = [d for d in range(4) if d != src]
+        pool[dst] = mix(pool[dst], hashmix(pool[src], 3))
+    for word in ent[4:]:
+        pool = mix(pool, hashmix(word, 4))
+    consts = np.cumprod([_INIT_B] + [_MULT_B] * 8, dtype=np.uint32)[:, None]
+    words = (pool[[0, 1, 2, 3] * 2] ^ consts[:-1]) * consts[1:]   # generate_state
+    words = (words ^ words >> 16).astype(np.uint64)
+    out = []
+    for s_hi, s_lo, i_hi, i_lo in zip(*(words[0::2] | words[1::2] << 32).tolist()):
+        inc = (i_hi << 65 | i_lo << 1 | 1) & _MASK128   # pcg64_srandom_r
+        out.append({"state": ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128,
+                    "inc": inc})
+    return out
+
+
+def draw_block(tx: Transceiver, master_seed: int, start: int, count: int) -> tuple:
+    """(StreamBlock, noise) of trials start..start+count-1: exactly the bits
+    of tx.random_streams and then the standard_normal(s*n^2) of each
+    trial_rng, from one generator re-seeded per trial.  The first trial's
+    seeding is checked against trial_rng's, so that a change in numpy's
+    seeding raises RuntimeError rather than silently changing results."""
+    seed, states = int(master_seed), []
+    seed_words = [seed >> 32 * k & 0xFFFFFFFF
+                  for k in range(max(1, -(-seed.bit_length() // 32)))]
+    idx = np.arange(start, start + count, dtype=np.uint64)
+    for words in (1, 2):   # indices below 2^32 are one 32-bit word, the others two
+        run = idx[(idx >> np.uint64(32) > 0) == (words == 2)]
+        if run.size:   # the uint32 cast keeps the low word of each shifted index
+            states += _seed_states(np.array(np.broadcast_arrays(
+                *seed_words, *(run >> np.uint64(32 * k) for k in range(words))),
+                dtype=np.uint32))
+    gen = trial_rng(seed, start)   # the block's one generator
+    if gen.bit_generator.state["state"] != states[0]:
+        raise RuntimeError("the block seeding differs from numpy's default_rng")
+    half = -(-tx._draw_words // 2)
+    raw = np.empty((count, half), dtype=np.uint64)
+    noise = np.empty((count, tx.s * tx.n * tx.n))
+    for k, state in enumerate(states):
+        gen.bit_generator.state = {"bit_generator": "PCG64", "state": state,
+                                   "has_uint32": 0, "uinteger": 0}
+        raw[k] = gen.bit_generator.random_raw(half)
+        gen.standard_normal(out=noise[k])
+    # next_uint32 hands out the low half of each 64-bit word first
+    raw = raw.astype("<u8", copy=False).view(np.uint8)
+    return StreamBlock(bits=np.take(raw, tx._draw_at, axis=1) >> 7, n=tx.n), noise
 
 
 #: The bit each row of a group of 8 takes in _pack_rows.
@@ -191,15 +267,13 @@ def run_block(tx: Transceiver, h: GlobalParityCheck, points, params: MsaParams,
     global-error flag, composite errors, bit errors, edge ops, an
     all-layers-converged flag, then each layer's iterations.
 
-    Each trial draws from its own generator; the chain then runs once over
-    the stack, and each point decodes all count*s layers in one call up to
+    draw_block draws every trial's bits and noise; the chain then runs once
+    over the stack, and each point decodes all count*s layers in one call up to
     its largest limit (params gives scale and clip).  A decoded word equal
     to the transmitted one is not demultiplexed: the round trip is exact.
     """
     s, n = tx.s, tx.n
-    rngs = [trial_rng(master_seed, i) for i in range(start, start + count)]
-    streams = StreamBlock(bits=np.stack([tx.random_streams(r).bits for r in rngs]), n=n)
-    noise = np.stack([r.standard_normal(s * n * n) for r in rngs])
+    streams, noise = draw_block(tx, master_seed, start, count)
     composites = tx.encode_composites(streams)
     word, x = tx.multiplex(composites)
     out = []

@@ -125,19 +125,22 @@ def _counters(cell):
 def test_engine_matches_trial_replay(desk_bundle, workers):
     """Cells stop at different indices inside the first block (0 and 2 dB,
     on the error target) and at the frame cap in the third (4 dB); every
-    cell still equals a trial-by-trial replay of trials 0..frames-1."""
-    cfg = SimConfig(ebn0_db=[0.0, 2.0, 4.0], iterations=[2, 10, 4], scale=0.625,
-                    max_frames=2 * sim.BLOCK_SIZE + 5, target_errors=25, seed=41)
-    result = monte_carlo(desk_bundle.transceiver, desk_bundle.parity_check, cfg,
-                         rate=desk_bundle.rate, workers=workers)
-    assert [(c.ebn0_db, c.iterations_limit) for c in result.cells] == [
-        (e, lim) for e in cfg.ebn0_db for lim in cfg.iterations]
-    stops = {c.frames for c in result.cells}
-    assert len(stops) >= 4 and min(stops) < sim.BLOCK_SIZE
-    assert max(stops) == cfg.max_frames
-    for cell in result.cells:
-        ref = _replay(desk_bundle, cfg, cell.ebn0_db, cell.iterations_limit)
-        assert _counters(cell) == ref, (cell.ebn0_db, cell.iterations_limit)
+    cell still equals a trial-by-trial replay of trials 0..frames-1.  The
+    second seed takes three 32-bit words, so the replay's default_rng also
+    checks the block seeding on entropy longer than the small seeds'."""
+    for seed in (41, 2 ** 64 + 41):
+        cfg = SimConfig(ebn0_db=[0.0, 2.0, 4.0], iterations=[2, 10, 4], scale=0.625,
+                        max_frames=2 * sim.BLOCK_SIZE + 5, target_errors=25, seed=seed)
+        result = monte_carlo(desk_bundle.transceiver, desk_bundle.parity_check, cfg,
+                             rate=desk_bundle.rate, workers=workers)
+        assert [(c.ebn0_db, c.iterations_limit) for c in result.cells] == [
+            (e, lim) for e in cfg.ebn0_db for lim in cfg.iterations]
+        stops = {c.frames for c in result.cells}
+        assert len(stops) >= 4 and min(stops) < sim.BLOCK_SIZE
+        assert max(stops) == cfg.max_frames
+        for cell in result.cells:
+            ref = _replay(desk_bundle, cfg, cell.ebn0_db, cell.iterations_limit)
+            assert _counters(cell) == ref, (seed, cell.ebn0_db, cell.iterations_limit)
 
 
 def test_progress_reports_cells_in_stop_order(desk_bundle):

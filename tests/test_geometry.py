@@ -164,6 +164,19 @@ def test_dispersion_duplicate_roots():
         cpm_dispersion(bmat)
 
 
+def test_exponent_table_stored_as_the_kernel_reads_it():
+    """Construction reduces the table mod n into a read-only C-contiguous
+    int64 array, and refuses one that is not m x n."""
+    expo = np.asfortranarray([[0, 8, 15, 5, 3], [3, 4, -1, 9, 10]], dtype=np.int32)
+    h = GlobalParityCheck.from_exponents(expo)
+    table = h.cpm_exponents
+    assert table.dtype == np.int64 and table.flags["C_CONTIGUOUS"]
+    assert not table.flags.writeable and (table == expo % 5).all()
+    with pytest.raises(ValueError, match="is not m x n"):
+        GlobalParityCheck(m=1, n=5, cpm_exponents=expo, check_vars=h.check_vars,
+                          var_edges=h.var_edges)
+
+
 def test_dense_scale_guard():
     expo = np.zeros((1, 37), dtype=np.int64)
     h = GlobalParityCheck.from_exponents(expo)

@@ -115,14 +115,14 @@ def run_kernel(h, layers, params, limits, lanes, pad=0):
     of the documented size plus pad sentinel doubles: (bits, kstar, work)."""
     layers = np.ascontiguousarray(layers, dtype=np.float64)
     steps = np.array(sorted(set(limits)), dtype=np.int64)
-    expo = np.ascontiguousarray(h.cpm_exponents % h.n, dtype=np.int64)
     bits = np.zeros((len(layers), steps.size + 1, h.n_vars), dtype=np.uint8)
     kstar = np.zeros(len(layers), dtype=np.int64)
     work = np.full(decoder.work_doubles(h, lanes) + pad, -7.25)
-    decoder._kernel(layers.ctypes.data, len(layers), h.n, h.m, expo.ctypes.data,
-                    params.scale, np.inf if params.clip is None else params.clip,
-                    steps.ctypes.data, steps.size, lanes, work.ctypes.data,
-                    bits.ctypes.data, kstar.ctypes.data)
+    decoder._kernel(layers.ctypes.data, len(layers), h.n, h.m,
+                    h.cpm_exponents.ctypes.data, params.scale,
+                    np.inf if params.clip is None else params.clip, steps.ctypes.data,
+                    steps.size, lanes, work.ctypes.data, bits.ctypes.data,
+                    kstar.ctypes.data)
     return bits, kstar, work
 
 

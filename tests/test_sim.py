@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gftmux import config
+from gftmux import config, sim
 from gftmux.channel import ChannelParams
 from gftmux.decoder import MsaParams
 from gftmux.sim import (
@@ -94,8 +94,6 @@ def test_trial_errors_at_low_snr(desk):
 
 
 def test_trial_verify_raises_on_false_convergence(desk, monkeypatch):
-    from gftmux import sim
-
     def fake(channel, graph, params, limits):   # all ones, reported converged
         shape = (len(channel), len(limits))
         return (np.ones(shape + (graph.n_vars,), dtype=np.uint8),
@@ -106,6 +104,50 @@ def test_trial_verify_raises_on_false_convergence(desk, monkeypatch):
     with pytest.raises(RuntimeError, match="nonzero syndrome"):
         run_trial(desk.transceiver, desk.parity_check, 1.0, params, 555, 0)
     run_trial(desk.transceiver, desk.parity_check, 1.0, params, 555, 0, verify=False)
+
+
+def assert_block_matches_trial_rng(tx, seed, start, count):
+    """draw_block gives each trial's bits and noise as trial_rng, random_streams
+    and standard_normal(s*n^2) do, one trial at a time."""
+    streams, noise = sim.draw_block(tx, seed, start, count)
+    assert streams.bits.dtype == np.uint8 and noise.shape == (count, tx.s * tx.n ** 2)
+    for k in range(count):
+        rng = sim.trial_rng(seed, start + k)
+        assert (streams.bits[k] == tx.random_streams(rng).bits).all(), (seed, start + k)
+        assert (noise[k] == rng.standard_normal(tx.s * tx.n ** 2)).all(), (seed, start + k)
+
+
+@pytest.mark.parametrize("preset", config.list_presets())
+def test_draw_block_matches_trial_rng(preset):
+    """Seeds of one, two and three 32-bit words, and a block whose indices
+    cross from one word to two."""
+    tx = config.build_system(config.load_preset(preset)).transceiver
+    first = sim.BLOCK_SIZE if preset == "desk_gf8" else 3   # desk's block, or a few frames
+    for seed in (0, 1, 20260810, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 5):
+        for start, count in ((0, first), (2 ** 32 - 3, 7)):
+            assert_block_matches_trial_rng(tx, seed, start, count)
+
+
+def test_draw_block_matches_trial_rng_hypothesis(desk):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None)
+    @hypothesis.given(seed=st.integers(0, 2 ** 96 - 1), start=st.integers(0, 2 ** 40 - 1),
+                      count=st.integers(1, 9))
+    def run(seed, start, count):
+        assert_block_matches_trial_rng(desk.transceiver, seed, start, count)
+
+    run()
+
+
+def test_block_seeding_checked_against_trial_rng(desk, monkeypatch):
+    """A seeding hash that loses the last entropy word is caught at run time."""
+    exact = sim._seed_states
+    monkeypatch.setattr(sim, "_seed_states", lambda entropy: exact(entropy[:-1]))
+    params = MsaParams(max_iterations=10, scale=0.625)
+    with pytest.raises(RuntimeError, match="seeding"):
+        run_trial(desk.transceiver, desk.parity_check, 1.0, params, 555, 7)
 
 
 @pytest.mark.parametrize("rows", [0, 1, 7, 8, 9, 17, 192])
