@@ -7,14 +7,15 @@ alpha is the class of X modulo the primitive polynomial.  Addition is
 XOR; multiplication goes through log/antilog tables, so fields stay
 cheap to build for s up to 16.
 
-The C library holds the min-sum kernel (_flood.c, see decoder) and the
-GF(2) table product (_gf2.c, see Gf2Map).  It is compiled with gcc when
-this module is imported and cached under the user cache directory
+The C library holds the min-sum kernel (_flood.c, see decoder), the
+GF(2) table product (_gf2.c, see Gf2Map) and each trial's PCG64 words and
+ziggurat normals (_draw.c, see sim.draw_block).  It is compiled with gcc
+when this module is imported and cached under the user cache directory
 ($XDG_CACHE_HOME/gftmux or ~/.cache/gftmux), keyed by the SHA-256 of the
 sources, the flags and the machine; a build removes the libraries of
 other keys there.  When no compiler is available or the build fails,
-c_library is None, one warning says so, and both users run their numpy
-paths, which give the same results.
+c_library is None, one warning says so, and every user runs its numpy
+path, which gives the same results: numpy stays the reference.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import numpy as np
 CFLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
 
 #: The C sources built into the one library, beside this module.
-C_SOURCES = ("_flood.c", "_gf2.c")
+C_SOURCES = ("_flood.c", "_gf2.c", "_draw.c")
 
 
 def _load_library():
@@ -73,13 +74,16 @@ def _load_library():
         library = ctypes.CDLL(str(lib))
     except (OSError, subprocess.CalledProcessError) as exc:
         detail = getattr(exc, "stderr", None) or exc
-        warnings.warn(f"gftmux: C library unavailable, decoding with numpy and "
-                      f"applying the GF(2) maps with numpy tables ({detail})",
+        warnings.warn(f"gftmux: C library unavailable, decoding with numpy, "
+                      f"applying the GF(2) maps with numpy tables and drawing "
+                      f"the noise with numpy's Generator ({detail})",
                       RuntimeWarning, stacklevel=2)
         return None
     ptr, int64 = ctypes.c_void_p, ctypes.c_int64
     library.gftmux_gf2_apply.argtypes = [ptr, int64, int64, int64, ptr, ptr]
     library.gftmux_gf2_apply.restype = None
+    library.gftmux_draw.argtypes = [ptr, int64, int64, int64, ptr, ptr]
+    library.gftmux_draw.restype = None
     return library
 
 

@@ -325,6 +325,9 @@ def read_alist(source) -> AlistMatrix:
         with open(source) as fh:
             tokens_rows = [ln.split() for ln in fh.read().splitlines()]
     rows = [[int(t) for t in r] for r in tokens_rows if r]
+    if len(rows) < 4 or len(rows[0]) != 2:
+        raise ValueError("alist file lacks its 4-line header (shape, largest "
+                         "degrees, column degrees, row degrees)")
     n_cols, n_rows = rows[0]
     col_deg = rows[2]
     row_deg = rows[3]

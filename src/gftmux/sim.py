@@ -28,6 +28,7 @@ import numpy as np
 from .channel import ChannelParams, LlrFrame, llr
 from .cyclic import generator_matrix, mld_oracle
 from .decoder import OPS_PER_EDGE, MsaParams, decode_batch
+from .galois import c_library
 from .geometry import GlobalParityCheck
 from .txrx import GlobalWord, StreamBlock, Transceiver, bpsk_map
 
@@ -178,9 +179,10 @@ _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _PCG_MULT, _MASK128 = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1
 
 
-def _seed_states(entropy: np.ndarray) -> list:
-    """The {"state", "inc"} of PCG64(SeedSequence(e)) for each column e of a
-    (words, count) uint32 entropy array, as numpy seeds them."""
+def _seed_words(entropy: np.ndarray) -> np.ndarray:
+    """The four uint64 words SeedSequence(e).generate_state(4, uint64) gives
+    PCG64 (state high, state low, sequence high, sequence low) for each
+    column e of a (words, count) uint32 entropy array, as a (count, 4) array."""
     ent = np.zeros((max(4, len(entropy)), entropy.shape[1]), dtype=np.uint32)
     ent[:len(entropy)] = entropy   # the pool takes a zero for each missing word
     consts = np.cumprod([_INIT_A] + [_MULT_A] * 4 * len(ent), dtype=np.uint32)[:, None]
@@ -205,41 +207,65 @@ def _seed_states(entropy: np.ndarray) -> list:
     consts = np.cumprod([_INIT_B] + [_MULT_B] * 8, dtype=np.uint32)[:, None]
     words = (pool[[0, 1, 2, 3] * 2] ^ consts[:-1]) * consts[1:]   # generate_state
     words = (words ^ words >> 16).astype(np.uint64)
-    out = []
-    for s_hi, s_lo, i_hi, i_lo in zip(*(words[0::2] | words[1::2] << 32).tolist()):
-        inc = (i_hi << 65 | i_lo << 1 | 1) & _MASK128   # pcg64_srandom_r
-        out.append({"state": ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128,
-                    "inc": inc})
-    return out
+    return np.ascontiguousarray((words[0::2] | words[1::2] << 32).T)
+
+
+def _pcg_state(words) -> dict:
+    """The {"state", "inc"} of PCG64 seeded by pcg64_srandom_r from one
+    trial's four seed words."""
+    s_hi, s_lo, i_hi, i_lo = map(int, words)
+    inc = (i_hi << 65 | i_lo << 1 | 1) & _MASK128
+    return {"state": ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128,
+            "inc": inc}
+
+
+#: The library's draw of a block (_draw.c), or None to draw with numpy.
+_draw = None if c_library is None else c_library.gftmux_draw
+
+#: The first trial's raw words and normals that each block checks against numpy.
+_CHECKED = 64
 
 
 def draw_block(tx: Transceiver, master_seed: int, start: int, count: int) -> tuple:
     """(StreamBlock, noise) of trials start..start+count-1: exactly the bits
     of tx.random_streams and then the standard_normal(s*n^2) of each
-    trial_rng, from one generator re-seeded per trial.  The first trial's
-    seeding is checked against trial_rng's, so that a change in numpy's
-    seeding raises RuntimeError rather than silently changing results."""
-    seed, states = int(master_seed), []
+    trial_rng.  The C library seeds PCG64 per trial and draws its words and
+    its ziggurat normals; without it one numpy generator is re-seeded per
+    trial.  The first trial's seeding, and the library's first raw words and
+    normals, are checked against trial_rng's, so that a change in numpy's
+    seeding or ziggurat raises RuntimeError rather than changing results."""
+    seed = int(master_seed)
     seed_words = [seed >> 32 * k & 0xFFFFFFFF
                   for k in range(max(1, -(-seed.bit_length() // 32)))]
     idx = np.arange(start, start + count, dtype=np.uint64)
+    runs = []
     for words in (1, 2):   # indices below 2^32 are one 32-bit word, the others two
         run = idx[(idx >> np.uint64(32) > 0) == (words == 2)]
         if run.size:   # the uint32 cast keeps the low word of each shifted index
-            states += _seed_states(np.array(np.broadcast_arrays(
+            runs.append(_seed_words(np.array(np.broadcast_arrays(
                 *seed_words, *(run >> np.uint64(32 * k) for k in range(words))),
-                dtype=np.uint32))
-    gen = trial_rng(seed, start)   # the block's one generator
-    if gen.bit_generator.state["state"] != states[0]:
+                dtype=np.uint32)))
+    words = np.concatenate(runs)
+    gen = trial_rng(seed, start)   # the reference, and numpy's generator
+    if gen.bit_generator.state["state"] != _pcg_state(words[0]):
         raise RuntimeError("the block seeding differs from numpy's default_rng")
-    half = -(-tx._draw_words // 2)
+    half, nn = -(-tx._draw_words // 2), tx.s * tx.n * tx.n
     raw = np.empty((count, half), dtype=np.uint64)
-    noise = np.empty((count, tx.s * tx.n * tx.n))
-    for k, state in enumerate(states):
-        gen.bit_generator.state = {"bit_generator": "PCG64", "state": state,
-                                   "has_uint32": 0, "uinteger": 0}
-        raw[k] = gen.bit_generator.random_raw(half)
-        gen.standard_normal(out=noise[k])
+    noise = np.empty((count, nn))
+    if _draw is not None:
+        _draw(words.ctypes.data, count, half, nn, raw.ctypes.data, noise.ctypes.data)
+        head = gen.bit_generator.random_raw(min(_CHECKED, half))
+        gen.bit_generator.advance(half - len(head))
+        if ((raw[0, :len(head)] != head).any()
+                or (noise[0, :_CHECKED] != gen.standard_normal(min(_CHECKED, nn))).any()):
+            raise RuntimeError("the library's draw differs from numpy's PCG64 "
+                               "and standard_normal")
+    else:
+        for k in range(count):
+            gen.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0,
+                                       "state": _pcg_state(words[k]), "uinteger": 0}
+            raw[k] = gen.bit_generator.random_raw(half)
+            gen.standard_normal(out=noise[k])
     # next_uint32 hands out the low half of each 64-bit word first
     raw = raw.astype("<u8", copy=False).view(np.uint8)
     return StreamBlock(bits=np.take(raw, tx._draw_at, axis=1) >> 7, n=tx.n), noise

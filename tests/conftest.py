@@ -3,16 +3,17 @@ import struct
 import numpy as np
 import pytest
 
-from gftmux import config, cyclic, decoder, galois
+from gftmux import config, cyclic, decoder, galois, sim
 
 
 @pytest.fixture
 def numpy_kernel(monkeypatch):
-    """Decode with the numpy _flood oracle and apply the GF(2) maps with
-    numpy tables, as on a machine without a compiler; forked pool workers
-    inherit the choice."""
+    """Decode with the numpy _flood oracle, apply the GF(2) maps with numpy
+    tables and draw each block with numpy's generator, as on a machine
+    without a compiler; forked pool workers inherit the choice."""
     monkeypatch.setattr(decoder, "_kernel", None)
     monkeypatch.setattr(galois, "_gf2_apply", None)
+    monkeypatch.setattr(sim, "_draw", None)
 
 
 @pytest.fixture(scope="session")

@@ -67,7 +67,8 @@ def test_golden_csv(tmp_path, preset, workers, extra):
 
 @pytest.mark.parametrize("preset, workers, extra", GOLDEN_CASES)
 def test_golden_csv_numpy_kernel(tmp_path, numpy_kernel, preset, workers, extra):
-    """The golden bytes hold for the numpy oracle as for the compiled kernel."""
+    """The golden bytes hold for the numpy fallbacks (decoder, GF(2) maps and
+    block draw) as for the C library."""
     test_golden_csv(tmp_path, preset, workers, extra)
 
 

@@ -398,6 +398,13 @@ def test_alist_rejects_list_shorter_than_degree(desk_h):
         _read_lines(lines)
 
 
+@pytest.mark.parametrize("text", ["", "3 2\n", "3 2\n1 1\n", "3 2\n1 1\n1 1 1\n",
+                                  "3\n1 1\n1 1 1\n1 1\n"])
+def test_alist_rejects_short_header(text):
+    with pytest.raises(ValueError, match="lacks its 4-line header"):
+        read_alist(io.StringIO(text))
+
+
 def test_alist_rejects_inconsistent_edge_sets(desk_h):
     lines = _desk_alist_lines(desk_h)
     row = [int(i) for i in lines[53].split()]

@@ -378,15 +378,16 @@ def test_build_removes_stale_libraries(tmp_path):
 
 def test_missing_compiler_falls_back_with_one_warning(tmp_path):
     """With no gcc on PATH and an empty cache, importing the package warns
-    once; decoding runs on _flood and the GF(2) maps on numpy tables, and
-    desk's chain still round-trips, without further warnings."""
+    once; decoding runs on _flood, the GF(2) maps on numpy tables and the
+    block draw on numpy's generator, and desk's chain still round-trips,
+    without further warnings."""
     (tmp_path / "bin").mkdir()
     script = """
 import json, warnings
 import numpy as np
 with warnings.catch_warnings(record=True) as caught:
     warnings.simplefilter("always")
-    from gftmux import config, decoder, galois
+    from gftmux import config, decoder, galois, sim
     from gftmux.channel import LlrFrame
     b = config.build_system(config.load_preset("desk_gf8"))
     h, tx = b.parity_check, b.transceiver
@@ -397,8 +398,13 @@ with warnings.catch_warnings(record=True) as caught:
     streams = [tx.random_streams(rng) for _ in range(20)]
     round_trip = all(st.equal(tx.demultiplex(tx.transmit(st, verify=True)[0])[1])
                      for st in streams)
+    block, noise = sim.draw_block(tx, 7, 0, 3)
+    rng = sim.trial_rng(7, 2)
+    drawn = (block.bits[2] == tx.random_streams(rng).bits).all() and (
+        noise[2] == rng.standard_normal(noise.shape[1])).all()
 print(json.dumps({"kernel": decoder._kernel is not None,
                   "gf2_apply": galois._gf2_apply is not None,
+                  "draw": sim._draw is not None, "drawn": bool(drawn),
                   "converged": bool(converged.all()), "round_trip": round_trip,
                   "warnings": [str(w.message) for w in caught]}))
 """
@@ -408,8 +414,9 @@ print(json.dumps({"kernel": decoder._kernel is not None,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert out["kernel"] is False and out["gf2_apply"] is False
-    assert out["converged"] and out["round_trip"]
+    assert out["kernel"] is False and out["gf2_apply"] is False and out["draw"] is False
+    assert out["converged"] and out["round_trip"] and out["drawn"]
     assert len(out["warnings"]) == 1
     assert "decoding with numpy" in out["warnings"][0]
     assert "GF(2) maps with numpy" in out["warnings"][0]
+    assert "drawing the noise with numpy" in out["warnings"][0]

@@ -1,4 +1,5 @@
 import csv
+import ctypes
 import io
 from fractions import Fraction
 
@@ -143,11 +144,200 @@ def test_draw_block_matches_trial_rng_hypothesis(desk):
 
 def test_block_seeding_checked_against_trial_rng(desk, monkeypatch):
     """A seeding hash that loses the last entropy word is caught at run time."""
-    exact = sim._seed_states
-    monkeypatch.setattr(sim, "_seed_states", lambda entropy: exact(entropy[:-1]))
+    exact = sim._seed_words
+    monkeypatch.setattr(sim, "_seed_words", lambda entropy: exact(entropy[:-1]))
     params = MsaParams(max_iterations=10, scale=0.625)
     with pytest.raises(RuntimeError, match="seeding"):
         run_trial(desk.transceiver, desk.parity_check, 1.0, params, 555, 7)
+
+
+# -- the library's draw, against numpy branch by branch -----------------------
+
+needs_draw = pytest.mark.skipif(sim._draw is None, reason="the C library did not load")
+
+MASK64, MASK128 = 2 ** 64 - 1, 2 ** 128 - 1
+MULT_INV = pow(sim._PCG_MULT, -1, 2 ** 128)
+INC = 0x5851F42D4C957F2D14057B7EF767814F   # any odd increment
+RABS_TOP = 2 ** 52   # rabs, the ziggurat's 52-bit magnitude, is below this
+
+
+def xsl_rr_state(r, hi):
+    """The stepped state hi:lo whose XSL-RR output, (hi ^ lo) rotated right
+    by hi >> 58, is r."""
+    rot = hi >> 58
+    return hi << 64 | hi ^ (r << rot | r >> (64 - rot)) & MASK64
+
+
+def position(r, hi, then=None):
+    """A PCG64 (state, inc) whose next next64 is r, and whose one after is
+    then if given: the increment chooses the second step."""
+    first, inc = xsl_rr_state(r, hi), INC
+    if then is not None:   # one of the two has an odd increment
+        inc = next(i for i in ((xsl_rr_state(then, h) - first * sim._PCG_MULT) & MASK128
+                               for h in (hi, hi ^ 1)) if i & 1)
+    return (first - inc) * MULT_INV & MASK128, inc
+
+
+def seed_words(state, inc):
+    """The four seed words from which pcg64_srandom_r reaches (state, inc)."""
+    init = ((state - inc) * MULT_INV - inc) & MASK128
+    seq = inc >> 1
+    return np.array([[init >> 64, init & MASK64, seq >> 64, seq & MASK64]], dtype=np.uint64)
+
+
+def word(idx, sign, rabs):
+    """The next64 word the ziggurat reads as strip idx, sign bit and rabs."""
+    return idx | sign << 8 | rabs << 9
+
+
+def his(count, salt=0):
+    """count distinct high state halves, each picking another follow-up."""
+    return [(0x9E3779B97F4A7C15 * (k + 1) + salt) & MASK64 for k in range(count)]
+
+
+def library_draw(words, half, nn):
+    words = np.ascontiguousarray(words, dtype=np.uint64)
+    raw, noise = np.empty((len(words), half), np.uint64), np.empty((len(words), nn))
+    sim._draw(words.ctypes.data, len(words), half, nn, raw.ctypes.data, noise.ctypes.data)
+    return raw, noise
+
+
+class Ziggurat:
+    """numpy's standard_normal from a chosen PCG64 state, as the oracle of
+    the library's."""
+
+    def __init__(self):
+        self.gen = np.random.Generator(np.random.PCG64())
+
+    def normals(self, pos, count):
+        """numpy's standard_normal(count) from pos = (state, inc), and the
+        next64 calls its first normal took."""
+        (state, inc), bits = pos, self.gen.bit_generator
+        bits.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                      "state": {"state": state, "inc": inc}}
+        first = self.gen.standard_normal()
+        after = bits.state["state"]["state"]
+        for taken in range(1, 100):
+            state = (state * sim._PCG_MULT + inc) & MASK128
+            if state == after:
+                return np.concatenate([[first], self.gen.standard_normal(count - 1)]), taken
+        raise AssertionError("numpy's normal took 100 words or more")
+
+    def check(self, pos, follow=8):
+        """From pos, the library's first normal and the follow normals after
+        it equal numpy's bit for bit, so that the library's first normal also
+        ends where numpy's does.  Returns the words numpy's first normal
+        took, and that normal."""
+        ref, taken = self.normals(pos, 1 + follow)
+        _, got = library_draw(seed_words(*pos), 0, 1 + follow)
+        assert (got[0].view(np.uint64) == ref.view(np.uint64)).all(), pos
+        return taken, ref[0]
+
+    def least(self, rejects, top):
+        """The least v < top with rejects(v), by bisection (rejects is monotone)."""
+        low, high = 0, top
+        while low < high:
+            mid = (low + high) // 2
+            low, high = (low, mid) if rejects(mid) else (mid + 1, high)
+        return low
+
+    def ki(self, idx, hi):
+        """numpy's ki[idx]: the least rabs whose normal takes more than one word."""
+        return self.least(lambda rabs: self.normals(position(word(idx, 0, rabs), hi), 1)[1] > 1,
+                          RABS_TOP)
+
+
+@pytest.fixture(scope="module")
+def zig():
+    return Ziggurat()
+
+
+@needs_draw
+def test_library_normal_reads_each_wi_entry(zig):
+    """rabs = 1 gives x = +-wi[idx] in one word, on every strip but idx 1,
+    whose ki is 0: there the wedge test takes a second word and accepts."""
+    for idx in range(256):
+        for sign, hi in zip((0, 1), his(2, idx)):
+            taken, x = zig.check(position(word(idx, sign, 1), hi))
+            assert taken == (2 if idx == 1 else 1) and (x < 0) == bool(sign), idx
+
+
+@needs_draw
+def test_library_normal_at_each_ki_boundary(zig):
+    """rabs = ki[idx] - 1 returns in one word, rabs = ki[idx] goes on to the
+    wedge or the tail, on every strip and in both signs."""
+    for idx in range(256):
+        ki = zig.ki(idx, his(1, idx)[0])
+        assert ki < RABS_TOP
+        for sign, hi in zip((0, 1), his(2, 7 * idx)):
+            if ki:
+                assert zig.check(position(word(idx, sign, ki - 1), hi))[0] == 1, idx
+            assert zig.check(position(word(idx, sign, ki), hi))[0] > 1, idx
+
+
+@needs_draw
+@pytest.mark.parametrize("tail_sign", [0, 1])
+def test_library_normal_tail_with_a_retry(zig, tail_sign):
+    """Strip 0 past ki[0] samples the tail beyond r by (log1p, log1p) pairs:
+    seek one state accepted at the first pair (3 words) and one at the
+    second (5 words).  The tail's sign is bit 8 of rabs, not the sign bit."""
+    rabs = (RABS_TOP - 1) & ~(1 << 8) | tail_sign << 8
+    seen = {}
+    for hi in his(2000, tail_sign):
+        taken, x = zig.check(position(word(0, 1 - tail_sign, rabs), hi))
+        assert abs(x) > 3.6541528853610087 and (x < 0) == bool(tail_sign)
+        seen.setdefault(taken, hi)
+        if 3 in seen and 5 in seen:
+            break
+    assert 3 in seen and 5 in seen, sorted(seen)
+
+
+@needs_draw
+def test_library_normal_at_each_fi_boundary(zig):
+    """On every strip, x halfway into the wedge is accepted (2 words) when
+    the next word's double u has (fi[idx-1] - fi[idx]) * u + fi[idx] below
+    exp(-0.5 * x * x), and rejected (more words) otherwise: at numpy's
+    least rejecting u and the u just below it, the library decides as
+    numpy does."""
+    for idx in range(1, 256):
+        hi = his(1, idx)[0]
+        r = word(idx, idx & 1, (zig.ki(idx, hi) + RABS_TOP) // 2)
+        u = zig.least(lambda u: zig.normals(position(r, hi, u << 11), 1)[1] > 2, 2 ** 53)
+        assert 0 < u < 2 ** 53, idx
+        assert zig.check(position(r, hi, u - 1 << 11))[0] == 2
+        assert zig.check(position(r, hi, u << 11))[0] > 2
+
+
+@needs_draw
+def test_library_draw_matches_numpy_over_2m_normals():
+    """Raw words then 500k normals on each of four seeds, as PCG64 and
+    standard_normal draw them; about 130 of each 500k fall in the tail."""
+    for seed in range(4):
+        seq = np.random.SeedSequence([seed, 20260810])
+        raw, noise = library_draw(seq.generate_state(4, np.uint64)[None], 70, 500_000)
+        gen = np.random.Generator(np.random.PCG64(seq))
+        assert (raw[0] == gen.bit_generator.random_raw(70)).all()
+        assert (noise[0].view(np.uint64) == gen.standard_normal(500_000).view(np.uint64)).all()
+
+
+@needs_draw
+@pytest.mark.parametrize("target", ["raw", "noise"])
+def test_library_draw_checked_against_numpy(desk, monkeypatch, target):
+    """A library draw whose first trial differs from numpy's in one raw word
+    or one normal of the checked prefix raises RuntimeError."""
+    exact = sim._draw
+
+    def perturbed(words, count, half, nn, raw, noise):
+        exact(words, count, half, nn, raw, noise)
+        ptr, ctype, size = ((raw, ctypes.c_uint64, half) if target == "raw"
+                            else (noise, ctypes.c_double, nn))
+        first = np.ctypeslib.as_array(ctypes.cast(ptr, ctypes.POINTER(ctype)), (size,))
+        last = min(size, sim._CHECKED) - 1   # the last entry checked
+        first[last] = first[last] ^ 1 if target == "raw" else np.nextafter(first[last], 9)
+
+    monkeypatch.setattr(sim, "_draw", perturbed)
+    with pytest.raises(RuntimeError, match="library's draw"):
+        sim.draw_block(desk.transceiver, 555, 7, 3)
 
 
 @pytest.mark.parametrize("rows", [0, 1, 7, 8, 9, 17, 192])
