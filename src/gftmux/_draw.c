@@ -3,9 +3,9 @@
  *
  * PCG64 is O'Neill's XSL-RR 128/64 generator: a 128-bit LCG whose next64
  * steps the state and then outputs the XOR of its halves rotated right by
- * the state's top 6 bits.  pcg64_srandom_r seeds it from the four 64-bit
- * words SeedSequence gives PCG64 (state high, state low, sequence high,
- * sequence low).
+ * the state's top 6 bits.  gftmux_seed hashes each trial's SeedSequence into
+ * the four 64-bit words it gives PCG64 (state high, state low, sequence high,
+ * sequence low), and gftmux_draw seeds PCG64 from them as pcg64_srandom_r does.
  *
  * The normals are numpy's ziggurat (Marsaglia and Tsang, J. Stat. Softw.
  * 5(8), 2000, as numpy's random_standard_normal runs it) with numpy's own
@@ -333,6 +333,51 @@ static double normal(u128 *state, u128 inc)
         if ((fi[idx - 1] - fi[idx]) * next_double(state, inc) + fi[idx]
                 < exp(-0.5 * x * x))
             return x;
+    }
+}
+
+/* numpy's SeedSequence hash step: MULT_A in mix_entropy, MULT_B in generate_state. */
+static inline uint32_t hashmix(uint32_t value, uint32_t *hash, uint32_t mult)
+{
+    value ^= *hash;
+    *hash *= mult;
+    value *= *hash;
+    return value ^ value >> 16;
+}
+
+static inline uint32_t mix(uint32_t x, uint32_t y)
+{
+    uint32_t value = 0xca01f9ddu * x - 0x4973f715u * y;
+    return value ^ value >> 16;
+}
+
+/* For each of count trials, the four words SeedSequence([seed, start + t])
+ * .generate_state(4, uint64) gives PCG64, into words[4t ...]; the entropy is
+ * the seed's nseed words, then the index's one (below 2^32) or two, low first. */
+void gftmux_seed(const uint32_t *seed, int64_t nseed, uint64_t start, int64_t count,
+                 uint64_t *words)
+{
+    for (int64_t t = 0; t < count; t++) {
+        uint64_t idx = start + t;
+        uint32_t ix[2] = {(uint32_t)idx, (uint32_t)(idx >> 32)};
+        int64_t len = nseed + (idx >> 32 ? 2 : 1);
+        uint32_t pool[4], out[8], hash = 0x43b0d7e5u, mult = 0x931e8875u;   /* INIT_A */
+        for (int i = 0; i < 4; i++)   /* a missing word hashes as 0 */
+            pool[i] = hashmix(i >= len ? 0 : i < nseed ? seed[i] : ix[i - nseed], &hash, mult);
+        for (int src = 0; src < 4; src++)
+            for (int dst = 0; dst < 4; dst++)
+                if (src != dst)
+                    pool[dst] = mix(pool[dst], hashmix(pool[src], &hash, mult));
+        for (int64_t k = 4; k < len; k++) {   /* words past the pool mix in */
+            uint32_t word = k < nseed ? seed[k] : ix[k - nseed];
+            for (int dst = 0; dst < 4; dst++)
+                pool[dst] = mix(pool[dst], hashmix(word, &hash, mult));
+        }
+        hash = 0x8b51f9ddu, mult = 0x58f38dedu;   /* INIT_B, MULT_B */
+        for (int i = 0; i < 8; i++)
+            out[i] = hashmix(pool[i % 4], &hash, mult);
+        for (int i = 0; i < 4; i++)   /* each uint64 is a pair, low word first */
+            words[4 * t + i] = (uint64_t)out[2 * i + 1] << 32 | out[2 * i];
     }
 }
 

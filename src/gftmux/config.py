@@ -21,6 +21,7 @@ primitive_poly is a hex coefficient mask, bit i = coefficient of X^i.
 from __future__ import annotations
 
 import json
+import os
 import sys
 from dataclasses import dataclass
 from importlib import resources
@@ -111,13 +112,15 @@ _EXPECTED_FIELDS = {
 #: be, and its check.  |Eb/N0| <= 1000 dB keeps sigma and the LLRs finite
 #: for any rate above 1e-200.
 _FIELDS = {
-    ("channel", "ebn0_db"): ([0.0, 2.0, 4.0], "a nonempty list of reals in [-1000, 1000] dB",
+    ("channel", "ebn0_db"): ([0.0, 2.0, 4.0],
+                             "a nonempty list of distinct reals in [-1000, 1000] dB",
                              lambda v: isinstance(v, list) and v
-                             and all(_is_real(e) and -1000 <= e <= 1000 for e in v)),
+                             and all(_is_real(e) and -1000 <= e <= 1000 for e in v)
+                             and len(set(v)) == len(v)),
     ("channel", "seed"): (1, "a non-negative integer", lambda v: _is_int(v) and v >= 0),
-    ("decoder", "iterations"): ([10], "a nonempty list of positive integers",
+    ("decoder", "iterations"): ([10], "a nonempty list of distinct positive integers",
                                 lambda v: isinstance(v, list) and v
-                                and all(_is_count(i) for i in v)),
+                                and all(_is_count(i) for i in v) and len(set(v)) == len(v)),
     ("decoder", "scale"): (0.625, "a real number in (0, 1]",
                            lambda v: _is_real(v) and 0 < v <= 1),
     ("decoder", "clip"): (None, "null or a positive finite real",
@@ -213,6 +216,11 @@ def build_system(cfg: dict) -> SystemBundle:
     as their own exception types for the verifier to report.
     """
     name = cfg.get("name", "unnamed")
+    # the name is the stem of every output file, which must land in its directory
+    if (not isinstance(name, str) or name in ("", ".", "..")
+            or any(c in name for c in (os.sep, os.altsep or os.sep, "\0"))):
+        raise ConfigError("name must be a nonempty string without a path separator, "
+                          f"other than . and .., got {name!r}")
     fld_sec, code_sec = _section(cfg, "field"), _section(cfg, "code")
 
     s = _require(fld_sec, "s", "field")
@@ -263,6 +271,9 @@ def build_system(cfg: dict) -> SystemBundle:
         if not valid(got[key]):
             raise ConfigError(f"{sec}.{key} must be {what}, got {got[key]!r}")
     output_dir = got.pop("dir")
+    if got["baseline"] and (mode != "binary" or n > 15):
+        raise ConfigError(f"sim.baseline needs a binary code with n <= 15 (the MLD "
+                          f"oracle's limit), got a {mode} code with n={n}")
     sim_cfg = SimConfig(**dict(
         got, ebn0_db=[float(e) for e in got["ebn0_db"]], iterations=list(got["iterations"]),
         scale=float(got["scale"]), clip=None if got["clip"] is None else float(got["clip"])))

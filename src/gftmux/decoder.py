@@ -26,7 +26,6 @@ lane of every vector, so that their loops are not only n long.
 
 from __future__ import annotations
 
-import ctypes
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,21 +49,8 @@ KERNEL_MAX_M = 128
 MAX_LANES = 8
 LANE_BYTES = 2 ** 15
 
-
-def _flood_entry():
-    """The kernel's entry point in the C library, or None without one."""
-    if c_library is None:
-        return None
-    fn = c_library.gftmux_flood
-    ptr, int64, double = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
-    fn.argtypes = [ptr, int64, int64, int64, ptr, double, double, ptr, int64,
-                   int64, ptr, ptr, ptr]
-    fn.restype = None
-    return fn
-
-
 #: The compiled kernel, or None to decode with _flood.
-_kernel = _flood_entry()
+_kernel = None if c_library is None else c_library.gftmux_flood
 
 
 @dataclass(frozen=True)

@@ -8,14 +8,15 @@ XOR; multiplication goes through log/antilog tables, so fields stay
 cheap to build for s up to 16.
 
 The C library holds the min-sum kernel (_flood.c, see decoder), the
-GF(2) table product (_gf2.c, see Gf2Map) and each trial's PCG64 words and
-ziggurat normals (_draw.c, see sim.draw_block).  It is compiled with gcc
-when this module is imported and cached under the user cache directory
-($XDG_CACHE_HOME/gftmux or ~/.cache/gftmux), keyed by the SHA-256 of the
-sources, the flags and the machine; a build removes the libraries of
-other keys there.  When no compiler is available or the build fails,
-c_library is None, one warning says so, and every user runs its numpy
-path, which gives the same results: numpy stays the reference.
+GF(2) table product (_gf2.c, see Gf2Map), and each trial's SeedSequence
+hash, PCG64 words and ziggurat normals (_draw.c, see sim.draw_block); the
+loader declares the argument types of all its entry points.  It is
+compiled with gcc when this module is imported and cached under the user
+cache directory ($XDG_CACHE_HOME/gftmux or ~/.cache/gftmux), keyed by the
+SHA-256 of the sources, the flags and the machine; a build removes the
+libraries of other keys there.  When no compiler is available or the
+build fails, c_library is None, one warning says so, and every user runs
+its numpy path, which gives the same results: numpy stays the reference.
 """
 
 from __future__ import annotations
@@ -79,11 +80,15 @@ def _load_library():
                       f"the noise with numpy's Generator ({detail})",
                       RuntimeWarning, stacklevel=2)
         return None
-    ptr, int64 = ctypes.c_void_p, ctypes.c_int64
-    library.gftmux_gf2_apply.argtypes = [ptr, int64, int64, int64, ptr, ptr]
-    library.gftmux_gf2_apply.restype = None
-    library.gftmux_draw.argtypes = [ptr, int64, int64, int64, ptr, ptr]
-    library.gftmux_draw.restype = None
+    ptr, int64, double = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
+    for name, argtypes in (
+            ("gftmux_flood", [ptr, int64, int64, int64, ptr, double, double, ptr, int64,
+                              int64, ptr, ptr, ptr]),
+            ("gftmux_gf2_apply", [ptr, int64, int64, int64, ptr, ptr]),
+            ("gftmux_seed", [ptr, int64, ctypes.c_uint64, int64, ptr]),
+            ("gftmux_draw", [ptr, int64, int64, int64, ptr, ptr])):
+        fn = getattr(library, name)
+        fn.argtypes, fn.restype = argtypes, None
     return library
 
 

@@ -169,57 +169,13 @@ class SimResult:
 def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
     """The generator of one trial (the RNG contract): Transceiver.random_streams
     then standard_normal(s*n^2) on it give the trial's bits and noise.  The
-    reference that draw_block is checked against, and perfbench's entry point."""
+    reference that draw_block is checked against (and, without the C library,
+    draws with), and perfbench's entry point."""
     return np.random.default_rng([master_seed, trial_index])
 
 
-# numpy's SeedSequence hash (a pool of 4 uint32 words) and PCG64 seeding.
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_PCG_MULT, _MASK128 = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1
-
-
-def _seed_words(entropy: np.ndarray) -> np.ndarray:
-    """The four uint64 words SeedSequence(e).generate_state(4, uint64) gives
-    PCG64 (state high, state low, sequence high, sequence low) for each
-    column e of a (words, count) uint32 entropy array, as a (count, 4) array."""
-    ent = np.zeros((max(4, len(entropy)), entropy.shape[1]), dtype=np.uint32)
-    ent[:len(entropy)] = entropy   # the pool takes a zero for each missing word
-    consts = np.cumprod([_INIT_A] + [_MULT_A] * 4 * len(ent), dtype=np.uint32)[:, None]
-    used = 0
-
-    def hashmix(value, calls):   # the next calls hash steps, one per row
-        nonlocal used
-        value = (value ^ consts[used:used + calls]) * consts[used + 1:used + calls + 1]
-        used += calls
-        return value ^ value >> 16
-
-    def mix(x, y):
-        value = _MIX_L * x - _MIX_R * y
-        return value ^ value >> 16
-
-    pool = hashmix(ent[:4], 4)
-    for src in range(4):   # pool[src] is fixed while it mixes into the others
-        dst = [d for d in range(4) if d != src]
-        pool[dst] = mix(pool[dst], hashmix(pool[src], 3))
-    for word in ent[4:]:
-        pool = mix(pool, hashmix(word, 4))
-    consts = np.cumprod([_INIT_B] + [_MULT_B] * 8, dtype=np.uint32)[:, None]
-    words = (pool[[0, 1, 2, 3] * 2] ^ consts[:-1]) * consts[1:]   # generate_state
-    words = (words ^ words >> 16).astype(np.uint64)
-    return np.ascontiguousarray((words[0::2] | words[1::2] << 32).T)
-
-
-def _pcg_state(words) -> dict:
-    """The {"state", "inc"} of PCG64 seeded by pcg64_srandom_r from one
-    trial's four seed words."""
-    s_hi, s_lo, i_hi, i_lo = map(int, words)
-    inc = (i_hi << 65 | i_lo << 1 | 1) & _MASK128
-    return {"state": ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128,
-            "inc": inc}
-
-
-#: The library's draw of a block (_draw.c), or None to draw with numpy.
+#: The library's seeding and draw of a block (_draw.c), or None to draw with numpy.
+_seed = None if c_library is None else c_library.gftmux_seed
 _draw = None if c_library is None else c_library.gftmux_draw
 
 #: The first trial's raw words and normals that each block checks against numpy.
@@ -229,43 +185,32 @@ _CHECKED = 64
 def draw_block(tx: Transceiver, master_seed: int, start: int, count: int) -> tuple:
     """(StreamBlock, noise) of trials start..start+count-1: exactly the bits
     of tx.random_streams and then the standard_normal(s*n^2) of each
-    trial_rng.  The C library seeds PCG64 per trial and draws its words and
-    its ziggurat normals; without it one numpy generator is re-seeded per
-    trial.  The first trial's seeding, and the library's first raw words and
-    normals, are checked against trial_rng's, so that a change in numpy's
-    seeding or ziggurat raises RuntimeError rather than changing results."""
+    trial_rng.  The C library hashes each trial's SeedSequence, seeds its
+    PCG64 and draws its words and its ziggurat normals; the first trial's
+    first raw words and normals are checked against trial_rng's, so that a
+    change in numpy's seeding or ziggurat raises RuntimeError rather than
+    changing results.  Without the library, trial_rng draws each trial."""
     seed = int(master_seed)
-    seed_words = [seed >> 32 * k & 0xFFFFFFFF
-                  for k in range(max(1, -(-seed.bit_length() // 32)))]
-    idx = np.arange(start, start + count, dtype=np.uint64)
-    runs = []
-    for words in (1, 2):   # indices below 2^32 are one 32-bit word, the others two
-        run = idx[(idx >> np.uint64(32) > 0) == (words == 2)]
-        if run.size:   # the uint32 cast keeps the low word of each shifted index
-            runs.append(_seed_words(np.array(np.broadcast_arrays(
-                *seed_words, *(run >> np.uint64(32 * k) for k in range(words))),
-                dtype=np.uint32)))
-    words = np.concatenate(runs)
-    gen = trial_rng(seed, start)   # the reference, and numpy's generator
-    if gen.bit_generator.state["state"] != _pcg_state(words[0]):
-        raise RuntimeError("the block seeding differs from numpy's default_rng")
-    half, nn = -(-tx._draw_words // 2), tx.s * tx.n * tx.n
+    nn = tx.s * tx.n * tx.n
+    if _draw is None:   # the RNG contract itself, trial by trial
+        rngs = [trial_rng(seed, i) for i in range(start, start + count)]
+        streams = StreamBlock(bits=np.stack([tx.random_streams(r).bits for r in rngs]), n=tx.n)
+        return streams, np.stack([r.standard_normal(nn) for r in rngs])
+    gen = trial_rng(seed, start)   # the reference; it also rejects a negative seed
+    seed32 = np.frombuffer(seed.to_bytes(4 * max(1, -(-seed.bit_length() // 32)),
+                                         "little"), dtype="<u4")
+    words = np.empty((count, 4), dtype=np.uint64)
+    _seed(seed32.ctypes.data, len(seed32), start, count, words.ctypes.data)
+    half = -(-tx._draw_words // 2)
     raw = np.empty((count, half), dtype=np.uint64)
     noise = np.empty((count, nn))
-    if _draw is not None:
-        _draw(words.ctypes.data, count, half, nn, raw.ctypes.data, noise.ctypes.data)
-        head = gen.bit_generator.random_raw(min(_CHECKED, half))
-        gen.bit_generator.advance(half - len(head))
-        if ((raw[0, :len(head)] != head).any()
-                or (noise[0, :_CHECKED] != gen.standard_normal(min(_CHECKED, nn))).any()):
-            raise RuntimeError("the library's draw differs from numpy's PCG64 "
-                               "and standard_normal")
-    else:
-        for k in range(count):
-            gen.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0,
-                                       "state": _pcg_state(words[k]), "uinteger": 0}
-            raw[k] = gen.bit_generator.random_raw(half)
-            gen.standard_normal(out=noise[k])
+    _draw(words.ctypes.data, count, half, nn, raw.ctypes.data, noise.ctypes.data)
+    head = gen.bit_generator.random_raw(min(_CHECKED, half))
+    gen.bit_generator.advance(half - len(head))
+    if ((raw[0, :len(head)] != head).any()
+            or (noise[0, :_CHECKED] != gen.standard_normal(min(_CHECKED, nn))).any()):
+        raise RuntimeError("the library's draw differs from numpy's SeedSequence, "
+                           "PCG64 and standard_normal")
     # next_uint32 hands out the low half of each 64-bit word first
     raw = raw.astype("<u8", copy=False).view(np.uint8)
     return StreamBlock(bits=np.take(raw, tx._draw_at, axis=1) >> 7, n=tx.n), noise

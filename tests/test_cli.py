@@ -271,6 +271,8 @@ def test_conjugacy_violation_reported(tmp_path, capsys):
     ("sim.verify=1", "sim.verify"),
     ('sim.baseline="no"', "sim.baseline"),
     ("sim.baseline=0", "sim.baseline"),
+    ("channel.ebn0_db=[2.0,4.0,2]", "channel.ebn0_db"),
+    ("decoder.iterations=[10,50,10]", "decoder.iterations"),
     ("code.roots=[true,2,4]", "code.roots"),
     ("code.roots=[0,1,2,3,4,5,6]", "code.roots"),
     ("channel.ebn0_db=[1e308]", "channel.ebn0_db"),
@@ -306,6 +308,40 @@ def test_config_field_types(tmp_path, capsys, override, field):
     assert not (tmp_path / "desk_gf8.csv").exists()
 
 
+@pytest.mark.parametrize("name", [[1, 2], "", ".", "..", "../escape", "sub/run", "a\0b",
+                                  7, None])
+def test_config_name_is_a_file_stem(tmp_path, capsys, name):
+    """The name becomes <outdir>/<name>.csv: anything but a nonempty string
+    without a path separator, other than . and .., is a config error, and
+    nothing is written inside or outside the output directory."""
+    args = ["simulate", "--preset", "desk_gf8", "--outdir", str(tmp_path / "out"),
+            "--quiet", "--set", f"name={json.dumps(name)}"]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: name") and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("preset, override", [("ex5_rs89_85", "sim.baseline=true"),
+                                              ("desk_gf8", 'code.mode="nonbinary"')])
+def test_baseline_needs_small_binary_code(tmp_path, capsys, monkeypatch, preset, override):
+    """The MLD baseline decodes binary codes of n <= 15 only: any other code
+    with sim.baseline true (desk's preset sets it) is refused before the
+    sweep, and no output is left."""
+    import gftmux.cli as cli
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(cli, "monte_carlo", no_sweep)
+    args = ["simulate", "--preset", preset, "--outdir", str(tmp_path / "out"), "--quiet",
+            "--set", override]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: sim.baseline") and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cmd_simulate_unwritable_output(tmp_path, capsys, monkeypatch):
     import gftmux.cli as cli
 
@@ -323,12 +359,14 @@ def test_cmd_simulate_unwritable_output(tmp_path, capsys, monkeypatch):
     assert main(args) == 1
     err = capsys.readouterr().err
     assert err.startswith("simulate failed:") and "Traceback" not in err
-    # the directory exists but the CSV path under it does not
-    args = ["simulate", "--preset", "desk_gf8", "--outdir", str(tmp_path),
-            "--quiet", "--set", 'name="missing/run"'] + quick
+    # the directory exists but a directory stands at the CSV path
+    (tmp_path / "held" / "desk_gf8.csv").mkdir(parents=True)
+    args = ["simulate", "--preset", "desk_gf8", "--outdir", str(tmp_path / "held"),
+            "--quiet"] + quick
     assert main(args) == 1
     err = capsys.readouterr().err
     assert err.startswith("simulate failed:") and "Traceback" not in err
+    assert not (tmp_path / "held" / "desk_gf8.manifest.json").exists()
     # the CSV can be opened but the manifest cannot: no empty CSV is left
     (tmp_path / "desk_gf8.manifest.json").mkdir()
     args = ["simulate", "--preset", "desk_gf8", "--outdir", str(tmp_path),

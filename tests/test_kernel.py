@@ -376,6 +376,32 @@ def test_build_removes_stale_libraries(tmp_path):
     assert sorted(p.name for p in cache.glob("*.so")) == sorted([*libs, stale[0]])
 
 
+@needs_kernel
+def test_loader_declares_every_entry_point():
+    """galois.py loaded alone, in a fresh interpreter and without the rest of
+    the package, sets argtypes on every gftmux_* function its C_SOURCES
+    define: no caller declares an entry point of its own."""
+    script = r"""
+import importlib.util, json, re, sys
+from pathlib import Path
+path = Path(sys.argv[1])
+spec = importlib.util.spec_from_file_location("galois_alone", path)
+galois = sys.modules["galois_alone"] = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(galois)
+names = sorted({name for source in galois.C_SOURCES for name in re.findall(
+    r"^\w[\w ]*\b(gftmux_\w+)\(", path.with_name(source).read_text(), re.M)})
+print(json.dumps({"names": names, "package": [m for m in sys.modules if "gftmux" in m],
+                  "declared": [getattr(galois.c_library, n).argtypes is not None
+                               for n in names]}))
+"""
+    proc = subprocess.run([sys.executable, "-c", script, str(SRC / "galois.py")],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert out["names"] == ["gftmux_draw", "gftmux_flood", "gftmux_gf2_apply", "gftmux_seed"]
+    assert out["package"] == [] and all(out["declared"])
+
+
 def test_missing_compiler_falls_back_with_one_warning(tmp_path):
     """With no gcc on PATH and an empty cache, importing the package warns
     once; decoding runs on _flood, the GF(2) maps on numpy tables and the

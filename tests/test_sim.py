@@ -142,21 +142,72 @@ def test_draw_block_matches_trial_rng_hypothesis(desk):
     run()
 
 
-def test_block_seeding_checked_against_trial_rng(desk, monkeypatch):
-    """A seeding hash that loses the last entropy word is caught at run time."""
-    exact = sim._seed_words
-    monkeypatch.setattr(sim, "_seed_words", lambda entropy: exact(entropy[:-1]))
-    params = MsaParams(max_iterations=10, scale=0.625)
-    with pytest.raises(RuntimeError, match="seeding"):
-        run_trial(desk.transceiver, desk.parity_check, 1.0, params, 555, 7)
-
-
-# -- the library's draw, against numpy branch by branch -----------------------
+# -- the library's seeding and draw, against numpy ------------------------------
 
 needs_draw = pytest.mark.skipif(sim._draw is None, reason="the C library did not load")
 
+
+def library_seed(seed, start, count):
+    """gftmux_seed's four words per trial, from the seed's uint32 words."""
+    seed32 = np.array([seed >> 32 * k & 0xFFFFFFFF
+                       for k in range(max(1, -(-seed.bit_length() // 32)))], dtype=np.uint32)
+    words = np.empty((count, 4), dtype=np.uint64)
+    sim._seed(seed32.ctypes.data, len(seed32), start, count, words.ctypes.data)
+    return words
+
+
+def assert_seed_matches_seedsequence(seed, start, count):
+    expected = [np.random.SeedSequence([seed, i]).generate_state(4, np.uint64)
+                for i in range(start, start + count)]
+    assert (library_seed(seed, start, count) == expected).all(), (seed, start, count)
+
+
+@needs_draw
+@pytest.mark.parametrize("seed", [0, 1, 20260810, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 5,
+                                  2 ** 96 - 1, 2 ** 96 + 1, 2 ** 128 + 3, 2 ** 400 + 7])
+def test_library_seed_matches_seedsequence(seed):
+    """Seeds of 1, 2, 3, 4, 5 and 13 uint32 words, so that the entropy fills
+    the pool of 4 or runs past it, and blocks below 2^32, crossing it (one
+    index word to two), at 2^40 and at the top of the uint64 range."""
+    for start, count in ((0, 5), (2 ** 32 - 3, 6), (2 ** 40, 2), (2 ** 64 - 2, 2)):
+        assert_seed_matches_seedsequence(seed, start, count)
+
+
+@needs_draw
+def test_library_seed_matches_seedsequence_hypothesis():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=100, deadline=None, database=None)
+    @hypothesis.given(words=st.lists(st.integers(0, 2 ** 32 - 1), min_size=1, max_size=12),
+                      start=st.integers(0, 2 ** 64 - 9), count=st.integers(1, 8))
+    def run(words, start, count):   # seeds of up to 12 words, whatever their size
+        seed = sum(w << 32 * k for k, w in enumerate(words))
+        assert_seed_matches_seedsequence(seed, start, count)
+
+    run()
+
+
+@needs_draw
+def test_block_seeding_checked_against_trial_rng(desk, monkeypatch):
+    """A seed hash that loses the last entropy word is caught at run time: the
+    wrapper passes the seed's last word as the index, so that trial 7's
+    entropy is the seed's words alone."""
+    exact = sim._seed
+
+    def short(seed, nseed, start, count, words):
+        last = ctypes.c_uint32.from_address(seed + 4 * (nseed - 1)).value
+        exact(seed, nseed - 1, last, count, words)
+
+    monkeypatch.setattr(sim, "_seed", short)
+    params = MsaParams(max_iterations=10, scale=0.625)
+    with pytest.raises(RuntimeError, match="differs from numpy's SeedSequence"):
+        run_trial(desk.transceiver, desk.parity_check, 1.0, params, 555, 7)
+
+
 MASK64, MASK128 = 2 ** 64 - 1, 2 ** 128 - 1
-MULT_INV = pow(sim._PCG_MULT, -1, 2 ** 128)
+PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645   # PCG64's LCG multiplier
+MULT_INV = pow(PCG_MULT, -1, 2 ** 128)
 INC = 0x5851F42D4C957F2D14057B7EF767814F   # any odd increment
 RABS_TOP = 2 ** 52   # rabs, the ziggurat's 52-bit magnitude, is below this
 
@@ -173,7 +224,7 @@ def position(r, hi, then=None):
     then if given: the increment chooses the second step."""
     first, inc = xsl_rr_state(r, hi), INC
     if then is not None:   # one of the two has an odd increment
-        inc = next(i for i in ((xsl_rr_state(then, h) - first * sim._PCG_MULT) & MASK128
+        inc = next(i for i in ((xsl_rr_state(then, h) - first * PCG_MULT) & MASK128
                                for h in (hi, hi ^ 1)) if i & 1)
     return (first - inc) * MULT_INV & MASK128, inc
 
@@ -218,7 +269,7 @@ class Ziggurat:
         first = self.gen.standard_normal()
         after = bits.state["state"]["state"]
         for taken in range(1, 100):
-            state = (state * sim._PCG_MULT + inc) & MASK128
+            state = (state * PCG_MULT + inc) & MASK128
             if state == after:
                 return np.concatenate([[first], self.gen.standard_normal(count - 1)]), taken
         raise AssertionError("numpy's normal took 100 words or more")
