@@ -27,11 +27,12 @@ class ChannelParams:
         return float(np.sqrt(self.sigma2))
 
 
-def llr(y, sigma: float) -> np.ndarray:
-    """Bit log-likelihood ratios 2y/sigma^2; positive favors bit 0 (+1)."""
+def llr(y, sigma: float, out=None) -> np.ndarray:
+    """Bit log-likelihood ratios 2y/sigma^2 (into out, which may be y); positive favors 0."""
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    return 2.0 * np.asarray(y, dtype=np.float64) / (sigma * sigma)
+    out = np.multiply(np.asarray(y, dtype=np.float64), 2.0, out=out)
+    return np.divide(out, sigma * sigma, out=out)
 
 
 @dataclass(eq=False)
@@ -54,7 +55,10 @@ class LlrFrame:
         if not np.isfinite(self.values).all():
             raise ValueError("LLR frame holds non-finite values")
 
-    def layers(self) -> np.ndarray:
-        """(frames*s, n^2) array; row f*s + l is layer l of frame f."""
+    def layers(self, out=None) -> np.ndarray:
+        """(frames*s, n^2) array (out if given); row f*s + l is layer l of frame f."""
         nv = self.n * self.n
-        return np.swapaxes(self.values.reshape(-1, nv, self.s), 1, 2).reshape(-1, nv)
+        layers = np.swapaxes(self.values.reshape(-1, nv, self.s), 1, 2)
+        out = np.empty(layers.shape) if out is None else out
+        np.copyto(out.reshape(layers.shape), layers)
+        return out.reshape(-1, nv)

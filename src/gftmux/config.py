@@ -24,10 +24,11 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 
 from . import cyclic, galois
-from .geometry import GlobalParityCheck, gf2_rank
+from .geometry import GlobalParityCheck, qc_rank
 from .sim import SimConfig
 from .txrx import Transceiver
 
@@ -182,17 +183,13 @@ class SystemBundle:
     output_dir: str
     expected: dict
 
-    _rank: int | None = None
-
     @property
     def parity_check(self) -> GlobalParityCheck:
         return self.transceiver.parity_check
 
-    @property
+    @cached_property
     def rank(self) -> int:
-        if self._rank is None:
-            self._rank = gf2_rank(self.parity_check)
-        return self._rank
+        return qc_rank(self.parity_check, self.subgroup)
 
     @property
     def dimension(self) -> int:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import LlrFrame
-from .galois import c_library
+from .galois import buffer, c_library
 from .geometry import GlobalParityCheck
 from .txrx import GlobalWord
 
@@ -126,10 +126,10 @@ def work_doubles(h: GlobalParityCheck, g: int) -> int:
 
 
 def decode_batch(channel: np.ndarray, h: GlobalParityCheck, params: MsaParams,
-                 limits) -> tuple:
+                 limits, ws: dict | None = None) -> tuple:
     """Decode each row of channel, an (L, n^2) array of binary layers, once
     to max(limits); (bits, iterations, converged)[l, j] report layer l at
-    limits[j].  params supplies the scale and clip.
+    limits[j].  params supplies the scale and clip, ws the kernel's arrays.
 
     All L layers go to the compiled kernel in one call, which decodes
     G of them at a time side by side (see MAX_LANES); _flood decodes the
@@ -143,13 +143,13 @@ def decode_batch(channel: np.ndarray, h: GlobalParityCheck, params: MsaParams,
     if steps[0] < 1:
         raise ValueError("iteration limits must be positive")
     n_layers, k = len(channel), steps.size
-    bits = np.zeros((n_layers, k + 1, h.n_vars), dtype=np.uint8)
+    bits = buffer(ws, "bits", (n_layers, k + 1, h.n_vars), np.uint8)   # unread until written
     kstar = np.full(n_layers, -1, dtype=np.int64)   # -1: left to _flood
     if _kernel is not None and h.m <= KERNEL_MAX_M:
         # every buffer is C-contiguous with the dtype the kernel reads; the
         # exponent table is made so when h is built
         g = max(1, min(MAX_LANES, n_layers, LANE_BYTES // (8 * h.n_edges)))
-        work = np.empty(work_doubles(h, g))
+        work = buffer(ws, "work", (work_doubles(h, g),))
         _kernel(channel.ctypes.data, n_layers, h.n, h.m, h.cpm_exponents.ctypes.data,
                 params.scale, np.inf if params.clip is None else params.clip,
                 steps.ctypes.data, k, g, work.ctypes.data, bits.ctypes.data,

@@ -99,6 +99,15 @@ c_library = _load_library()
 _gf2_apply = None if c_library is None else c_library.gftmux_gf2_apply
 
 
+def buffer(ws: dict | None, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+    """An uninitialised array of shape: new when ws is None, else a view of
+    ws[name], grown to the largest shape asked, so that a sweep's blocks reuse it."""
+    size = int(np.prod(shape))
+    if ws is not None and (name not in ws or ws[name].size < size):
+        ws[name] = np.empty(size, dtype)
+    return np.empty(shape, dtype) if ws is None else ws[name][:size].reshape(shape)
+
+
 class NonPrimitivePolynomial(ValueError):
     """Modulus polynomial does not generate the full multiplicative group."""
 
@@ -182,19 +191,19 @@ class GaloisField:
         return np.where((a != 0) & (b != 0), out, 0)
 
     def lift(self, mat) -> np.ndarray:
-        """(r*s, c*s) 0/1 float32 M with bits(x) @ M == bits(x @ mat) mod 2:
+        """(r*s, c*s) 0/1 uint8 M with bits(x) @ M == bits(x @ mat) mod 2:
         the GF(2) map that gf2_product multiplies by and Gf2Map packs into
         XOR tables.
 
         Bits are symbol-major (bit l of symbol t at t*s + l); row t*s + l
-        holds the bits of alpha^l * mat[t].  float32 sums of at most r*s
-        ones are exact below 2^24; r*s is at most 979 on every preset.
+        holds the bits of alpha^l * mat[t].  Filled one power alpha^l at a
+        time, so the only int64 temporaries are one (r, c) product's.
         """
         mat = np.atleast_2d(np.asarray(mat, dtype=np.int64))
-        r, c = mat.shape
-        rows = self.mul_arr((1 << np.arange(self.s))[None, :, None], mat[:, None, :])
-        bits = (rows[..., None] >> np.arange(self.s)) & 1       # (r, s, c, s)
-        return bits.reshape(r * self.s, c * self.s).astype(np.float32)
+        out = np.empty((len(mat), self.s, mat.shape[1], self.s), dtype=np.uint8)
+        for l in range(self.s):
+            out[:, l] = np.swapaxes(decompose_arr(self.mul_arr(1 << l, mat), self.s), 1, 2)
+        return out.reshape(len(mat) * self.s, -1)
 
     def matmul(self, a, b) -> np.ndarray:
         """Matrix product over GF(2^s) of each (p x r) matrix of a (..., p, r)
@@ -295,11 +304,11 @@ def compose_arr(layers) -> np.ndarray:
 
 
 def gf2_product(bits, lifted) -> np.ndarray:
-    """bits @ lifted over GF(2), as uint8; lifted comes from GaloisField.lift,
-    whose float32 sums are exact integers, so their low bit is the parity.
-    Gf2Map's oracle."""
-    return ((np.asarray(bits, dtype=np.float32) @ lifted).astype(np.int32) & 1
-            ).astype(np.uint8)
+    """bits @ lifted over GF(2), as uint8, for 0/1 arrays such as a
+    GaloisField.lift: in float32, whose sums of at most 2^24 ones are exact
+    integers, so their low bit is the parity.  Gf2Map's oracle."""
+    product = np.asarray(bits, dtype=np.float32) @ np.asarray(lifted, dtype=np.float32)
+    return (product.astype(np.int32) & 1).astype(np.uint8)
 
 
 class Gf2Map:

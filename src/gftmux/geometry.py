@@ -254,6 +254,33 @@ def girth_lower_bound(h: GlobalParityCheck) -> int:
 # -- GF(2) rank ---------------------------------------------------------
 
 
+def qc_rank(h: GlobalParityCheck, subgroup: SubgroupGen) -> int:
+    """Rank of h over GF(2) from its GFT (gf2_rank is the oracle).  V takes
+    CPM(e) to diag(beta^(k e)), so over GF(2^s) H is equivalent to the direct
+    sum of the m x n E_k[i, j] = beta^(k e_ij), k < n, and rank does not change
+    under field extension.  E_0 is all ones (rank 1), and Frobenius maps E_k
+    to E_2k, so each coset of 2 mod n (n prime) adds its size times the rank
+    of one member.  The members are eliminated together with log/antilog
+    tables, in the smallest dtype that holds two logs."""
+    n, field = h.n, subgroup.field
+    powers = {pow(2, t, n) for t in range(n)}   # the coset of 1
+    reps = [min(c) for c in {frozenset(k * p % n for p in powers) for k in range(1, n)}]
+    dt = np.min_scalar_type(2 * (field.order - 1))
+    log, exp = field.log_table.astype(dt), np.tile(field.antilog_table, 2).astype(dt)
+    a, at = np.empty((len(reps), h.m, n), dtype=dt), np.arange(len(reps))
+    for r, k in enumerate(reps):
+        a[r] = subgroup.pow_table[k * h.cpm_exponents % n]
+    for i in range(h.m):   # row i clears its pivot column from rows i+1.. of its E_k
+        row, rest = a[:, i], a[:, i + 1:]
+        p = (row != 0).argmax(axis=1)
+        # rest_r <- piv * rest_r + f_r * row (exp[log a + log b] = ab), piv = 1 if row i is 0
+        piv, f = np.where(row[at, p] != 0, row[at, p], 1), rest[at, :, p]
+        rest[...] = (np.where(rest != 0, exp[log[rest] + log[piv][:, None, None]], 0)
+                     ^ np.where((f != 0)[..., None] & (row != 0)[:, None, :],
+                                exp[log[f][..., None] + log[row][:, None, :]], 0))
+    return 1 + len(powers) * int((a != 0).any(axis=2).sum())   # the nonzero rows left
+
+
 def gf2_rank(h: GlobalParityCheck) -> int:
     """Rank over GF(2) via bit-packed elimination on int rows."""
     return gf2_rank_rows(h.row_masks())

@@ -28,7 +28,7 @@ import numpy as np
 from .channel import ChannelParams, LlrFrame, llr
 from .cyclic import generator_matrix, mld_oracle
 from .decoder import OPS_PER_EDGE, MsaParams, decode_batch
-from .galois import c_library
+from .galois import buffer, c_library
 from .geometry import GlobalParityCheck
 from .txrx import GlobalWord, StreamBlock, Transceiver, bpsk_map
 
@@ -182,7 +182,7 @@ _draw = None if c_library is None else c_library.gftmux_draw
 _CHECKED = 64
 
 
-def draw_block(tx: Transceiver, master_seed: int, start: int, count: int) -> tuple:
+def draw_block(tx: Transceiver, master_seed: int, start: int, count: int, ws=None) -> tuple:
     """(StreamBlock, noise) of trials start..start+count-1: exactly the bits
     of tx.random_streams and then the standard_normal(s*n^2) of each
     trial_rng.  The C library hashes each trial's SeedSequence, seeds its
@@ -202,8 +202,7 @@ def draw_block(tx: Transceiver, master_seed: int, start: int, count: int) -> tup
     words = np.empty((count, 4), dtype=np.uint64)
     _seed(seed32.ctypes.data, len(seed32), start, count, words.ctypes.data)
     half = -(-tx._draw_words // 2)
-    raw = np.empty((count, half), dtype=np.uint64)
-    noise = np.empty((count, nn))
+    raw, noise = np.empty((count, half), dtype=np.uint64), buffer(ws, "noise", (count, nn))
     _draw(words.ctypes.data, count, half, nn, raw.ctypes.data, noise.ctypes.data)
     head = gen.bit_generator.random_raw(min(_CHECKED, half))
     gen.bit_generator.advance(half - len(head))
@@ -232,7 +231,7 @@ def _pack_rows(bits: np.ndarray) -> np.ndarray:
 
 
 def run_block(tx: Transceiver, h: GlobalParityCheck, points, params: MsaParams,
-              master_seed: int, start: int, count: int, verify: bool = True) -> list:
+              master_seed: int, start: int, count: int, verify: bool = True, ws=None) -> list:
     """Tallies of trials start..start+count-1: out[p][i, j] holds trial
     start+i at SNR point points[p] = (sigma, limits) under limits[j]: a
     global-error flag, composite errors, bit errors, edge ops, an
@@ -241,16 +240,19 @@ def run_block(tx: Transceiver, h: GlobalParityCheck, points, params: MsaParams,
     draw_block draws every trial's bits and noise; the chain then runs once
     over the stack, and each point decodes all count*s layers in one call up to
     its largest limit (params gives scale and clip).  A decoded word equal
-    to the transmitted one is not demultiplexed: the round trip is exact.
+    to the transmitted one is not demultiplexed: the round trip is exact.  The
+    large arrays come from the workspace ws, or are new when ws is None.
     """
     s, n = tx.s, tx.n
-    streams, noise = draw_block(tx, master_seed, start, count)
+    streams, noise = draw_block(tx, master_seed, start, count, ws)
     composites = tx.encode_composites(streams)
-    word, x = tx.multiplex(composites)
+    word, x = tx.multiplex(composites, buffer(ws, "x", noise.shape))
+    y, layers = buffer(ws, "llr", noise.shape), buffer(ws, "layers", (count * s, n * n))
     out = []
     for sigma, limits in points:
-        frame = LlrFrame(llr(x + sigma * noise, sigma), s=s, n=n)
-        bits, iters, conv = decode_batch(frame.layers(), h, params, limits)
+        np.add(x, np.multiply(noise, sigma, out=y), out=y)   # numpy's x + sigma*noise
+        frame = LlrFrame(llr(y, sigma, out=y), s=s, n=n)
+        bits, iters, conv = decode_batch(frame.layers(layers), h, params, limits, ws)
         top = limits.index(max(limits))   # holds every converged result
         if verify and h.syndrome_weight(_pack_rows(bits[conv[:, top], top])).any():
             raise RuntimeError("early stop reported convergence on a nonzero syndrome")
@@ -292,6 +294,7 @@ class _Sweep:
     cfg: SimConfig
     sigmas: list
     params: MsaParams
+    ws: dict = dc_field(default_factory=dict)   # the workspace; a pool worker fills its own
 
     def block(self, start: int, count: int, active: tuple) -> list:
         """run_block's tallies of trials start..start+count-1 per cell in active."""
@@ -300,8 +303,8 @@ class _Sweep:
         points = [(self.sigmas[p],
                    tuple(limits[c % k] for c in active if c // k == p))
                   for p in sorted({c // k for c in active})]
-        return [t[:, j] for t in run_block(self.tx, self.h, points, self.params,
-                                           self.cfg.seed, start, count, self.cfg.verify)
+        return [t[:, j] for t in run_block(self.tx, self.h, points, self.params, self.cfg.seed,
+                                           start, count, self.cfg.verify, self.ws)
                 for j in range(t.shape[1])]
 
     def install(self) -> None:   # pool initializer: the sweep a worker serves

@@ -50,9 +50,9 @@ class GlobalWord:
         return compose_arr(self.bits)
 
 
-def bpsk_map(bits) -> np.ndarray:
-    """0 -> +1, 1 -> -1."""
-    return 1.0 - 2.0 * np.asarray(bits, dtype=np.float64)
+def bpsk_map(bits, out=None) -> np.ndarray:
+    """0 -> +1, 1 -> -1, as float64 (into out if given)."""
+    return np.add(np.multiply(bits, -2.0, out=out, dtype=np.float64), 1.0, out=out)
 
 
 class Transceiver:
@@ -118,15 +118,15 @@ class Transceiver:
         comp[:, n:] = base_words.reshape(len(bits), -1, s)[:, self._hadamard]
         return comp.reshape(streams.bits.shape[:-2] + (n, n * s))
 
-    def multiplex(self, composites: np.ndarray) -> tuple:
-        """S/P extraction, GFT per parallel vector, serialization, BPSK."""
+    def multiplex(self, composites: np.ndarray, out=None) -> tuple:
+        """S/P extraction, GFT per parallel vector, serialization, BPSK (into out if given)."""
         n, s = self.n, self.s
         # parallel vector j collects symbol j of every composite word
         parallel = composites.reshape(-1, n, n, s).transpose(0, 2, 1, 3)
         serial = self._v(parallel.reshape(-1, n * s))
         serial = serial.reshape(composites.shape[:-2] + (n * n, s))
         return GlobalWord(bits=np.swapaxes(serial, -1, -2)), bpsk_map(
-            serial.reshape(composites.shape[:-2] + (-1,)))
+            serial.reshape(composites.shape[:-2] + (-1,)), out)
 
     def transmit(self, streams: StreamBlock, verify: bool = False) -> tuple:
         word, x = self.multiplex(self.encode_composites(streams))

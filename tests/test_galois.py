@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import gf_inv, gf_mul, gf_pow
-from gftmux import galois
+from gftmux import config, cyclic, galois
 from gftmux.galois import (
     NonPrimitivePolynomial,
     NotADivisor,
@@ -15,6 +15,7 @@ from gftmux.galois import (
     decompose_arr,
     element_of_order,
 )
+from gftmux.geometry import vandermonde
 
 
 def test_gf8_alpha_period_seven(gf8):
@@ -229,7 +230,7 @@ def test_lift_matches_naive(s):
     a[0, 1] = a[2, :] = b[1, 2] = b[:, 3] = 0
     bits = decompose_arr(a.reshape(-1), s).T.reshape(3, 5 * s)     # symbol-major
     lifted = field.lift(b)
-    assert lifted.shape == (5 * s, 4 * s) and lifted.dtype == np.float32
+    assert lifted.shape == (5 * s, 4 * s) and lifted.dtype == np.uint8
     out = (bits @ lifted % 2).astype(np.int64)
     got = compose_arr(out.reshape(12, s).T).reshape(3, 4)
     assert (got == naive_gf_matmul(a, b, field)).all()
@@ -244,6 +245,38 @@ def test_lift_is_multiplicative(s):
     a[1, 0] = b[2, :] = 0
     composed = field.lift(a) @ field.lift(b) % 2
     assert (field.lift(field.matmul(a, b)) == composed).all()
+
+
+def float32_lift(field, mat):
+    """GaloisField.lift as it was built through (r, s, c, s) int64 bits and a
+    float32 copy."""
+    mat = np.atleast_2d(np.asarray(mat, dtype=np.int64))
+    r, c = mat.shape
+    rows = field.mul_arr((1 << np.arange(field.s))[None, :, None], mat[:, None, :])
+    bits = (rows[..., None] >> np.arange(field.s)) & 1
+    return bits.reshape(r * field.s, c * field.s).astype(np.float32)
+
+
+@pytest.mark.parametrize("preset", config.list_presets())
+def test_gf2_maps_equal_those_of_the_float32_lift(preset):
+    """Every preset's generator, V and V^-1 tables are byte for byte those the
+    float32 lift gave, and the uint8 lift of V stays below 2 MB of tracemalloc
+    peak (the float32 one reached 10.5 MB on ex3)."""
+    bundle = config.build_system(config.load_preset(preset))
+    tx, field = bundle.transceiver, bundle.field
+    for gmap, mat in ((tx._gen, cyclic.generator_matrix(bundle.spec)),
+                      (tx._v, vandermonde(bundle.subgroup, "forward")),
+                      (tx._vinv, vandermonde(bundle.subgroup, "inverse"))):
+        old = float32_lift(field, mat)
+        assert (field.lift(mat) == old).all()
+        assert gmap.tables.tobytes() == galois.Gf2Map(old).tables.tobytes()
+    tracemalloc.start()
+    try:
+        field.lift(vandermonde(bundle.subgroup))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
 
 
 def test_build_field_needs_poly_for_unknown_s():

@@ -15,6 +15,7 @@ from gftmux.geometry import (
     gf2_rank,
     gf2_rank_rows,
     girth_lower_bound,
+    qc_rank,
     rc_check,
     read_alist,
     to_alist,
@@ -301,6 +302,60 @@ def test_rank_desk(desk_h):
     assert _dense_rank_oracle(desk_h.dense()) == 19
     # the pattern m(n-1)+1 inferred from the published dimensions
     assert gf2_rank(desk_h) == 3 * 6 + 1
+
+
+@pytest.mark.parametrize("preset", config.list_presets())
+def test_qc_rank_equals_gf2_rank_on_presets(preset):
+    """The rank from the GFT is the bundle's rank, and equals the bit-packed
+    elimination on every preset: m(n-1)+1, each nonzero frequency of full rank."""
+    bundle = config.build_system(config.load_preset(preset))
+    h = bundle.parity_check
+    assert bundle.rank == qc_rank(h, bundle.subgroup) == gf2_rank(h) == h.m * (h.n - 1) + 1
+
+
+def _qc_tables(draw, st, n, max_m):
+    """An m x n exponent table whose rows may repeat or shift an earlier row
+    by a constant; either makes every E_k rank-deficient."""
+    m = draw(st.integers(1, max_m))
+    rows = [draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))]
+    for _ in range(m - 1):
+        kind = draw(st.sampled_from(["new", "repeat", "shift"]))
+        if kind == "new":
+            rows.append(draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
+        else:
+            base = rows[draw(st.integers(0, len(rows) - 1))]
+            shift = 0 if kind == "repeat" else draw(st.integers(1, n - 1))
+            rows.append([(e + shift) % n for e in base])
+    return np.array(rows)
+
+
+def test_qc_rank_equals_gf2_rank_hypothesis(sub7):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None)
+    @hypothesis.given(data=st.data())
+    def run(data):   # desk's field: n = 7, m from 1 to 6
+        h = GlobalParityCheck.from_exponents(_qc_tables(data.draw, st, 7, 6))
+        assert qc_rank(h, sub7) == gf2_rank(h) == _dense_rank_oracle(h.dense())
+
+    run()
+
+
+def test_qc_rank_equals_gf2_rank_n89():
+    """A few 89-symbol tables over GF(2^11), full rank and deficient."""
+    sub = galois.element_of_order(galois.build_field(11), 89)
+    rng = np.random.default_rng(89)
+    for m in (1, 3, 4):
+        expo = rng.integers(0, 89, size=(m, 89))
+        tables = [expo]
+        if m > 1:
+            tables.append(np.vstack([expo, expo[:1]]))          # a repeated row
+            tables.append(np.vstack([expo, (expo[1] + 5) % 89]))  # a shifted row
+        for table in tables:
+            h = GlobalParityCheck.from_exponents(table)
+            assert qc_rank(h, sub) == gf2_rank(h)
+            assert (qc_rank(h, sub) < len(table) * 88 + 1) == (len(table) > m)
 
 
 def test_row_masks_match_dense(desk_h):

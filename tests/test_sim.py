@@ -1,6 +1,7 @@
 import csv
 import ctypes
 import io
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -95,7 +96,7 @@ def test_trial_errors_at_low_snr(desk):
 
 
 def test_trial_verify_raises_on_false_convergence(desk, monkeypatch):
-    def fake(channel, graph, params, limits):   # all ones, reported converged
+    def fake(channel, graph, params, limits, ws=None):   # all ones, reported converged
         shape = (len(channel), len(limits))
         return (np.ones(shape + (graph.n_vars,), dtype=np.uint8),
                 np.ones(shape, dtype=np.int64), np.ones(shape, dtype=bool))
@@ -134,9 +135,10 @@ def test_draw_block_matches_trial_rng_hypothesis(desk):
     st = hypothesis.strategies
 
     @hypothesis.settings(max_examples=60, deadline=None, database=None)
-    @hypothesis.given(seed=st.integers(0, 2 ** 96 - 1), start=st.integers(0, 2 ** 40 - 1),
-                      count=st.integers(1, 9))
-    def run(seed, start, count):
+    @hypothesis.given(words=st.lists(st.integers(0, 2 ** 32 - 1), min_size=1, max_size=4),
+                      start=st.integers(0, 2 ** 40 - 1), count=st.integers(1, 9))
+    def run(words, start, count):   # a 3- or 4-word seed and a 2-word index pass the pool
+        seed = sum(w << 32 * k for k, w in enumerate(words))
         assert_block_matches_trial_rng(desk.transceiver, seed, start, count)
 
     run()
@@ -444,6 +446,31 @@ def test_noisy_decode_at_scale(preset, ebn0_db, max_iters):
 @pytest.mark.parametrize("preset, ebn0_db, max_iters", NOISY_CASES)
 def test_noisy_decode_at_scale_numpy_kernel(numpy_kernel, preset, ebn0_db, max_iters):
     test_noisy_decode_at_scale(preset, ebn0_db, max_iters)
+
+
+@needs_draw
+@pytest.mark.parametrize("preset, ebn0_db", [("ex3_rs127_121", 7.0), ("ex5_rs89_85", 6.0)])
+def test_block_reuses_the_workspace(preset, ebn0_db):
+    """Once a first one-trial block has filled a workspace, the next block's
+    tracemalloc peak above its start stays under 1 MiB: its noise, BPSK word,
+    LLRs, layers, kernel work and bits are not allocated again (they took
+    3.5-5 MiB).  The tallies equal those of blocks run without a workspace."""
+    b = config.build_system(config.load_preset(preset))
+    sigma = ChannelParams(ebn0_db=ebn0_db, rate=b.rate).sigma
+    args = (b.transceiver, b.parity_check, [(sigma, (50,))],
+            MsaParams(max_iterations=50, scale=b.sim.scale), b.sim.seed)
+    ws = {}
+    first = sim.run_block(*args, 0, 1, ws=ws)[0]
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        second = sim.run_block(*args, 1, 1, ws=ws)[0]
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, peak
+    assert (first == sim.run_block(*args, 0, 1)[0]).all()
+    assert (second == sim.run_block(*args, 1, 1)[0]).all()
 
 
 # -- cell counters and the metric identity ------------------------------------
