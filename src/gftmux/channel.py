@@ -55,10 +55,7 @@ class LlrFrame:
         if not np.isfinite(self.values).all():
             raise ValueError("LLR frame holds non-finite values")
 
-    def layers(self, out=None) -> np.ndarray:
-        """(frames*s, n^2) array (out if given); row f*s + l is layer l of frame f."""
+    def layers(self) -> np.ndarray:
+        """(frames*s, n^2) array; row f*s + l is layer l of frame f."""
         nv = self.n * self.n
-        layers = np.swapaxes(self.values.reshape(-1, nv, self.s), 1, 2)
-        out = np.empty(layers.shape) if out is None else out
-        np.copyto(out.reshape(layers.shape), layers)
-        return out.reshape(-1, nv)
+        return np.swapaxes(self.values.reshape(-1, nv, self.s), 1, 2).reshape(-1, nv)

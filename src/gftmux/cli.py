@@ -49,11 +49,7 @@ def _bundle(args):
 
 
 def cmd_construct(args) -> int:
-    try:
-        bundle = _bundle(args)
-    except (DuplicateRoots, ConjugacyViolation) as e:
-        print(f"construction failed: {e}", file=sys.stderr)
-        return 1
+    bundle = _bundle(args)
     h = bundle.parity_check
     spec = bundle.spec
     print(f"config:      {bundle.name} ({spec.mode} mode)")
@@ -70,14 +66,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        bundle = _bundle(args)
-    except (DuplicateRoots, ConjugacyViolation) as e:
-        # Duplicate roots produce identical block rows, the canonical
-        # RC violation; report it as the failing check.
-        print(f"FAIL rc-constraint: {e}")
-        return 1
-    checks = run_battery(bundle, seed=args.seed)
+    checks = run_battery(_bundle(args), seed=args.seed)
     for c in checks:
         print(c.line())
     failed = [c for c in checks if not c.ok]
@@ -86,11 +75,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    try:
-        bundle = _bundle(args)
-    except (DuplicateRoots, ConjugacyViolation) as e:
-        print(f"simulation refused: {e}", file=sys.stderr)
-        return 1
+    bundle = _bundle(args)
     outdir = args.outdir or bundle.output_dir
     csv_path = os.path.join(outdir, f"{bundle.name}.csv")
     manifest_path = os.path.join(outdir, f"{bundle.name}.manifest.json")
@@ -193,21 +178,14 @@ def _sweep_into(args, bundle, csv_fh, manifest_fh) -> bool | None:
 
 
 def cmd_export(args) -> int:
-    try:
-        bundle = _bundle(args)
-    except (DuplicateRoots, ConjugacyViolation) as e:
-        print(f"export refused: {e}", file=sys.stderr)
-        return 1
+    bundle = _bundle(args)
     out = args.out or f"{bundle.name}.{'alist' if args.format == 'alist' else 'txt'}"
     try:
         if args.format == "alist":
             write_alist(bundle.parity_check, out)
         else:
             write_dense_text(bundle.parity_check, out)
-    except ScaleGuard as e:
-        print(f"export failed: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
+    except (ScaleGuard, OSError) as e:
         print(f"export failed: {e}", file=sys.stderr)
         return 1
     print(f"wrote {out}")
@@ -225,12 +203,14 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("construct", help="build the system and print its parameters")
     _add_common(p)
-    p.set_defaults(func=cmd_construct)
+    p.set_defaults(func=cmd_construct, refused=("construction failed", sys.stderr))
 
     p = sub.add_parser("verify", help="run the structural verifier battery")
     _add_common(p)
     p.add_argument("--seed", type=_at_least(0), default=0, help="seed for sampled checks")
-    p.set_defaults(func=cmd_verify)
+    # Duplicate roots produce identical block rows, the canonical RC
+    # violation; verify reports a spec that cannot be built as that check.
+    p.set_defaults(func=cmd_verify, refused=("FAIL rc-constraint", sys.stdout))
 
     p = sub.add_parser("simulate", help="run the Monte Carlo sweep")
     _add_common(p)
@@ -238,13 +218,13 @@ def main(argv=None) -> int:
                    help="parallel trial workers (results are identical across counts)")
     p.add_argument("--outdir", help="output directory (default from config)")
     p.add_argument("--quiet", action="store_true", help="suppress progress lines")
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func=cmd_simulate, refused=("simulation refused", sys.stderr))
 
     p = sub.add_parser("export", help="write the global parity-check matrix")
     _add_common(p)
     p.add_argument("--format", choices=["alist", "dense"], default="alist")
     p.add_argument("--out", help="output path")
-    p.set_defaults(func=cmd_export)
+    p.set_defaults(func=cmd_export, refused=("export refused", sys.stderr))
 
     args = parser.parse_args(argv)
     try:
@@ -252,6 +232,10 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
+    except (DuplicateRoots, ConjugacyViolation) as e:   # the code spec cannot be built
+        what, stream = args.refused
+        print(f"{what}: {e}", file=stream)
+        return 1
 
 
 if __name__ == "__main__":

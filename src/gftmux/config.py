@@ -1,6 +1,6 @@
 """Structured JSON configs, shipped presets, and system assembly.
 
-Schema (sections may be omitted where defaults exist):
+A config is one JSON object, for example
 
     {
       "name": "desk_gf8",
@@ -13,7 +13,9 @@ Schema (sections may be omitted where defaults exist):
       "expected": {"dimension": 30, "shape": [21, 49], ...}   # optional
     }
 
-"code" takes either an explicit "roots" list or "designed_distance"
+SCHEMA holds every field with its default and its check; a section whose
+fields all have defaults may be left out, and any key not in SCHEMA is an
+error.  "code" takes either an explicit "roots" list or "designed_distance"
 (expanded to the conjugacy closure of 1..d-1 in binary mode).
 primitive_poly is a hex coefficient mask, bit i = coefficient of X^i.
 """
@@ -67,20 +69,6 @@ def load_config(path) -> dict:
     return cfg
 
 
-def _require(section: dict, key: str, where: str):
-    if key not in section:
-        raise ConfigError(f"missing required field {where}.{key}")
-    return section[key]
-
-
-def _section(cfg: dict, key: str) -> dict:
-    """cfg[key] as an object; an absent section reads as empty."""
-    section = cfg.get(key, {})
-    if not isinstance(section, dict):
-        raise ConfigError(f"{key} must be an object, got {section!r}")
-    return section
-
-
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -93,60 +81,103 @@ def _is_finite_real(value) -> bool:
     return _is_real(value) and abs(value) <= sys.float_info.max
 
 
-def _is_count(value) -> bool:
-    return _is_int(value) and value >= 1
+def _is_db(value) -> bool:
+    """|Eb/N0| <= 1000 dB keeps sigma and the LLRs finite for any rate above 1e-200."""
+    return _is_real(value) and -1000 <= value <= 1000
 
 
-#: Each optional field of the "expected" section: what it must be, and its check.
-_EXPECTED_FIELDS = {
-    "shape": ("a list of two non-negative integers",
-              lambda v: isinstance(v, list) and len(v) == 2
-              and all(_is_int(x) and x >= 0 for x in v)),
-    "column_weight": ("an integer", _is_int),
-    "row_weight": ("an integer", _is_int),
-    "dimension": ("an integer", _is_int),
-    "rate": ("a finite real", _is_finite_real),
-}
+def _int_from(low: int):
+    """A check for an integer no smaller than low."""
+    return lambda v: _is_int(v) and v >= low
 
 
-#: Each channel, decoder, sim and output field: its default, what it must
-#: be, and its check.  |Eb/N0| <= 1000 dB keeps sigma and the LLRs finite
-#: for any rate above 1e-200.
-_FIELDS = {
+def _is_list(value, item, distinct=False) -> bool:
+    """value is a nonempty list of items that pass item, no two equal if distinct."""
+    return (isinstance(value, list) and len(value) > 0 and all(item(x) for x in value)
+            and not (distinct and len(set(value)) < len(value)))
+
+
+def _is_stem(value) -> bool:
+    """The name is the stem of every output file, which must land in its directory."""
+    return (isinstance(value, str) and value not in ("", ".", "..")
+            and not any(c in value for c in (os.sep, os.altsep or os.sep, "\0")))
+
+
+def _hex_mask(value):
+    """value, with a hex string such as '0x89' read as its int (0 if it is not hex)."""
+    try:
+        return int(value, 16) if isinstance(value, str) else value
+    except ValueError:
+        return 0
+
+
+#: SCHEMA's defaults of a field that must be given, and of an optional
+#: field that stays out when it is left out.
+REQUIRED, ABSENT = object(), object()
+
+#: Every config field, (section, key) -> (default, what it must be, check),
+#: with "" for the top level; build_system checks them in this order.
+SCHEMA = {
+    ("", "name"): ("unnamed", "a nonempty string without a path separator, "
+                   "other than . and ..", _is_stem),
+    ("", "description"): (ABSENT, "a string", lambda v: isinstance(v, str)),
+    ("field", "s"): (REQUIRED, "an integer in [3, 16]", lambda v: _is_int(v) and 3 <= v <= 16),
+    ("field", "primitive_poly"): (None, "null, or a positive integer or hex mask like '0x89'",
+                                  lambda v: v is None or _int_from(1)(_hex_mask(v))),
+    ("code", "n"): (REQUIRED, "an integer >= 2", _int_from(2)),
+    ("code", "roots"): (ABSENT, "a nonempty list of integers", lambda v: _is_list(v, _is_int)),
+    ("code", "designed_distance"): (ABSENT, "an integer >= 2", _int_from(2)),
+    ("code", "mode"): ("binary", "'binary' or 'nonbinary'",
+                       lambda v: v in ("binary", "nonbinary")),
     ("channel", "ebn0_db"): ([0.0, 2.0, 4.0],
                              "a nonempty list of distinct reals in [-1000, 1000] dB",
-                             lambda v: isinstance(v, list) and v
-                             and all(_is_real(e) and -1000 <= e <= 1000 for e in v)
-                             and len(set(v)) == len(v)),
-    ("channel", "seed"): (1, "a non-negative integer", lambda v: _is_int(v) and v >= 0),
+                             lambda v: _is_list(v, _is_db, distinct=True)),
+    ("channel", "seed"): (1, "a non-negative integer", _int_from(0)),
     ("decoder", "iterations"): ([10], "a nonempty list of distinct positive integers",
-                                lambda v: isinstance(v, list) and v
-                                and all(_is_count(i) for i in v) and len(set(v)) == len(v)),
+                                lambda v: _is_list(v, _int_from(1), distinct=True)),
     ("decoder", "scale"): (0.625, "a real number in (0, 1]",
                            lambda v: _is_real(v) and 0 < v <= 1),
     ("decoder", "clip"): (None, "null or a positive finite real",
                           lambda v: v is None or (_is_finite_real(v) and v > 0)),
-    ("sim", "max_frames"): (10_000, "a positive integer", _is_count),
-    ("sim", "target_errors"): (100, "a positive integer", _is_count),
+    ("sim", "max_frames"): (10_000, "a positive integer", _int_from(1)),
+    ("sim", "target_errors"): (100, "a positive integer", _int_from(1)),
     ("sim", "verify"): (True, "true or false", lambda v: isinstance(v, bool)),
     ("sim", "baseline"): (False, "true or false", lambda v: isinstance(v, bool)),
     ("output", "dir"): ("results", "a string", lambda v: isinstance(v, str)),
+    ("expected", "shape"): (ABSENT, "a list of two non-negative integers",
+                            lambda v: isinstance(v, list) and len(v) == 2
+                            and all(_is_int(x) and x >= 0 for x in v)),
+    ("expected", "column_weight"): (ABSENT, "an integer", _is_int),
+    ("expected", "row_weight"): (ABSENT, "an integer", _is_int),
+    ("expected", "dimension"): (ABSENT, "an integer", _is_int),
+    ("expected", "rate"): (ABSENT, "a finite real", _is_finite_real),
 }
 
+#: Every key allowed at the top level or in a section, as (section, key).
+_KNOWN = set(SCHEMA) | {("", sec) for sec, _ in SCHEMA if sec}
 
-def _parse_poly(raw) -> int:
-    poly = raw
-    if isinstance(raw, str):
-        try:
-            poly = int(raw, 16)
-        except ValueError:
-            raise ConfigError(
-                f"field.primitive_poly: expected a hex mask like '0x89', got {raw!r}"
-            ) from None
-    if not _is_int(poly) or poly <= 0:
-        raise ConfigError("field.primitive_poly must be a positive hex string or "
-                          f"integer, got {raw!r}")
-    return poly
+
+def _fields(cfg: dict) -> dict:
+    """{section: {key: value}} of every SCHEMA field, checked in SCHEMA's
+    order with its default filled in; an ABSENT field left out stays out."""
+    got = {}
+    for (sec, key), (default, what, valid) in SCHEMA.items():
+        node, prefix = (cfg.get(sec, {}), f"{sec}.") if sec else (cfg, "")
+        if sec not in got:   # the section as a whole, when its first field comes up
+            if not isinstance(node, dict):
+                raise ConfigError(f"{sec} must be an object, got {node!r}")
+            for k in node:
+                if (sec, k) not in _KNOWN:
+                    raise ConfigError(f"unknown field {prefix}{k}")
+            got[sec] = {}
+        value = node.get(key, default)
+        if value is REQUIRED:
+            raise ConfigError(f"missing required field {prefix}{key}")
+        if value is not ABSENT:
+            if not valid(value):
+                raise ConfigError(f"{prefix}{key} must be {what}, got {value!r}")
+            got[sec][key] = value
+    return got
 
 
 def apply_overrides(cfg: dict, overrides: list) -> dict:
@@ -208,90 +239,46 @@ class SystemBundle:
 def build_system(cfg: dict) -> SystemBundle:
     """Validate the config dict and assemble the bundle.
 
-    Raises ConfigError with a field-level message on any invalid entry;
-    algebraic violations (duplicate roots, broken conjugacy) propagate
+    Raises ConfigError with a field-level message on any invalid or unknown
+    entry; algebraic violations (duplicate roots, broken conjugacy) propagate
     as their own exception types for the verifier to report.
     """
-    name = cfg.get("name", "unnamed")
-    # the name is the stem of every output file, which must land in its directory
-    if (not isinstance(name, str) or name in ("", ".", "..")
-            or any(c in name for c in (os.sep, os.altsep or os.sep, "\0"))):
-        raise ConfigError("name must be a nonempty string without a path separator, "
-                          f"other than . and .., got {name!r}")
-    fld_sec, code_sec = _section(cfg, "field"), _section(cfg, "code")
-
-    s = _require(fld_sec, "s", "field")
-    if not isinstance(s, int) or not 3 <= s <= 16:
-        raise ConfigError(f"field.s must be an integer in [3, 16], got {s!r}")
-    poly = fld_sec.get("primitive_poly")
-    poly = _parse_poly(poly) if poly is not None else None
+    got = _fields(cfg)
+    fld, code, dec = got["field"], got["code"], got["decoder"]
     try:
-        field = galois.build_field(s, poly)
+        field = galois.build_field(fld["s"], _hex_mask(fld["primitive_poly"]))
     except (galois.NonPrimitivePolynomial, ValueError) as e:
         raise ConfigError(f"field: {e}") from None
-
-    n = _require(code_sec, "n", "code")
-    if not isinstance(n, int) or n < 2:
-        raise ConfigError(f"code.n must be an integer >= 2, got {n!r}")
+    n, mode = code["n"], code["mode"]
     try:
         subgroup = galois.element_of_order(field, n)
     except (galois.NotADivisor, galois.NotPrime) as e:
         raise ConfigError(f"code.n: {e}") from None
 
-    mode = code_sec.get("mode", "binary")
-    if mode not in ("binary", "nonbinary"):
-        raise ConfigError(f"code.mode must be 'binary' or 'nonbinary', got {mode!r}")
-    if "roots" in code_sec and "designed_distance" in code_sec:
-        raise ConfigError("code: give either roots or designed_distance, not both")
-    if "roots" in code_sec:
-        roots = code_sec["roots"]
-        if (not isinstance(roots, list) or not roots
-                or not all(_is_int(r) for r in roots)):
-            raise ConfigError("code.roots must be a nonempty list of integers")
-        if len(roots) >= n:
+    if ("roots" in code) == ("designed_distance" in code):
+        raise ConfigError("code: give exactly one of roots and designed_distance")
+    if "roots" in code:
+        if len(code["roots"]) >= n:
             raise ConfigError(
-                f"code.roots: need fewer than n={n} roots, got {len(roots)}")
+                f"code.roots: need fewer than n={n} roots, got {len(code['roots'])}")
         spec = cyclic.BaseCodeSpec(field=field, subgroup=subgroup,
-                                   roots=tuple(roots), mode=mode)
-    elif "designed_distance" in code_sec:
-        d = code_sec["designed_distance"]
-        if not _is_int(d) or not 2 <= d <= n:
-            raise ConfigError(
-                f"code.designed_distance must be an integer in [2, n={n}]")
-        spec = cyclic.bch_spec(field, subgroup, d, mode=mode)
+                                   roots=tuple(code["roots"]), mode=mode)
     else:
-        raise ConfigError("code: needs roots or designed_distance")
+        if code["designed_distance"] > n:
+            raise ConfigError(f"code.designed_distance must be at most n={n}, "
+                              f"got {code['designed_distance']}")
+        spec = cyclic.bch_spec(field, subgroup, code["designed_distance"], mode=mode)
 
-    got = {}
-    for (sec, key), (default, what, valid) in _FIELDS.items():
-        got[key] = _section(cfg, sec).get(key, default)
-        if not valid(got[key]):
-            raise ConfigError(f"{sec}.{key} must be {what}, got {got[key]!r}")
-    output_dir = got.pop("dir")
-    if got["baseline"] and (mode != "binary" or n > 15):
+    if got["sim"]["baseline"] and (mode != "binary" or n > 15):
         raise ConfigError(f"sim.baseline needs a binary code with n <= 15 (the MLD "
                           f"oracle's limit), got a {mode} code with n={n}")
-    sim_cfg = SimConfig(**dict(
-        got, ebn0_db=[float(e) for e in got["ebn0_db"]], iterations=list(got["iterations"]),
-        scale=float(got["scale"]), clip=None if got["clip"] is None else float(got["clip"])))
-
-    expected = _section(cfg, "expected")
-    for key, (what, valid) in _EXPECTED_FIELDS.items():
-        if key in expected and not valid(expected[key]):
-            raise ConfigError(f"expected.{key} must be {what}, got {expected[key]!r}")
-
-    transceiver = Transceiver(spec)
-    return SystemBundle(
-        name=name,
-        raw=cfg,
-        field=field,
-        subgroup=subgroup,
-        spec=spec,
-        transceiver=transceiver,
-        sim=sim_cfg,
-        output_dir=output_dir,
-        expected=expected,
-    )
+    sim_cfg = SimConfig(
+        ebn0_db=[float(e) for e in got["channel"]["ebn0_db"]], seed=got["channel"]["seed"],
+        iterations=list(dec["iterations"]), scale=float(dec["scale"]),
+        clip=None if dec["clip"] is None else float(dec["clip"]), **got["sim"])
+    return SystemBundle(name=got[""]["name"], raw=cfg, field=field, subgroup=subgroup,
+                        spec=spec, transceiver=Transceiver(spec), sim=sim_cfg,
+                        output_dir=got["output"]["dir"], expected=got["expected"])
 
 
 def resolve(preset: str | None = None, config_path=None, overrides=()) -> dict:

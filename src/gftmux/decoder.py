@@ -129,7 +129,8 @@ def decode_batch(channel: np.ndarray, h: GlobalParityCheck, params: MsaParams,
                  limits, ws: dict | None = None) -> tuple:
     """Decode each row of channel, an (L, n^2) array of binary layers, once
     to max(limits); (bits, iterations, converged)[l, j] report layer l at
-    limits[j].  params supplies the scale and clip, ws the kernel's arrays.
+    limits[j].  params supplies the scale and clip, ws the kernel's arrays;
+    a NaN or infinite LLR raises ValueError.
 
     All L layers go to the compiled kernel in one call, which decodes
     G of them at a time side by side (see MAX_LANES); _flood decodes the
@@ -139,6 +140,8 @@ def decode_batch(channel: np.ndarray, h: GlobalParityCheck, params: MsaParams,
     channel = np.ascontiguousarray(channel, dtype=np.float64)
     if channel.ndim != 2 or channel.shape[1] != h.n_vars:
         raise ValueError(f"LLR layers {channel.shape} are not (L, {h.n_vars})")
+    if not np.isfinite(channel).all():
+        raise ValueError("LLR layers hold non-finite values")
     steps = np.array(sorted(set(limits)), dtype=np.int64)
     if steps[0] < 1:
         raise ValueError("iteration limits must be positive")

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .channel import ChannelParams, LlrFrame, llr
+from .channel import ChannelParams, llr
 from .cyclic import generator_matrix, mld_oracle
 from .decoder import OPS_PER_EDGE, MsaParams, decode_batch
 from .galois import buffer, c_library
@@ -247,12 +247,14 @@ def run_block(tx: Transceiver, h: GlobalParityCheck, points, params: MsaParams,
     streams, noise = draw_block(tx, master_seed, start, count, ws)
     composites = tx.encode_composites(streams)
     word, x = tx.multiplex(composites, buffer(ws, "x", noise.shape))
-    y, layers = buffer(ws, "llr", noise.shape), buffer(ws, "layers", (count * s, n * n))
+    layers = buffer(ws, "layers", (count, s, n * n))
+    # layer l of trial i is x[i, l::s]: read x and noise through layer-major views
+    x, noise = (np.swapaxes(a.reshape(count, n * n, s), 1, 2) for a in (x, noise))
     out = []
     for sigma, limits in points:
-        np.add(x, np.multiply(noise, sigma, out=y), out=y)   # numpy's x + sigma*noise
-        frame = LlrFrame(llr(y, sigma, out=y), s=s, n=n)
-        bits, iters, conv = decode_batch(frame.layers(layers), h, params, limits, ws)
+        np.add(x, np.multiply(noise, sigma, out=layers), out=layers)   # x + sigma*noise
+        llr(layers, sigma, out=layers)
+        bits, iters, conv = decode_batch(layers.reshape(count * s, -1), h, params, limits, ws)
         top = limits.index(max(limits))   # holds every converged result
         if verify and h.syndrome_weight(_pack_rows(bits[conv[:, top], top])).any():
             raise RuntimeError("early stop reported convergence on a nonzero syndrome")

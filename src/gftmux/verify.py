@@ -14,6 +14,7 @@ import numpy as np
 
 from .channel import LlrFrame, llr
 from .decoder import MsaParams, decode_batch
+from .galois import decompose_arr
 from .geometry import (DENSE_LIMIT, girth_lower_bound, rc_check, vandermonde,
                        verify_similarity)
 from .txrx import StreamBlock
@@ -104,29 +105,25 @@ def verify_eq_similarity(bundle, num_blocks: int = 20, seed: int = 0) -> CheckRe
 
 def verify_layer_decomposition(bundle, random_vectors: int = 1000,
                                tx_frames: int = 10, seed: int = 0) -> CheckResult:
-    """GF(2^s) syndrome zero iff every binary layer syndrome is zero."""
-    h = bundle.parity_check
-    tx = bundle.transceiver
-    s, n = bundle.field.s, bundle.spec.n
+    """GF(2^s) syndrome zero iff every binary layer syndrome is zero, checked
+    on random vectors and transmitter outputs stacked into one array."""
+    h, tx, field = bundle.parity_check, bundle.transceiver, bundle.field
     rng = np.random.default_rng(seed)
-    bad = 0
-
-    vecs = rng.integers(0, bundle.field.order, size=(random_vectors, n * n),
-                        dtype=np.int64)
-    for vec in vecs:
-        gf_zero = h.syndrome_weight(vec) == 0
-        layers_zero = all(
-            h.syndrome_weight((vec >> l) & 1) == 0 for l in range(s)
-        )
-        bad += gf_zero != layers_zero
-    for _ in range(tx_frames):
-        word, _ = tx.transmit(tx.random_streams(rng))
-        gf_zero = h.syndrome_weight(word.symbols) == 0
-        layers_zero = all(h.syndrome_weight(lay) == 0 for lay in word.bits)
-        bad += (not gf_zero) or (not layers_zero) or (gf_zero != layers_zero)
-    total = random_vectors + tx_frames
+    vecs = rng.integers(0, field.order, size=(random_vectors, h.n_vars), dtype=np.int64)
+    word, _ = tx.transmit(StreamBlock(bits=np.stack([tx.random_streams(rng).bits
+                                                     for _ in range(tx_frames)]), n=tx.n))
+    # the smallest dtypes keep the stacked gathers of H's rows small
+    symbols = np.concatenate([vecs, word.symbols]).astype(np.min_scalar_type(field.order - 1))
+    layers = np.concatenate([decompose_arr(vecs, field.s), word.bits])
+    gf_zero = h.syndrome_weight(symbols) == 0
+    layers_zero = np.ones(len(symbols), dtype=bool)
+    for l in range(field.s):   # each layer on the words whose lower layers checked zero
+        at = layers_zero.nonzero()[0]
+        layers_zero[at] = h.syndrome_weight(layers[at, l]) == 0
+    is_word = np.arange(len(symbols)) >= random_vectors
+    bad = np.count_nonzero((gf_zero != layers_zero) | (is_word & ~gf_zero))
     return _check("layer-decomposition", bad == 0,
-                  f"{total} vectors ({tx_frames} transmitter outputs), "
+                  f"{len(symbols)} vectors ({tx_frames} transmitter outputs), "
                   f"{bad} counterexamples")
 
 

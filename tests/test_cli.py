@@ -13,6 +13,7 @@ import pytest
 from gftmux import decoder
 from gftmux.cli import main
 from gftmux.config import (
+    SCHEMA,
     ConfigError,
     apply_overrides,
     build_system,
@@ -378,15 +379,33 @@ def test_cmd_simulate_unwritable_output(tmp_path, capsys, monkeypatch):
 
 
 #: Every field of the config schema, and each section as a whole.
-SCHEMA_PATHS = [
-    "name", "field", "field.s", "field.primitive_poly", "code", "code.n",
-    "code.roots", "code.mode", "code.designed_distance", "channel",
-    "channel.ebn0_db", "channel.seed", "decoder", "decoder.iterations",
-    "decoder.scale", "decoder.clip", "sim", "sim.max_frames",
-    "sim.target_errors", "sim.verify", "sim.baseline", "output", "output.dir",
-    "expected", "expected.shape", "expected.column_weight", "expected.row_weight",
-    "expected.dimension", "expected.rate",
-]
+FIELD_PATHS = [f"{sec}.{key}" if sec else key for sec, key in SCHEMA]
+SCHEMA_PATHS = FIELD_PATHS + sorted({sec for sec, _ in SCHEMA if sec})
+
+
+def test_readme_documents_every_field():
+    """README's config section names each SCHEMA field, as `section.key`."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    section = readme.split("\n## Config schema\n")[1].split("\n## ")[0]
+    assert [p for p in FIELD_PATHS if f"`{p}`" not in section] == []
+
+
+@pytest.mark.parametrize("path, in_file", [("nme", True), ("decoder.iteration", True),
+                                           ("sim.max_frame", False)])
+def test_unknown_field_rejected(tmp_path, capsys, path, in_file):
+    """A misspelt field is a config error (exit 2) that names its path, and
+    nothing is written, whether it sits at the top level or inside a section
+    of a config file, or comes in through --set."""
+    args = ["simulate", "--outdir", str(tmp_path / "out"), "--quiet"]
+    if in_file:
+        source = tmp_path / "cfg.json"
+        source.write_text(json.dumps(apply_overrides(load_preset("desk_gf8"), [f"{path}=5"])))
+        args.append(str(source))
+    else:
+        args += ["--preset", "desk_gf8", "--set", f"{path}=5"]
+    assert main(args) == 2
+    assert capsys.readouterr().err == f"config error: unknown field {path}\n"
+    assert list(tmp_path.iterdir()) == ([tmp_path / "cfg.json"] if in_file else [])
 
 
 def test_construct_survives_any_field_value():
