@@ -36,6 +36,9 @@
  * non-finite variable total: numpy's NaN rules are not reproduced, so the
  * caller decodes that layer itself.  work holds
  * G*((m + 1)*n*n + 11*n + 3) + ceil(G*(n*n + 1)/8) doubles.
+ *
+ * gftmux_syndrome counts the unsatisfied checks of a stack of words with
+ * the kernel's own rolled XOR (GlobalParityCheck.syndrome_weight).
  */
 #include <math.h>
 #include <stdint.h>
@@ -145,25 +148,51 @@ INLINE int every(const uint8_t *flag, int64_t G)
     return all;
 }
 
+/* par[r*G + g] = XOR over the n slots of check (i, r) of lane g's words
+ * cur, for the CPM exponents e = expo[i*n ...] of row i: the rolled column
+ * j read as two segments, as in check_update. */
+INLINE void check_parity(const uint8_t *cur, int64_t n, int64_t G, const int64_t *e_row,
+                         uint8_t *par)
+{
+    int64_t w = n * G;
+    memset(par, 0, w);
+    for (int64_t j = 0; j < n; j++) {
+        int64_t e = e_row[j] * G, k = w - e;
+        const uint8_t *col = cur + j * w;
+        for (int64_t q = 0; q < k; q++)
+            par[q] ^= col[q + e];
+        for (int64_t q = k; q < w; q++)
+            par[q] ^= col[q - k];
+    }
+}
+
 /* Set bad[g] if a check of lane g's decisions cur is unsatisfied; stop as
  * soon as every lane is bad. */
 INLINE void syndrome(const uint8_t *cur, int64_t n, int64_t m, int64_t G,
                      const int64_t *expo, uint8_t *par, uint8_t *bad)
 {
-    int64_t w = n * G;
     for (int64_t i = 0; i < m && !every(bad, G); i++) {
-        memset(par, 0, w);
-        for (int64_t j = 0; j < n; j++) {
-            int64_t e = expo[i * n + j] * G, k = w - e;
-            const uint8_t *col = cur + j * w;
-            for (int64_t q = 0; q < k; q++)
-                par[q] ^= col[q + e];
-            for (int64_t q = k; q < w; q++)
-                par[q] ^= col[q - k];
-        }
+        check_parity(cur, n, G, expo + i * n, par);
         for (int64_t r = 0; r < n; r++)
             for (int64_t g = 0; g < G; g++)
                 bad[g] |= par[r * G + g];
+    }
+}
+
+/* weight[l] = the number of checks whose XOR over word l of the L words
+ * of n*n bytes (bits of one layer, or GF(2^s) symbols for s <= 8) is
+ * nonzero; par holds n bytes. */
+void gftmux_syndrome(const uint8_t *restrict words, int64_t L, int64_t n, int64_t m,
+                     const int64_t *expo, uint8_t *restrict par, int64_t *weight)
+{
+    for (int64_t l = 0; l < L; l++) {
+        int64_t nonzero = 0;
+        for (int64_t i = 0; i < m; i++) {
+            check_parity(words + l * n * n, n, 1, expo + i * n, par);
+            for (int64_t r = 0; r < n; r++)
+                nonzero += par[r] != 0;
+        }
+        weight[l] = nonzero;
     }
 }
 

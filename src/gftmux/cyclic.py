@@ -209,10 +209,8 @@ def encode(msg, g: GeneratorPoly) -> np.ndarray:
     if (msg >= alphabet).any() or (msg < 0).any():
         raise ValueError(f"message symbol outside the code alphabet [0, {alphabet})")
     shifted = np.concatenate([np.zeros(m, dtype=np.int64), msg])
-    parity = poly_mod(shifted, g.coeffs, g.field)
-    cw = shifted
-    cw[:m] ^= parity
-    return cw
+    shifted[:m] = poly_mod(shifted, g.coeffs, g.field)
+    return shifted
 
 
 def encode_spc(msg) -> np.ndarray:
@@ -222,20 +220,29 @@ def encode_spc(msg) -> np.ndarray:
     return np.concatenate([msg, np.bitwise_xor.reduce(msg, axis=0, keepdims=True)])
 
 
+def parity_rows(spec: BaseCodeSpec) -> np.ndarray:
+    """(n-m) x m parity block of generator_matrix: row t is X^(m+t) mod g(X),
+    the parity of unit message t.  Each row is the one before after one step
+    of the encoder's shift register, X*r mod g: shift up and add top*g_low
+    (X^m = g_low in characteristic 2), m field products per row."""
+    m, field = spec.m, spec.field
+    low = generator_poly(spec).coeffs[:m]
+    rows = np.empty((spec.n - m, m), dtype=np.int64)
+    r = np.eye(m, dtype=np.int64)[-1]   # X^(m-1), one step before X^m
+    for t in range(spec.n - m):
+        r = rows[t] = np.concatenate([[0], r[:-1]]) ^ field.mul_arr(r[-1], low)
+    return rows
+
+
 def generator_matrix(spec: BaseCodeSpec) -> np.ndarray:
-    """(n-m) x n systematic generator matrix; rows are unit-message codewords.
+    """(n-m) x n systematic generator matrix [parity_rows | I]; rows are
+    unit-message codewords.
 
     Binary mode yields a 0/1 matrix (encode = msg @ G mod 2); nonbinary
     mode yields field symbols (encode = GF matrix product).
     """
-    g = generator_poly(spec)
-    kdim = spec.n - spec.m
-    rows = np.zeros((kdim, spec.n), dtype=np.int64)
-    for t in range(kdim):
-        msg = np.zeros(kdim, dtype=np.int64)
-        msg[t] = 1
-        rows[t] = encode(msg, g)
-    return rows
+    return np.concatenate([parity_rows(spec), np.eye(spec.n - spec.m, dtype=np.int64)],
+                          axis=1)
 
 
 # -- exhaustive nearest-codeword oracle ---------------------------------

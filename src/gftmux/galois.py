@@ -7,26 +7,26 @@ alpha is the class of X modulo the primitive polynomial.  Addition is
 XOR; multiplication goes through log/antilog tables, so fields stay
 cheap to build for s up to 16.
 
-The C library holds the min-sum kernel (_flood.c, see decoder), the
-GF(2) table product (_gf2.c, see Gf2Map), and each trial's SeedSequence
-hash, PCG64 words and ziggurat normals (_draw.c, see sim.draw_block); the
-loader declares the argument types of all its entry points.  It is
-compiled with gcc when this module is imported and cached under the user
-cache directory ($XDG_CACHE_HOME/gftmux or ~/.cache/gftmux), keyed by the
-SHA-256 of the sources, the flags and the machine; a build removes the
-libraries of other keys there.  When no compiler is available or the
-build fails, c_library is None, one warning says so, and every user runs
-its numpy path, which gives the same results: numpy stays the reference.
+The C library holds the min-sum kernel and the syndrome count (_flood.c,
+see decoder and GlobalParityCheck), the GF(2) table product (_gf2.c, see
+Gf2Map), and each trial's SeedSequence hash, PCG64 words and ziggurat
+normals (_draw.c, see sim.draw_block); the loader declares the argument
+types of all its entry points.  It is compiled with gcc when this module
+is imported and cached under the user cache directory ($XDG_CACHE_HOME/gftmux
+or ~/.cache/gftmux), keyed by the SHA-256 of the sources, the flags and the
+machine; a build removes the libraries of other keys there.  When no
+compiler is available or the build fails, c_library is None, one warning
+says so, and every user runs its numpy path, which gives the same results:
+numpy stays the reference.
 """
 
 from __future__ import annotations
 
 import ctypes
 import hashlib
+import math
 import os
 import platform
-import subprocess
-import tempfile
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -52,14 +52,19 @@ def _load_library():
         cache = Path(os.environ.get("XDG_CACHE_HOME")
                      or Path.home() / ".cache") / "gftmux"
         lib = cache / f"gftmux-{key}.so"
-        if not lib.exists():
+        if not lib.exists():   # a cache miss: build it
+            import subprocess
+            import tempfile
+
             cache.mkdir(parents=True, exist_ok=True)
             # concurrent builders each write their own file; replace is atomic
             fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
             os.close(fd)
             try:
-                subprocess.run(["gcc", *CFLAGS, *map(str, sources), "-o", tmp, "-lm"],
-                               check=True, capture_output=True, text=True)
+                proc = subprocess.run(["gcc", *CFLAGS, *map(str, sources), "-o", tmp, "-lm"],
+                                      capture_output=True, text=True)
+                if proc.returncode:
+                    raise OSError(proc.stderr)
                 os.replace(tmp, lib)
             finally:
                 if os.path.exists(tmp):
@@ -73,17 +78,17 @@ def _load_library():
                     except OSError:
                         pass
         library = ctypes.CDLL(str(lib))
-    except (OSError, subprocess.CalledProcessError) as exc:
-        detail = getattr(exc, "stderr", None) or exc
+    except OSError as exc:   # gcc's stderr when the build failed
         warnings.warn(f"gftmux: C library unavailable, decoding with numpy, "
                       f"applying the GF(2) maps with numpy tables and drawing "
-                      f"the noise with numpy's Generator ({detail})",
+                      f"the noise with numpy's Generator ({exc})",
                       RuntimeWarning, stacklevel=2)
         return None
     ptr, int64, double = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
     for name, argtypes in (
             ("gftmux_flood", [ptr, int64, int64, int64, ptr, double, double, ptr, int64,
                               int64, ptr, ptr, ptr]),
+            ("gftmux_syndrome", [ptr, int64, int64, int64, ptr, ptr, ptr]),
             ("gftmux_gf2_apply", [ptr, int64, int64, int64, ptr, ptr]),
             ("gftmux_seed", [ptr, int64, ctypes.c_uint64, int64, ptr]),
             ("gftmux_draw", [ptr, int64, int64, int64, ptr, ptr])):
@@ -233,18 +238,7 @@ def build_field(s: int, primitive_poly: int | None = None) -> GaloisField:
 
 
 def is_prime(k: int) -> bool:
-    if k < 2:
-        return False
-    if k < 4:
-        return True
-    if k % 2 == 0:
-        return False
-    f = 3
-    while f * f <= k:
-        if k % f == 0:
-            return False
-        f += 2
-    return True
+    return k >= 2 and all(k % f for f in range(2, math.isqrt(k) + 1))
 
 
 @dataclass(eq=False)

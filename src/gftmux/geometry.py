@@ -11,11 +11,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 
 from .cyclic import BaseCodeSpec, BaseMatrix, DuplicateRoots
-from .galois import SubgroupGen
+from .galois import SubgroupGen, c_library
+
+#: The library's syndrome count (_flood.c), or None to gather H's rows in numpy.
+_syndrome = None if c_library is None else c_library.gftmux_syndrome
 
 #: Largest n for which dense materialization and exhaustive cross-checks run.
 DENSE_LIMIT = 31
@@ -99,13 +103,29 @@ class GlobalParityCheck:
         return (self.n_checks, self.n_vars)
 
     def syndrome_weight(self, vec):
-        """Number of checks whose XOR over vec is nonzero, per word of a stack.
+        """Number of checks whose XOR over vec is nonzero, per word of a
+        (..., n^2) stack.
 
         One routine for GF(2^s) symbols and for the bits of one layer
-        alike (the binary decomposition theorem).
+        alike (the binary decomposition theorem).  The C library counts
+        uint8 words with the decoding kernel's rolled XOR over the CPM
+        exponents; other dtypes, or no library, gather H's rows in numpy,
+        about 4 MB of them at a time.
         """
-        parity = np.bitwise_xor.reduce(np.asarray(vec)[..., self.check_vars], axis=-1)
-        return np.count_nonzero(parity, axis=-1)
+        vec = np.asarray(vec)
+        if vec.shape[-1:] != (self.n_vars,):
+            raise ValueError(f"words {vec.shape} do not end in n^2 = {self.n_vars}")
+        words = np.ascontiguousarray(vec).reshape(-1, self.n_vars)
+        weight, par = np.empty(len(words), dtype=np.int64), np.empty(self.n, dtype=np.uint8)
+        if _syndrome is not None and vec.dtype == np.uint8:
+            _syndrome(words.ctypes.data, len(words), self.n, self.m,
+                      self.cpm_exponents.ctypes.data, par.ctypes.data, weight.ctypes.data)
+        else:
+            step = max(1, 2 ** 22 // self.check_vars.size)
+            for a in range(0, len(words), step):
+                parity = np.bitwise_xor.reduce(words[a:a + step, self.check_vars], axis=-1)
+                weight[a:a + step] = np.count_nonzero(parity, axis=-1)
+        return weight.reshape(vec.shape[:-1])[()]
 
     def column_weights(self) -> np.ndarray:
         return np.bincount(self.check_vars.reshape(-1), minlength=self.n_vars)
@@ -346,18 +366,12 @@ def write_alist(h_or_alist, destination) -> None:
 
 
 def read_alist(source) -> AlistMatrix:
-    if hasattr(source, "read"):
-        tokens_rows = [ln.split() for ln in source.read().splitlines()]
-    else:
-        with open(source) as fh:
-            tokens_rows = [ln.split() for ln in fh.read().splitlines()]
-    rows = [[int(t) for t in r] for r in tokens_rows if r]
+    text = source.read() if hasattr(source, "read") else Path(source).read_text()
+    rows = [[int(t) for t in ln.split()] for ln in text.splitlines() if ln.split()]
     if len(rows) < 4 or len(rows[0]) != 2:
         raise ValueError("alist file lacks its 4-line header (shape, largest "
                          "degrees, column degrees, row degrees)")
-    n_cols, n_rows = rows[0]
-    col_deg = rows[2]
-    row_deg = rows[3]
+    (n_cols, n_rows), col_deg, row_deg = rows[0], rows[2], rows[3]
     if len(col_deg) != n_cols or len(row_deg) != n_rows:
         raise ValueError("alist degree lists do not match the declared shape")
     if len(rows) < 4 + n_cols + n_rows:
@@ -402,5 +416,4 @@ def _write_text(text: str, destination) -> None:
     if hasattr(destination, "write"):
         destination.write(text)
     else:
-        with open(destination, "w") as fh:
-            fh.write(text)
+        Path(destination).write_text(text)

@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 import time
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -215,21 +214,6 @@ def draw_block(tx: Transceiver, master_seed: int, start: int, count: int, ws=Non
     return StreamBlock(bits=np.take(raw, tx._draw_at, axis=1) >> 7, n=tx.n), noise
 
 
-#: The bit each row of a group of 8 takes in _pack_rows.
-_ROW_WEIGHTS = 1 << np.arange(7, -1, -1, dtype=np.uint8)
-
-
-def _pack_rows(bits: np.ndarray) -> np.ndarray:
-    """np.packbits(bits, axis=0) of 0/1 uint8 rows: row l sets bit 7 - l % 8
-    of byte row l // 8.  H is binary, so a check of 8 layers packed
-    bytewise is nonzero iff a check of one of them is."""
-    out = np.zeros((-(-len(bits) // 8), bits.shape[1]), dtype=np.uint8)
-    for l, weight in enumerate(_ROW_WEIGHTS[:len(bits)]):
-        rows = bits[l::8]
-        out[:len(rows)] |= rows * weight   # a uint8 product; uint8 shifts are slower
-    return out
-
-
 def run_block(tx: Transceiver, h: GlobalParityCheck, points, params: MsaParams,
               master_seed: int, start: int, count: int, verify: bool = True, ws=None) -> list:
     """Tallies of trials start..start+count-1: out[p][i, j] holds trial
@@ -256,7 +240,7 @@ def run_block(tx: Transceiver, h: GlobalParityCheck, points, params: MsaParams,
         llr(layers, sigma, out=layers)
         bits, iters, conv = decode_batch(layers.reshape(count * s, -1), h, params, limits, ws)
         top = limits.index(max(limits))   # holds every converged result
-        if verify and h.syndrome_weight(_pack_rows(bits[conv[:, top], top])).any():
+        if verify and h.syndrome_weight(bits[conv[:, top], top]).any():
             raise RuntimeError("early stop reported convergence on a nonzero syndrome")
         tally = np.zeros((count, len(limits), 5 + s), dtype=np.int64)
         tally[..., 5:] = iters.reshape(count, s, -1).transpose(0, 2, 1)
@@ -357,8 +341,11 @@ def monte_carlo(tx: Transceiver, h: GlobalParityCheck, cfg: SimConfig, rate: flo
 
     # Blocks merge in index order.  The active set only shrinks, so every
     # cell active at merge time is in its block's snapshot.
-    pool = (ProcessPoolExecutor(max_workers=workers, initializer=sweep.install)
-            if workers > 1 else None)
+    pool = None
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(max_workers=workers, initializer=sweep.install)
     ahead = 2 * workers if pool else 1
     try:
         pending, start = deque(), 0

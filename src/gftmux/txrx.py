@@ -67,18 +67,21 @@ class Transceiver:
         n, m, s = spec.n, spec.m, spec.s
         self.n, self.m, self.s = n, m, s
         self.parity_check = cpm_dispersion(base_matrix(spec, 1))
-        # GF(2) maps of the generator (G (x) I_s in binary mode), V, V^-1
+        # GF(2) maps of the generator's parity block (P (x) I_s in binary
+        # mode), V, V^-1; the systematic identity block is never lifted
         field = spec.field
-        self._gen = Gf2Map(field.lift(cyclic.generator_matrix(spec)))
+        self._gen = Gf2Map(field.lift(cyclic.parity_rows(spec)))
         self._v = Gf2Map(field.lift(vandermonde(spec.subgroup, "forward")))
         self._vinv = Gf2Map(field.lift(vandermonde(spec.subgroup, "inverse")))
         # Symbol t of composite word k >= 1 is symbol t*k mod n of base word
-        # k-1: one gather over the flat symbols of groups 1..n-1.
-        self._hadamard = np.concatenate(
+        # k-1: one gather over the flat symbols of groups 1..n-1, and over
+        # their bytes (bit l of symbol v at byte v*s + l).
+        hadamard = np.concatenate(
             [cyclic.hadamard_perm(np.arange((k - 1) * n, k * n), k, n) for k in range(1, n)])
+        self._hadamard_bytes = (hadamard[:, None] * s + np.arange(s)).reshape(-1)
         # The message symbols among all n^2: group 0's first n-1, then the
         # inverse gather at base positions m..n-1 of each group.
-        msg_at = np.argsort(self._hadamard).reshape(n - 1, n)[:, m:]
+        msg_at = np.argsort(hadamard).reshape(n - 1, n)[:, m:]
         self._demux = np.concatenate([np.arange(n - 1), n + msg_at.reshape(-1)])
         self.msg_lengths = [n - 1] + [n - m] * (n - 1)
         self.info_bits = s * sum(self.msg_lengths)
@@ -114,8 +117,10 @@ class Transceiver:
         comp[:, :n] = cyclic.encode_spc(bits[:, :, : n - 1].transpose(2, 0, 1)
                                         ).transpose(1, 0, 2)   # SPC along symbols
         msgs = bits[:, :, n - 1 :].reshape(-1, s, n - 1, n - m).transpose(0, 2, 3, 1)
-        base_words = self._gen(msgs.reshape(-1, (n - m) * s))
-        comp[:, n:] = base_words.reshape(len(bits), -1, s)[:, self._hadamard]
+        msgs = msgs.reshape(-1, (n - m) * s)
+        base_words = np.concatenate([self._gen(msgs), msgs], axis=1)   # parity, message
+        comp[:, n:] = np.take(base_words.reshape(len(bits), -1), self._hadamard_bytes,
+                              axis=1).reshape(len(bits), -1, s)
         return comp.reshape(streams.bits.shape[:-2] + (n, n * s))
 
     def multiplex(self, composites: np.ndarray, out=None) -> tuple:

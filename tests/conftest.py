@@ -3,15 +3,17 @@ import struct
 import numpy as np
 import pytest
 
-from gftmux import config, cyclic, decoder, galois, sim
+from gftmux import config, cyclic, decoder, galois, geometry, sim
 
 
 @pytest.fixture
 def numpy_kernel(monkeypatch):
     """Decode with the numpy _flood oracle, apply the GF(2) maps with numpy
-    tables and draw each block with numpy's generator, as on a machine
-    without a compiler; forked pool workers inherit the choice."""
+    tables, count syndromes by numpy's gather and draw each block with
+    numpy's generator, as on a machine without a compiler; forked pool
+    workers inherit the choice."""
     monkeypatch.setattr(decoder, "_kernel", None)
+    monkeypatch.setattr(geometry, "_syndrome", None)
     monkeypatch.setattr(galois, "_gf2_apply", None)
     monkeypatch.setattr(sim, "_draw", None)
 

@@ -497,7 +497,11 @@ def sigint_through_pool(tmp_path, **env) -> str:
             head.append(proc.stderr.readline().decode())
             assert head[-1], f"stderr closed before a progress line: {head}"
         os.killpg(proc.pid, signal.SIGINT)
-        err = "".join(head) + proc.communicate(timeout=120)[1].decode()
+        try:
+            err = "".join(head) + proc.communicate(timeout=120)[1].decode()
+        except subprocess.TimeoutExpired as exc:   # keep what the child wrote
+            raise AssertionError("no exit 120 s after SIGINT; stderr: " + "".join(head)
+                                 + (exc.stderr or b"").decode()) from None
     finally:
         if proc.poll() is None:
             os.killpg(proc.pid, signal.SIGKILL)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import code_syndrome, gf2_poly_divisible, poly_eval
-from gftmux import cyclic, galois
+from gftmux import config, cyclic, galois
 from gftmux.cyclic import (
     BaseCodeSpec,
     ConjugacyViolation,
@@ -17,6 +17,7 @@ from gftmux.cyclic import (
     generator_poly,
     hadamard_perm,
     mld_oracle,
+    parity_rows,
 )
 from gftmux.galois import compose_arr
 
@@ -273,6 +274,46 @@ def test_generator_matrix_agrees_with_polynomial_encoder(desk_spec, rs5_spec):
         msg = rng.integers(0, 16, size=3)
         via_matrix = rs5_spec.field.matmul(msg[None, :], gmat_q)[0]
         assert (via_matrix == encode(msg, gq)).all()
+
+
+def assert_parity_rows_encode_unit_messages(spec):
+    """Row t of parity_rows is the parity of unit message t, and
+    generator_matrix is [parity_rows | I]."""
+    g, kdim = generator_poly(spec), spec.n - spec.m
+    rows = parity_rows(spec)
+    assert rows.shape == (kdim, spec.m)
+    units = np.stack([encode(msg, g) for msg in np.eye(kdim, dtype=np.int64)])
+    assert (rows == units[:, :spec.m]).all()
+    assert (generator_matrix(spec) == units).all()
+
+
+@pytest.mark.parametrize("preset", config.list_presets())
+def test_parity_rows_encode_unit_messages(preset):
+    assert_parity_rows_encode_unit_messages(
+        config.build_system(config.load_preset(preset)).spec)
+
+
+def test_parity_rows_on_small_specs():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    # (s, primitive polynomial, prime n dividing 2^s - 1)
+    small = [(3, None, 7), (4, None, 3), (4, None, 5), (5, 0b100101, 31)]
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None)
+    @hypothesis.given(case=st.sampled_from(small), binary=st.booleans(),
+                      picks=st.lists(st.integers(0, 30), min_size=1, max_size=8))
+    def run(case, binary, picks):
+        s, poly, n = case
+        field = galois.build_field(s, poly)
+        roots = sorted({p % n for p in picks})
+        if binary:
+            roots = conjugacy_closure(roots, n)
+        hypothesis.assume(len(roots) < n)
+        spec = BaseCodeSpec(field=field, subgroup=galois.element_of_order(field, n),
+                            roots=roots, mode="binary" if binary else "nonbinary")
+        assert_parity_rows_encode_unit_messages(spec)
+
+    run()
 
 
 # -- exhaustive decoder oracle -------------------------------------------

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gftmux import config, decoder, galois
+from gftmux import config, decoder, galois, geometry
 from gftmux.channel import ChannelParams, LlrFrame, llr
 from gftmux.decoder import OPS_PER_EDGE, MsaParams, _flood, decode_batch
 from gftmux.galois import Gf2Map, gf2_product
@@ -274,6 +274,31 @@ def test_gf2_map_keeps_leading_axes_and_checks_width():
         gmap(bits[..., :8])
 
 
+@pytest.mark.skipif(geometry._syndrome is None, reason="the C library is not built")
+@pytest.mark.parametrize("preset", config.list_presets())
+def test_library_syndrome_matches_gather(preset, monkeypatch):
+    """gftmux_syndrome counts what numpy's gather of H's rows counts, on
+    random bit and symbol stacks, single words, stacks and empty stacks."""
+    h = preset_graph(preset)
+    order = config.build_system(config.load_preset(preset)).field.order
+    rng = np.random.default_rng(len(preset))
+    for high in (2, min(order, 256)):
+        for shape in ((h.n_vars,), (9, h.n_vars), (2, 3, h.n_vars), (0, h.n_vars)):
+            words = rng.integers(0, high, size=shape, dtype=np.uint8)
+            if words.ndim > 1:
+                words[..., :1, :] = 0   # a codeword in every stack
+            got = h.syndrome_weight(words)
+            with monkeypatch.context() as mp:
+                mp.setattr(geometry, "_syndrome", None)
+                want = h.syndrome_weight(words)
+            assert np.shape(got) == np.shape(want) == shape[:-1]
+            assert (got == want).all()
+            if len(shape) > 1 and shape[-2]:
+                assert (got[..., 0] == 0).all() and got.any()
+    with pytest.raises(ValueError, match="do not end in"):
+        h.syndrome_weight(np.zeros(h.n_vars - 1, dtype=np.uint8))
+
+
 @pytest.mark.skipif(shutil.which("gcc") is None, reason="no gcc")
 def test_kernel_compiles_without_warnings(tmp_path):
     """Every source of the library, the flooding kernel and the GF(2)
@@ -398,7 +423,8 @@ print(json.dumps({"names": names, "package": [m for m in sys.modules if "gftmux"
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert out["names"] == ["gftmux_draw", "gftmux_flood", "gftmux_gf2_apply", "gftmux_seed"]
+    assert out["names"] == ["gftmux_draw", "gftmux_flood", "gftmux_gf2_apply", "gftmux_seed",
+                            "gftmux_syndrome"]
     assert out["package"] == [] and all(out["declared"])
 
 

@@ -393,18 +393,6 @@ def test_library_draw_checked_against_numpy(desk, monkeypatch, target):
         sim.draw_block(desk.transceiver, 555, 7, 3)
 
 
-@pytest.mark.parametrize("rows", [0, 1, 7, 8, 9, 17, 192])
-def test_pack_rows_matches_packbits(rows):
-    """The verify re-check's row packing gives np.packbits(axis=0)'s bytes."""
-    from gftmux.sim import _pack_rows
-
-    bits = np.random.default_rng(rows).integers(0, 2, size=(rows, 49), dtype=np.uint8)
-    packed = _pack_rows(bits)
-    expected = np.packbits(bits, axis=0)
-    assert packed.dtype == np.uint8 and packed.shape == expected.shape
-    assert (packed == expected).all()
-
-
 def test_clean_frame_skips_demultiplex(desk, monkeypatch):
     """A decoded word equal to the transmitted one counts no errors
     without the inverse GFT; a wrong one is still demultiplexed."""
