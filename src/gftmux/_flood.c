@@ -179,12 +179,12 @@ INLINE void syndrome(const uint8_t *cur, int64_t n, int64_t m, int64_t G,
     }
 }
 
-/* weight[l] = the number of checks whose XOR over word l of the L words
- * of n*n bytes (bits of one layer, or GF(2^s) symbols for s <= 8) is
- * nonzero; par holds n bytes. */
+/* weight[l] = the number of checks whose XOR over word l of the L words of
+ * n*n bytes (bits of one layer, or GF(2^s) symbols for s <= 8) is nonzero. */
 void gftmux_syndrome(const uint8_t *restrict words, int64_t L, int64_t n, int64_t m,
-                     const int64_t *expo, uint8_t *restrict par, int64_t *weight)
+                     const int64_t *expo, int64_t *weight)
 {
+    uint8_t par[n];
     for (int64_t l = 0; l < L; l++) {
         int64_t nonzero = 0;
         for (int64_t i = 0; i < m; i++) {

@@ -163,7 +163,7 @@ def _sweep_into(args, bundle, csv_fh, manifest_fh) -> bool | None:
         "truncated": truncated,
         "outputs": {"csv": csv_fh.name},
         "rng_contract": 1,
-        "decoder_kernel": "numpy" if decoder._kernel is None else "c",
+        "decoder_kernel": decoder.kernel_name(),
         "cells": [{"ebn0_db": c.ebn0_db, "iters": c.iterations_limit,
                    "iter_hist": {str(k): v for k, v in sorted(c.iter_hist.items())},
                    "wall_time": c.wall_time,

@@ -149,38 +149,16 @@ def generator_poly(spec: BaseCodeSpec) -> GeneratorPoly:
 # -- parity-check base matrices and Hadamard permutations --------------
 
 
-@dataclass(eq=False)
-class BaseMatrix:
-    """m x n root parity-check matrix, stored as beta exponents.
-
-    Entry (i, j) of the k-th Hadamard power is beta^(k*j*l_i); the
-    element value is subgroup.pow_table[exponents[i, j]].
-    """
-
-    exponents: np.ndarray
-    hadamard_k: int
-    subgroup: SubgroupGen
-
-    @property
-    def m(self) -> int:
-        return self.exponents.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.exponents.shape[1]
-
-    def elements(self) -> np.ndarray:
-        return self.subgroup.pow_table[self.exponents]
-
-
-def base_matrix(spec: BaseCodeSpec, k: int = 1) -> BaseMatrix:
+def base_matrix(spec: BaseCodeSpec, k: int = 1) -> np.ndarray:
+    """The m x n k-th Hadamard power of the root parity-check matrix as beta
+    exponents: entry (i, j) is k*j*l_i mod n, the element
+    spec.subgroup.pow_table[k*j*l_i mod n]."""
     n = spec.n
     if not 0 <= k < n:
         raise ValueError(f"Hadamard power k={k} out of range [0, {n})")
     roots = np.asarray(spec.roots, dtype=np.int64)
     j = np.arange(n, dtype=np.int64)
-    expo = (k * j[None, :] * roots[:, None]) % n
-    return BaseMatrix(exponents=expo, hadamard_k=k, subgroup=spec.subgroup)
+    return (k * j[None, :] * roots[:, None]) % n
 
 
 def hadamard_perm(v, k: int, n: int) -> np.ndarray:

@@ -53,6 +53,11 @@ LANE_BYTES = 2 ** 15
 _kernel = None if c_library is None else c_library.gftmux_flood
 
 
+def kernel_name() -> str:
+    """What decode_batch decodes with: "c" (the compiled kernel) or "numpy"."""
+    return "numpy" if _kernel is None else "c"
+
+
 @dataclass(frozen=True)
 class MsaParams:
     max_iterations: int

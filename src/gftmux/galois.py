@@ -88,7 +88,7 @@ def _load_library():
     for name, argtypes in (
             ("gftmux_flood", [ptr, int64, int64, int64, ptr, double, double, ptr, int64,
                               int64, ptr, ptr, ptr]),
-            ("gftmux_syndrome", [ptr, int64, int64, int64, ptr, ptr, ptr]),
+            ("gftmux_syndrome", [ptr, int64, int64, int64, ptr, ptr]),
             ("gftmux_gf2_apply", [ptr, int64, int64, int64, ptr, ptr]),
             ("gftmux_seed", [ptr, int64, ctypes.c_uint64, int64, ptr]),
             ("gftmux_draw", [ptr, int64, int64, int64, ptr, ptr])):

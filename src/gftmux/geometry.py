@@ -4,18 +4,19 @@ The global parity-check matrix is the binary CPM dispersion of the
 m x n root matrix: block (i, j) is the n x n circulant permutation
 whose row r carries its single 1 at column (r + j*l_i) mod n.  For
 large n the matrix is never materialized densely; everything runs off
-the exponent table and the derived adjacency.
+the exponent table, and the adjacency derived from it where it is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 
-from .cyclic import BaseCodeSpec, BaseMatrix, DuplicateRoots
+from .cyclic import BaseCodeSpec
 from .galois import SubgroupGen, c_library
 
 #: The library's syndrome count (_flood.c), or None to gather H's rows in numpy.
@@ -48,43 +49,42 @@ def cpm(e, n: int) -> np.ndarray:
     return (r == (r[:, None] + e[..., None, None]) % n).astype(np.uint8)
 
 
-@dataclass(eq=False)
 class GlobalParityCheck:
-    """mn x n^2 binary QC matrix held as a CPM exponent table.
+    """mn x n^2 binary QC matrix held as its m x n CPM exponent table:
+    block (i, j) is CPM(cpm_exponents[i, j]).
 
+    The Tanner adjacency is derived from the table on first use.
     check_vars[c] lists the n variable columns adjacent to global check
     row c = i*n + r.  Edge slot c*n + j is check c's j-th entry, and
     var_edges[v] lists the m slots of variable v in ascending check
     order.  Column weight is m, row weight n, edge count m*n^2.
     """
 
-    m: int
-    n: int
-    cpm_exponents: np.ndarray
-    check_vars: np.ndarray    # (m*n, n) variable indices
-    var_edges: np.ndarray     # (n^2, m) edge slots into check_vars.reshape(-1)
-
-    def __post_init__(self):   # the table as the decoding kernel reads it, read-only
-        self.cpm_exponents = np.ascontiguousarray(self.cpm_exponents, dtype=np.int64) % self.n
-        if self.cpm_exponents.shape != (self.m, self.n):
-            raise ValueError(f"CPM exponent table {self.cpm_exponents.shape} "
-                             f"is not m x n = {(self.m, self.n)}")
+    def __init__(self, exponents):
+        expo = np.asarray(exponents)
+        if expo.ndim != 2:
+            raise ValueError(f"CPM exponent table {expo.shape} is not 2-D")
+        self.m, self.n = expo.shape
+        # the table as the decoding kernel reads it, read-only
+        self.cpm_exponents = np.ascontiguousarray(expo, dtype=np.int64) % self.n
         self.cpm_exponents.flags.writeable = False
 
-    @classmethod
-    def from_exponents(cls, exponents) -> "GlobalParityCheck":
-        expo = np.asarray(exponents, dtype=np.int64)
-        m, n = expo.shape
-        r = np.arange(n, dtype=np.int64)
-        j = np.arange(n, dtype=np.int64)
+    @cached_property
+    def check_vars(self) -> np.ndarray:
         # check (i, r) touches variable j*n + (r + e(i, j)) mod n for every j
-        cols = j[None, None, :] * n + (r[None, :, None] + expo[:, None, :]) % n
+        n, r = self.n, np.arange(self.n, dtype=np.int64)
+        cols = (r * n + (r[:, None] + self.cpm_exponents[:, None, :]) % n).reshape(-1, n)
+        cols.flags.writeable = False
+        return cols
+
+    @cached_property
+    def var_edges(self) -> np.ndarray:
         # variable j*n + t sits in check (i, (t - e(i, j)) mod n) at slot j
-        i = np.arange(m, dtype=np.int64)
-        row = (r[None, :, None] - expo.T[:, None, :]) % n    # [j, t, i]
-        slots = ((i * n + row) * n + j[:, None, None]).reshape(n * n, m)
-        return cls(m=m, n=n, cpm_exponents=expo,
-                   check_vars=cols.reshape(m * n, n), var_edges=slots)
+        n, r, i = self.n, np.arange(self.n, dtype=np.int64), np.arange(self.m, dtype=np.int64)
+        row = (r[:, None] - self.cpm_exponents.T[:, None, :]) % n    # [j, t, i]
+        slots = ((i * n + row) * n + r[:, None, None]).reshape(n * n, self.m)
+        slots.flags.writeable = False
+        return slots
 
     @property
     def n_checks(self) -> int:
@@ -116,10 +116,10 @@ class GlobalParityCheck:
         if vec.shape[-1:] != (self.n_vars,):
             raise ValueError(f"words {vec.shape} do not end in n^2 = {self.n_vars}")
         words = np.ascontiguousarray(vec).reshape(-1, self.n_vars)
-        weight, par = np.empty(len(words), dtype=np.int64), np.empty(self.n, dtype=np.uint8)
+        weight = np.empty(len(words), dtype=np.int64)
         if _syndrome is not None and vec.dtype == np.uint8:
             _syndrome(words.ctypes.data, len(words), self.n, self.m,
-                      self.cpm_exponents.ctypes.data, par.ctypes.data, weight.ctypes.data)
+                      self.cpm_exponents.ctypes.data, weight.ctypes.data)
         else:
             step = max(1, 2 ** 22 // self.check_vars.size)
             for a in range(0, len(words), step):
@@ -131,7 +131,7 @@ class GlobalParityCheck:
         return np.bincount(self.check_vars.reshape(-1), minlength=self.n_vars)
 
     def row_weights(self) -> np.ndarray:
-        return np.full(self.n_checks, self.check_vars.shape[1])
+        return np.full(self.n_checks, self.n)
 
     def row_masks(self):
         """Yield each check row as a Python int whose bit v is H[c, v],
@@ -148,19 +148,6 @@ class GlobalParityCheck:
         out = np.zeros(self.shape, dtype=np.uint8)
         np.put_along_axis(out, self.check_vars, 1, axis=1)
         return out
-
-
-def cpm_dispersion(bmat: BaseMatrix) -> GlobalParityCheck:
-    """Disperse the k=1 root matrix into the global QC parity check."""
-    if bmat.hadamard_k != 1:
-        raise ValueError("CPM dispersion is defined on the k=1 base matrix")
-    roots = bmat.exponents[:, 1]  # column j=1 recovers l_i mod n
-    if len(set(int(l) for l in roots)) != bmat.m:
-        raise DuplicateRoots(f"root exponents {sorted(roots)} collide mod {bmat.n}")
-    h = GlobalParityCheck.from_exponents(bmat.exponents)
-    if not (h.column_weights() == bmat.m).all():
-        raise RuntimeError(f"CPM dispersion column weights differ from m={bmat.m}")
-    return h
 
 
 # -- transform similarity ----------------------------------------------

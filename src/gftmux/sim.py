@@ -29,7 +29,7 @@ from .cyclic import generator_matrix, mld_oracle
 from .decoder import OPS_PER_EDGE, MsaParams, decode_batch
 from .galois import buffer, c_library
 from .geometry import GlobalParityCheck
-from .txrx import GlobalWord, StreamBlock, Transceiver, bpsk_map
+from .txrx import GlobalWord, Transceiver, bpsk_map
 
 #: 97.5% standard normal quantile for the 95% Wilson interval.
 _Z95 = 1.959963984540054
@@ -189,19 +189,19 @@ def draw_block(tx: Transceiver, master_seed: int, start: int, count: int, ws=Non
     first raw words and normals are checked against trial_rng's, so that a
     change in numpy's seeding or ziggurat raises RuntimeError rather than
     changing results.  Without the library, trial_rng draws each trial."""
-    seed = int(master_seed)
-    nn = tx.s * tx.n * tx.n
+    seed, nn, half = int(master_seed), tx.s * tx.n * tx.n, tx.raw_words
+    raw, noise = np.empty((count, half), dtype=np.uint64), buffer(ws, "noise", (count, nn))
     if _draw is None:   # the RNG contract itself, trial by trial
-        rngs = [trial_rng(seed, i) for i in range(start, start + count)]
-        streams = StreamBlock(bits=np.stack([tx.random_streams(r).bits for r in rngs]), n=tx.n)
-        return streams, np.stack([r.standard_normal(nn) for r in rngs])
+        for k in range(count):
+            rng = trial_rng(seed, start + k)
+            raw[k] = rng.bit_generator.random_raw(half)
+            rng.standard_normal(out=noise[k])
+        return tx.gather_streams(raw), noise
     gen = trial_rng(seed, start)   # the reference; it also rejects a negative seed
     seed32 = np.frombuffer(seed.to_bytes(4 * max(1, -(-seed.bit_length() // 32)),
                                          "little"), dtype="<u4")
     words = np.empty((count, 4), dtype=np.uint64)
     _seed(seed32.ctypes.data, len(seed32), start, count, words.ctypes.data)
-    half = -(-tx._draw_words // 2)
-    raw, noise = np.empty((count, half), dtype=np.uint64), buffer(ws, "noise", (count, nn))
     _draw(words.ctypes.data, count, half, nn, raw.ctypes.data, noise.ctypes.data)
     head = gen.bit_generator.random_raw(min(_CHECKED, half))
     gen.bit_generator.advance(half - len(head))
@@ -209,9 +209,7 @@ def draw_block(tx: Transceiver, master_seed: int, start: int, count: int, ws=Non
             or (noise[0, :_CHECKED] != gen.standard_normal(min(_CHECKED, nn))).any()):
         raise RuntimeError("the library's draw differs from numpy's SeedSequence, "
                            "PCG64 and standard_normal")
-    # next_uint32 hands out the low half of each 64-bit word first
-    raw = raw.astype("<u8", copy=False).view(np.uint8)
-    return StreamBlock(bits=np.take(raw, tx._draw_at, axis=1) >> 7, n=tx.n), noise
+    return tx.gather_streams(raw), noise
 
 
 def run_block(tx: Transceiver, h: GlobalParityCheck, points, params: MsaParams,

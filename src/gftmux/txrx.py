@@ -17,7 +17,7 @@ import numpy as np
 from . import cyclic
 from .cyclic import BaseCodeSpec, base_matrix
 from .galois import Gf2Map, compose_arr
-from .geometry import cpm_dispersion, vandermonde
+from .geometry import GlobalParityCheck, vandermonde
 
 
 @dataclass(eq=False)
@@ -66,7 +66,7 @@ class Transceiver:
         self.spec = spec
         n, m, s = spec.n, spec.m, spec.s
         self.n, self.m, self.s = n, m, s
-        self.parity_check = cpm_dispersion(base_matrix(spec, 1))
+        self.parity_check = GlobalParityCheck(base_matrix(spec, 1))
         # GF(2) maps of the generator's parity block (P (x) I_s in binary
         # mode), V, V^-1; the systematic identity block is never lifted
         field = spec.field
@@ -91,6 +91,8 @@ class Transceiver:
         words = [-(-s * lk // 4) for lk in self.msg_lengths]
         first = 4 * np.cumsum([0] + words[:-1])
         self._draw_words = sum(words)
+        #: The 64-bit generator outputs per trial that hold those uint32 words.
+        self.raw_words = -(-self._draw_words // 2)
         self._draw_at = np.concatenate(
             [b + np.arange(s * lk).reshape(s, lk) for b, lk in zip(first, self.msg_lengths)],
             axis=1)
@@ -101,9 +103,13 @@ class Transceiver:
         """The bits and generator state of one rng.integers(0, 2, (s, L_k),
         uint8) draw per group, in group order (the trial RNG contract), from
         a single draw of raw uint32 words."""
-        raw = rng.integers(0, 2 ** 32, self._draw_words, dtype=np.uint32)
-        raw = raw.astype("<u4", copy=False)   # byte 0 is the one drawn first
-        return StreamBlock(bits=raw.view(np.uint8)[self._draw_at] >> 7, n=self.n)
+        return self.gather_streams(rng.integers(0, 2 ** 32, self._draw_words, dtype=np.uint32))
+
+    def gather_streams(self, raw: np.ndarray) -> StreamBlock:
+        """The StreamBlock in (..., k) raw words: uint32, or the uint64 outputs
+        whose low half next_uint32 hands out first; trials stack on leading axes."""
+        raw = raw.astype(raw.dtype.newbyteorder("<"), copy=False)   # byte 0 drawn first
+        return StreamBlock(bits=np.take(raw.view(np.uint8), self._draw_at, axis=-1) >> 7, n=self.n)
 
     # -- transmit ---------------------------------------------------------
 

@@ -110,10 +110,11 @@ def poly_eval(coeffs, x: int, field) -> int:
     return acc
 
 
-def code_syndrome(word, bmat, field) -> np.ndarray:
-    """word . B^T over GF(2^s) for a Hadamard power matrix B."""
+def code_syndrome(word, spec, k) -> np.ndarray:
+    """word . B^T over GF(2^s) for B the k-th Hadamard power of spec's root matrix."""
     word = np.asarray(word, dtype=np.int64)
-    return np.bitwise_xor.reduce(field.mul_arr(word[None, :], bmat.elements()), axis=1)
+    bmat = spec.subgroup.pow_table[cyclic.base_matrix(spec, k)]
+    return np.bitwise_xor.reduce(spec.field.mul_arr(word[None, :], bmat), axis=1)
 
 
 def cascade(spec):
@@ -123,7 +124,8 @@ def cascade(spec):
     n, m = spec.n, spec.m
     h_casc = np.zeros((m * n, n * n), dtype=np.int64)
     for k in range(n):
-        h_casc[k * m : (k + 1) * m, k * n : (k + 1) * n] = cyclic.base_matrix(spec, k).elements()
+        block = spec.subgroup.pow_table[cyclic.base_matrix(spec, k)]
+        h_casc[k * m : (k + 1) * m, k * n : (k + 1) * n] = block
     rows, cols = np.arange(m * n), np.arange(n * n)
     row_map = rows % n * m + rows // n
     col_map = cols % n * n + cols // n

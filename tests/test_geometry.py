@@ -5,13 +5,12 @@ import pytest
 
 from conftest import naive_gf_matmul
 from gftmux import config, cyclic, galois, geometry
-from gftmux.cyclic import DuplicateRoots, base_matrix
+from gftmux.cyclic import base_matrix
 from gftmux.geometry import (
     AlistMatrix,
     GlobalParityCheck,
     ScaleGuard,
     cpm,
-    cpm_dispersion,
     gf2_rank,
     gf2_rank_rows,
     girth_lower_bound,
@@ -27,7 +26,7 @@ from gftmux.geometry import (
 
 @pytest.fixture(scope="module")
 def desk_h(desk_spec):
-    return cpm_dispersion(base_matrix(desk_spec, 1))
+    return GlobalParityCheck(base_matrix(desk_spec, 1))
 
 
 # -- Vandermonde ---------------------------------------------------------
@@ -129,7 +128,7 @@ def test_dispersion_matches_dense_blocks(desk_spec, desk_h):
 def test_dispersion_ex1_shape(gf128):
     sub = galois.element_of_order(gf128, 127)
     spec = cyclic.bch_spec(gf128, sub, 5)
-    h = cpm_dispersion(base_matrix(spec, 1))
+    h = GlobalParityCheck(base_matrix(spec, 1))
     assert h.shape == (1778, 16129)
     assert (h.column_weights() == 14).all()
     assert (h.row_weights() == 127).all()
@@ -153,34 +152,25 @@ def test_var_edges_closed_form(preset):
     assert (flat[h.var_edges] == np.arange(h.n_vars)[:, None]).all()
 
 
-def test_dispersion_requires_k1(desk_spec):
-    with pytest.raises(ValueError):
-        cpm_dispersion(base_matrix(desk_spec, 2))
-
-
-def test_dispersion_duplicate_roots():
-    expo = np.array([[0, 1, 2, 3, 4, 5, 6], [0, 1, 2, 3, 4, 5, 6]])
-    bmat = cyclic.BaseMatrix(exponents=expo, hadamard_k=1, subgroup=None)
-    with pytest.raises(DuplicateRoots):
-        cpm_dispersion(bmat)
-
-
 def test_exponent_table_stored_as_the_kernel_reads_it():
     """Construction reduces the table mod n into a read-only C-contiguous
-    int64 array, and refuses one that is not m x n."""
+    int64 array, takes m x n from its shape, and refuses one that is not
+    2-D; the derived adjacency is read-only too."""
     expo = np.asfortranarray([[0, 8, 15, 5, 3], [3, 4, -1, 9, 10]], dtype=np.int32)
-    h = GlobalParityCheck.from_exponents(expo)
+    h = GlobalParityCheck(expo)
     table = h.cpm_exponents
+    assert (h.m, h.n) == (2, 5)
     assert table.dtype == np.int64 and table.flags["C_CONTIGUOUS"]
     assert not table.flags.writeable and (table == expo % 5).all()
-    with pytest.raises(ValueError, match="is not m x n"):
-        GlobalParityCheck(m=1, n=5, cpm_exponents=expo, check_vars=h.check_vars,
-                          var_edges=h.var_edges)
+    assert not h.check_vars.flags.writeable and not h.var_edges.flags.writeable
+    for bad in (expo[0], expo[None]):
+        with pytest.raises(ValueError, match="is not 2-D"):
+            GlobalParityCheck(bad)
 
 
 def test_dense_scale_guard():
     expo = np.zeros((1, 37), dtype=np.int64)
-    h = GlobalParityCheck.from_exponents(expo)
+    h = GlobalParityCheck(expo)
     with pytest.raises(ScaleGuard):
         h.dense()
 
@@ -214,7 +204,7 @@ def test_rc_brute_force_agreement_random_tables():
     rng = np.random.default_rng(23)
     for _ in range(20):
         expo = rng.integers(0, 11, size=(3, 11))
-        rc_check(GlobalParityCheck.from_exponents(expo))   # raises on disagreement
+        rc_check(GlobalParityCheck(expo))   # raises on disagreement
 
 
 @pytest.mark.parametrize("n", [5, 7, 11, 13, 31, 37])
@@ -228,7 +218,7 @@ def test_rc_stacked_matches_pairwise_oracle(n):
             expo = rng.integers(0, n, size=(m, n))
             if rng.random() < 0.5:      # distinct roots l_i give RC-free rows
                 expo = np.outer(rng.permutation(n)[:m], np.arange(n)) % n
-            h = GlobalParityCheck.from_exponents(expo)
+            h = GlobalParityCheck(expo)
             want = _pairwise_rc_violation(h)
             assert rc_check(h) == want
             seen.add(want is None)
@@ -237,7 +227,7 @@ def test_rc_stacked_matches_pairwise_oracle(n):
 
 def test_rc_duplicate_block_rows_fail():
     expo = np.stack([np.arange(7), np.arange(7)])   # l_0 = l_1 = 1
-    i1, i2, j1, j2 = rc_check(GlobalParityCheck.from_exponents(expo))
+    i1, i2, j1, j2 = rc_check(GlobalParityCheck(expo))
     assert (i1, i2) == (0, 1) and j1 != j2
 
 
@@ -245,7 +235,7 @@ def test_rc_prime_configs_always_pass(gf128):
     sub = galois.element_of_order(gf128, 127)
     for d in (3, 5):
         spec = cyclic.bch_spec(gf128, sub, d)
-        assert rc_check(cpm_dispersion(base_matrix(spec, 1))) is None
+        assert rc_check(GlobalParityCheck(base_matrix(spec, 1))) is None
 
 
 def test_girth_desk_exactly_six(desk_h):
@@ -263,14 +253,14 @@ def test_girth_desk_matches_networkx(desk_h):
 
 def test_girth_rc_violation_is_four():
     expo = np.stack([np.arange(7), np.arange(7)])
-    h = GlobalParityCheck.from_exponents(expo)
+    h = GlobalParityCheck(expo)
     assert girth_lower_bound(h) == 4
 
 
 def test_girth_large_scale_bound(gf128):
     sub = galois.element_of_order(gf128, 127)
     spec = cyclic.bch_spec(gf128, sub, 3)
-    assert girth_lower_bound(cpm_dispersion(base_matrix(spec, 1))) == 6
+    assert girth_lower_bound(GlobalParityCheck(base_matrix(spec, 1))) == 6
 
 
 # -- GF(2) rank ---------------------------------------------------------------
@@ -336,7 +326,7 @@ def test_qc_rank_equals_gf2_rank_hypothesis(sub7):
     @hypothesis.settings(max_examples=150, deadline=None, database=None)
     @hypothesis.given(data=st.data())
     def run(data):   # desk's field: n = 7, m from 1 to 6
-        h = GlobalParityCheck.from_exponents(_qc_tables(data.draw, st, 7, 6))
+        h = GlobalParityCheck(_qc_tables(data.draw, st, 7, 6))
         assert qc_rank(h, sub7) == gf2_rank(h) == _dense_rank_oracle(h.dense())
 
     run()
@@ -353,7 +343,7 @@ def test_qc_rank_equals_gf2_rank_n89():
             tables.append(np.vstack([expo, expo[:1]]))          # a repeated row
             tables.append(np.vstack([expo, (expo[1] + 5) % 89]))  # a shifted row
         for table in tables:
-            h = GlobalParityCheck.from_exponents(table)
+            h = GlobalParityCheck(table)
             assert qc_rank(h, sub) == gf2_rank(h)
             assert (qc_rank(h, sub) < len(table) * 88 + 1) == (len(table) > m)
 
@@ -414,7 +404,7 @@ def test_alist_round_trip_zero_degree(col_adj, row_adj):
 
 
 def test_alist_identity_cpm_column_degrees():
-    h = GlobalParityCheck.from_exponents(np.zeros((1, 7), dtype=np.int64))
+    h = GlobalParityCheck(np.zeros((1, 7), dtype=np.int64))
     a = to_alist(h)
     assert all(len(c) == 1 for c in a.col_adj)
 

@@ -1,8 +1,11 @@
-"""No module of the package or of the tests imports a name it never uses.
+"""Plain ast scans of the sources (no linter is a dependency).
 
-A plain ast scan (no linter is a dependency): a name bound by an import
-counts as used when it is read anywhere in the module or listed in the
-module's __all__; `from __future__` imports bind nothing.
+No module of the package or of the tests imports a name it never uses: a
+name bound by an import counts as used when it is read anywhere in the
+module or listed in the module's __all__; `from __future__` imports bind
+nothing.  No module of the package reads a private attribute `obj._name`
+of an object other than self or cls, so that each module's layout stays
+its own (tests may monkeypatch private names; they are not scanned).
 """
 
 import ast
@@ -11,7 +14,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-FILES = sorted([*(ROOT / "src" / "gftmux").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+PACKAGE = sorted((ROOT / "src" / "gftmux").glob("*.py"))
+FILES = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py")])
 
 
 def unused_imports(source: str) -> list:
@@ -42,3 +46,23 @@ def test_scan_finds_unused_imports():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def private_reads(source: str) -> list:
+    """Each obj._name, dunders aside, whose obj is not self or cls."""
+    return sorted(f"line {node.lineno}: {ast.unparse(node)}"
+                  for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                  and not node.attr.endswith("__")
+                  and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls")))
+
+
+def test_scan_finds_private_reads():
+    source = ("import m\nclass A:\n    def f(self, o):\n"
+              "        return self._a, cls._b, o._c, m._d.e, o.__dict__, o.f._g\n")
+    assert private_reads(source) == ["line 4: m._d", "line 4: o._c", "line 4: o.f._g"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_private_reads_across_modules(path):
+    assert private_reads(path.read_text()) == []

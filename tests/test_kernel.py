@@ -85,7 +85,7 @@ def test_kernel_matches_flood(monkeypatch):
             return preset_graph(preset)
         m, n = draw(st.integers(1, 20)), draw(st.integers(2, 13))
         seed = draw(st.integers(0, 2 ** 32 - 1))
-        return GlobalParityCheck.from_exponents(
+        return GlobalParityCheck(
             np.random.default_rng(seed).integers(0, n, size=(m, n)))
 
     @hypothesis.settings(max_examples=150, deadline=None, database=None)
@@ -167,7 +167,7 @@ def test_kernel_stays_inside_documented_work(preset, lanes):
     """Sentinels past the work size _flood.c documents come back untouched,
     on desk (m = 3) and on a random m = 20, n = 13 table (the pairwise sum
     in blocks of eight)."""
-    h = preset_graph(preset) if preset else GlobalParityCheck.from_exponents(
+    h = preset_graph(preset) if preset else GlobalParityCheck(
         np.random.default_rng(9).integers(0, 13, size=(20, 13)))
     layers = llr_values("noisy", (7, h.n_vars), np.random.default_rng(10))
     _, kstar, work = run_kernel(h, layers, MsaParams(max_iterations=6), (2, 6), lanes,
@@ -198,7 +198,7 @@ def test_wide_columns_decode_with_flood(monkeypatch):
         raise AssertionError("kernel called for m > 128")
 
     monkeypatch.setattr(decoder, "_kernel", refuse)
-    h = GlobalParityCheck.from_exponents(
+    h = GlobalParityCheck(
         np.random.default_rng(3).integers(0, 2, size=(129, 2)))
     values = np.random.default_rng(4).standard_normal(h.n_vars)
     assert_matches_oracle(h, values, 1, MsaParams(max_iterations=3), (1, 3))
@@ -345,7 +345,7 @@ def clone_cases():
                 cases.append((h, llr(x + sigma * rng.standard_normal(x.shape), sigma),
                               tx.s, params, limits))
     rng = np.random.default_rng(12)
-    h = GlobalParityCheck.from_exponents(rng.integers(0, 13, size=(20, 13)))
+    h = GlobalParityCheck(rng.integers(0, 13, size=(20, 13)))
     for mode, clip in (("ties", None), ("huge", 4.0)):
         cases.append((h, llr_values(mode, 3 * h.n_vars, rng), 3,
                       MsaParams(max_iterations=10, clip=clip), limits))

@@ -7,9 +7,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gftmux import config, sim
+from gftmux import config, galois, sim
 from gftmux.channel import ChannelParams
 from gftmux.decoder import MsaParams
+from gftmux.geometry import GlobalParityCheck
 from gftmux.sim import (
     CSV_COLUMNS,
     CellResult,
@@ -128,6 +129,16 @@ def test_draw_block_matches_trial_rng(preset):
     for seed in (0, 1, 20260810, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 5):
         for start, count in ((0, first), (2 ** 32 - 3, 7)):
             assert_block_matches_trial_rng(tx, seed, start, count)
+
+
+@pytest.mark.parametrize("preset", config.list_presets())
+def test_numpy_draw_block_matches_trial_rng(numpy_kernel, preset):
+    """Without the library each trial's random_raw words hold random_streams'
+    bits, an odd count of uint32 words included, and leave the generator
+    where standard_normal draws the same noise."""
+    tx = config.build_system(config.load_preset(preset)).transceiver
+    for seed in (0, 20260810, 2 ** 64 + 5):
+        assert_block_matches_trial_rng(tx, seed, 2 ** 32 - 2, 3)
 
 
 def test_draw_block_matches_trial_rng_hypothesis(desk):
@@ -533,6 +544,27 @@ def test_monte_carlo_worker_invariance(desk):
             a.iter_sum, a.edge_ops) == (
         b.frames, b.global_errors, b.composite_errors, b.bit_errors,
         b.iter_sum, b.edge_ops)
+
+
+@pytest.mark.skipif(galois.c_library is None, reason="the C library is not built")
+@pytest.mark.parametrize("preset, workers, ebn0_db, frames", [
+    ("desk_gf8", 1, 2.0, 200), ("desk_gf8", 2, 2.0, 200), ("ex3_rs127_121", 1, 7.0, 3)])
+def test_sweep_never_derives_the_adjacency(preset, workers, ebn0_db, frames, monkeypatch):
+    """With the library loaded a sweep reads only H's exponent table: its
+    check_vars and var_edges are never derived.  Pool workers are forked
+    with the class patched so that reading either fails the sweep."""
+    b = config.build_system(config.load_preset(preset))
+    if workers > 1:
+        def unread(self):
+            raise AssertionError("a pool worker derived H's adjacency")
+
+        for name in ("check_vars", "var_edges"):
+            monkeypatch.setattr(GlobalParityCheck, name, property(unread))
+    cfg = SimConfig(ebn0_db=[ebn0_db], iterations=[10], max_frames=frames,
+                    target_errors=10 ** 9, seed=5)
+    result = monte_carlo(b.transceiver, b.parity_check, cfg, rate=b.rate, workers=workers)
+    assert result.cells[0].frames == frames
+    assert not {"check_vars", "var_edges"} & set(vars(b.parity_check))
 
 
 def test_paired_noise_across_iteration_cells(desk):
