@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 
 from .galois import GaloisField, SubgroupGen, build_field, element_of_order
 from .cyclic import BaseCodeSpec, bch_spec, generator_poly, hadamard_perm
-from .geometry import GlobalParityCheck, cpm, gf2_rank, qc_rank, vandermonde
+from .geometry import GlobalParityCheck, cpm, qc_rank, vandermonde
 from .txrx import GlobalWord, StreamBlock, Transceiver
 from .channel import ChannelParams, LlrFrame, llr
 from .decoder import MsaParams, decode_batch, decode_global
@@ -21,7 +21,7 @@ __all__ = [
     "__version__",
     "GaloisField", "SubgroupGen", "build_field", "element_of_order",
     "BaseCodeSpec", "bch_spec", "generator_poly", "hadamard_perm",
-    "GlobalParityCheck", "cpm", "gf2_rank", "qc_rank", "vandermonde",
+    "GlobalParityCheck", "cpm", "qc_rank", "vandermonde",
     "GlobalWord", "StreamBlock", "Transceiver",
     "ChannelParams", "LlrFrame", "llr",
     "MsaParams", "decode_batch", "decode_global",

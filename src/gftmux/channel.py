@@ -37,7 +37,7 @@ def llr(y, sigma: float, out=None) -> np.ndarray:
 
 @dataclass(eq=False)
 class LlrFrame:
-    """s*n^2 finite soft values, or a stack of such frames along leading axes.
+    """s*n^2 soft values, or a stack of such frames along leading axes.
 
     Under the symbol-major serialization, bit l of symbol t sits at
     index t*s + l, so layer l is values[l::s].
@@ -52,8 +52,6 @@ class LlrFrame:
         if self.values.shape[-1:] != (self.s * self.n * self.n,):
             raise ValueError(f"frame shape {self.values.shape} does not end in "
                              f"s*n^2 = {self.s * self.n ** 2}")
-        if not np.isfinite(self.values).all():
-            raise ValueError("LLR frame holds non-finite values")
 
     def layers(self) -> np.ndarray:
         """(frames*s, n^2) array; row f*s + l is layer l of frame f."""

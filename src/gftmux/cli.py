@@ -53,8 +53,8 @@ def cmd_construct(args) -> int:
     h = bundle.parity_check
     spec = bundle.spec
     print(f"config:      {bundle.name} ({spec.mode} mode)")
-    print(f"field:       GF(2^{spec.s}), poly 0x{bundle.field.primitive_poly:x}")
-    print(f"subgroup:    beta = alpha^{(bundle.field.order - 1) // spec.n}, "
+    print(f"field:       GF(2^{spec.s}), poly 0x{spec.field.primitive_poly:x}")
+    print(f"subgroup:    beta = alpha^{(spec.field.order - 1) // spec.n}, "
           f"order n = {spec.n}")
     print(f"base code:   ({spec.n}, {spec.n - spec.m}), m = {spec.m} roots "
           f"{list(spec.roots)}")

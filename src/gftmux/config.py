@@ -206,8 +206,6 @@ class SystemBundle:
 
     name: str
     raw: dict
-    field: galois.GaloisField
-    subgroup: galois.SubgroupGen
     spec: cyclic.BaseCodeSpec
     transceiver: Transceiver
     sim: SimConfig
@@ -220,7 +218,7 @@ class SystemBundle:
 
     @cached_property
     def rank(self) -> int:
-        return qc_rank(self.parity_check, self.subgroup)
+        return qc_rank(self.parity_check, self.spec.subgroup)
 
     @property
     def dimension(self) -> int:
@@ -261,13 +259,12 @@ def build_system(cfg: dict) -> SystemBundle:
         if len(code["roots"]) >= n:
             raise ConfigError(
                 f"code.roots: need fewer than n={n} roots, got {len(code['roots'])}")
-        spec = cyclic.BaseCodeSpec(field=field, subgroup=subgroup,
-                                   roots=tuple(code["roots"]), mode=mode)
+        spec = cyclic.BaseCodeSpec(subgroup=subgroup, roots=tuple(code["roots"]), mode=mode)
     else:
         if code["designed_distance"] > n:
             raise ConfigError(f"code.designed_distance must be at most n={n}, "
                               f"got {code['designed_distance']}")
-        spec = cyclic.bch_spec(field, subgroup, code["designed_distance"], mode=mode)
+        spec = cyclic.bch_spec(subgroup, code["designed_distance"], mode=mode)
 
     if got["sim"]["baseline"] and (mode != "binary" or n > 15):
         raise ConfigError(f"sim.baseline needs a binary code with n <= 15 (the MLD "
@@ -276,8 +273,8 @@ def build_system(cfg: dict) -> SystemBundle:
         ebn0_db=[float(e) for e in got["channel"]["ebn0_db"]], seed=got["channel"]["seed"],
         iterations=list(dec["iterations"]), scale=float(dec["scale"]),
         clip=None if dec["clip"] is None else float(dec["clip"]), **got["sim"])
-    return SystemBundle(name=got[""]["name"], raw=cfg, field=field, subgroup=subgroup,
-                        spec=spec, transceiver=Transceiver(spec), sim=sim_cfg,
+    return SystemBundle(name=got[""]["name"], raw=cfg, spec=spec,
+                        transceiver=Transceiver(spec), sim=sim_cfg,
                         output_dir=got["output"]["dir"], expected=got["expected"])
 
 

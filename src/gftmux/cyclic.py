@@ -37,7 +37,6 @@ class BaseCodeSpec:
     closed roots); "nonbinary" means codewords over GF(2^s) (RS-style).
     """
 
-    field: GaloisField
     subgroup: SubgroupGen
     roots: tuple
     mode: str
@@ -69,6 +68,10 @@ class BaseCodeSpec:
         return len(self.roots)
 
     @property
+    def field(self) -> GaloisField:
+        return self.subgroup.field
+
+    @property
     def s(self) -> int:
         return self.field.s
 
@@ -84,13 +87,13 @@ def conjugacy_closure(exponents, n: int) -> tuple:
     return tuple(sorted(out))
 
 
-def bch_spec(field, subgroup, designed_distance: int, mode: str = "binary") -> BaseCodeSpec:
+def bch_spec(subgroup, designed_distance: int, mode: str = "binary") -> BaseCodeSpec:
     """Spec with roots beta^1..beta^(d-1); binary mode takes the conjugacy closure."""
     if designed_distance < 2:
         raise ValueError("designed distance must be >= 2")
     base = range(1, designed_distance)
     roots = conjugacy_closure(base, subgroup.n) if mode == "binary" else tuple(base)
-    return BaseCodeSpec(field=field, subgroup=subgroup, roots=roots, mode=mode)
+    return BaseCodeSpec(subgroup=subgroup, roots=roots, mode=mode)
 
 
 # -- polynomials over the field (ascending coefficient arrays) ---------
@@ -118,32 +121,13 @@ def poly_mod(a, g, field: GaloisField) -> np.ndarray:
     return r[:dg]
 
 
-@dataclass(eq=False)
-class GeneratorPoly:
-    """Monic degree-m generator polynomial, ascending coefficients."""
-
-    coeffs: np.ndarray
-    field: GaloisField
-    n: int
-    mode: str
-
-    @property
-    def degree(self) -> int:
-        return self.coeffs.size - 1
-
-
-def generator_poly(spec: BaseCodeSpec) -> GeneratorPoly:
-    """Product of (X + beta^l) over the root exponents l."""
-    field = spec.field
+def generator_poly(spec: BaseCodeSpec) -> np.ndarray:
+    """Ascending coefficients of the monic product of (X + beta^l) over the
+    root exponents l."""
     g = np.array([1], dtype=np.int64)
     for l in spec.roots:
-        g = poly_mul(g, np.array([spec.subgroup.pow_beta(l), 1]), field)
-    if spec.mode == "binary" and (g > 1).any():
-        raise ConjugacyViolation(
-            "generator polynomial has nonbinary coefficients; root set is not "
-            "conjugacy closed"
-        )
-    return GeneratorPoly(coeffs=g, field=field, n=spec.n, mode=spec.mode)
+        g = poly_mul(g, np.array([spec.subgroup.pow_beta(l), 1]), spec.field)
+    return g
 
 
 # -- parity-check base matrices and Hadamard permutations --------------
@@ -177,17 +161,17 @@ def hadamard_perm(v, k: int, n: int) -> np.ndarray:
 # parity = X^m * msg(X) mod g(X) in the low-order positions.
 
 
-def encode(msg, g: GeneratorPoly) -> np.ndarray:
+def encode(msg, spec: BaseCodeSpec) -> np.ndarray:
     """Systematic codeword of msg: bits in binary mode, GF(2^s) symbols otherwise."""
     msg = np.asarray(msg, dtype=np.int64)
-    m = g.degree
-    if msg.size != g.n - m:
-        raise ValueError(f"message length {msg.size} != n - m = {g.n - m}")
-    alphabet = 2 if g.mode == "binary" else g.field.order
+    m = spec.m
+    if msg.size != spec.n - m:
+        raise ValueError(f"message length {msg.size} != n - m = {spec.n - m}")
+    alphabet = 2 if spec.mode == "binary" else spec.field.order
     if (msg >= alphabet).any() or (msg < 0).any():
         raise ValueError(f"message symbol outside the code alphabet [0, {alphabet})")
     shifted = np.concatenate([np.zeros(m, dtype=np.int64), msg])
-    shifted[:m] = poly_mod(shifted, g.coeffs, g.field)
+    shifted[:m] = poly_mod(shifted, generator_poly(spec), spec.field)
     return shifted
 
 
@@ -204,7 +188,7 @@ def parity_rows(spec: BaseCodeSpec) -> np.ndarray:
     of the encoder's shift register, X*r mod g: shift up and add top*g_low
     (X^m = g_low in characteristic 2), m field products per row."""
     m, field = spec.m, spec.field
-    low = generator_poly(spec).coeffs[:m]
+    low = generator_poly(spec)[:m]
     rows = np.empty((spec.n - m, m), dtype=np.int64)
     r = np.eye(m, dtype=np.int64)[-1]   # X^(m-1), one step before X^m
     for t in range(spec.n - m):

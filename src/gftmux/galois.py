@@ -80,7 +80,7 @@ def _load_library():
         library = ctypes.CDLL(str(lib))
     except OSError as exc:   # gcc's stderr when the build failed
         warnings.warn(f"gftmux: C library unavailable, decoding with numpy, "
-                      f"applying the GF(2) maps with numpy tables and drawing "
+                      f"applying the GF(2) maps with numpy and drawing "
                       f"the noise with numpy's Generator ({exc})",
                       RuntimeWarning, stacklevel=2)
         return None
@@ -300,7 +300,8 @@ def compose_arr(layers) -> np.ndarray:
 def gf2_product(bits, lifted) -> np.ndarray:
     """bits @ lifted over GF(2), as uint8, for 0/1 arrays such as a
     GaloisField.lift: in float32, whose sums of at most 2^24 ones are exact
-    integers, so their low bit is the parity.  Gf2Map's oracle."""
+    integers, so their low bit is the parity.  Gf2Map's oracle, and its
+    applier without the C library."""
     product = np.asarray(bits, dtype=np.float32) @ np.asarray(lifted, dtype=np.float32)
     return (product.astype(np.int32) & 1).astype(np.uint8)
 
@@ -313,8 +314,8 @@ class Gf2Map:
     packed little-endian into ceil(C/64) uint64 words; rows past K are
     zero.  A product row is the XOR of one table row per group of four
     inputs: ceil(K/4) lookups instead of K row additions.  The C library
-    applies the tables when it loaded, numpy otherwise; both equal
-    gf2_product bit for bit.
+    applies the tables when it loaded; otherwise gf2_product multiplies by M
+    read back from them.
     """
 
     def __init__(self, matrix):
@@ -341,13 +342,9 @@ class Gf2Map:
             _gf2_apply(rows.ctypes.data, len(rows), k, c, self.tables.ctypes.data,
                        out.ctypes.data)
         else:
-            groups = len(self.tables)
-            padded = np.zeros((len(rows), 4 * groups), dtype=np.uint8)
-            padded[:, :k] = rows & 1
-            nibbles = padded.reshape(len(rows), groups, 4) @ np.array([1, 2, 4, 8], np.uint8)
-            acc = np.zeros((len(rows), self.tables.shape[-1]), dtype=np.uint64)
-            for table, v in zip(self.tables, nibbles.T):
-                acc ^= table[v]
-            out = np.unpackbits(acc.astype("<u8").view(np.uint8), axis=1, count=c,
-                                bitorder="little")
+            # M read back from the tables: row 4g + i is tables[g, 2^i]
+            packed = self.tables[:, [1, 2, 4, 8]].reshape(-1, self.tables.shape[-1])[:k]
+            matrix = np.unpackbits(packed.astype("<u8").view(np.uint8), axis=1, count=c,
+                                   bitorder="little")
+            out = gf2_product(rows & 1, matrix)
         return out.reshape(bits.shape[:-1] + (c,))

@@ -69,6 +69,10 @@ class GlobalParityCheck:
         self.cpm_exponents = np.ascontiguousarray(expo, dtype=np.int64) % self.n
         self.cpm_exponents.flags.writeable = False
 
+    def __reduce__(self):
+        # a copy goes through the constructor: read-only table, views derived anew
+        return GlobalParityCheck, (self.cpm_exponents,)
+
     @cached_property
     def check_vars(self) -> np.ndarray:
         # check (i, r) touches variable j*n + (r + e(i, j)) mod n for every j
@@ -130,9 +134,6 @@ class GlobalParityCheck:
     def column_weights(self) -> np.ndarray:
         return np.bincount(self.check_vars.reshape(-1), minlength=self.n_vars)
 
-    def row_weights(self) -> np.ndarray:
-        return np.full(self.n_checks, self.n)
-
     def row_masks(self):
         """Yield each check row as a Python int whose bit v is H[c, v],
         one row at a time so that no packed copy of H is held."""
@@ -153,24 +154,14 @@ class GlobalParityCheck:
 # -- transform similarity ----------------------------------------------
 
 
-@dataclass
-class SimilarityReport:
-    ok: bool
-    blocks_checked: int
-    first_mismatch: tuple | None
-
-    def __bool__(self):
-        return self.ok
-
-
 def verify_similarity(spec: BaseCodeSpec, h: GlobalParityCheck, num_blocks: int = 20,
-                      rng: np.random.Generator | None = None) -> SimilarityReport:
+                      rng: np.random.Generator | None = None) -> tuple:
     """Check V.D(i,j).V^-1 == CPM(e(i,j)), D(i,j) = diag(beta^(t*j*l_i)).
 
     All m*n blocks when n <= DENSE_LIMIT, else num_blocks drawn by rng
     (seed 0 by default).  V.D scales the columns of V, and one stacked
-    product by V^-1 covers every block; the report names the first
-    failing block in checking order.
+    product by V^-1 covers every block.  Returns (blocks checked, the first
+    failing block (i, j) in checking order, or None).
     """
     n, m, field = spec.n, spec.m, spec.field
     if n <= DENSE_LIMIT:
@@ -184,9 +175,7 @@ def verify_similarity(spec: BaseCodeSpec, h: GlobalParityCheck, num_blocks: int 
     vd = field.mul_arr(vandermonde(spec.subgroup), diag[:, None, :])
     product = field.matmul(vd, vandermonde(spec.subgroup, "inverse"))
     bad = (product != cpm(h.cpm_exponents[i, j], n)).any(axis=(1, 2)).nonzero()[0]
-    first = (int(i[bad[0]]), int(j[bad[0]])) if bad.size else None
-    return SimilarityReport(ok=first is None, blocks_checked=len(blocks),
-                            first_mismatch=first)
+    return len(blocks), (int(i[bad[0]]), int(j[bad[0]])) if bad.size else None
 
 
 # -- RC constraint and girth -------------------------------------------
@@ -262,7 +251,7 @@ def girth_lower_bound(h: GlobalParityCheck) -> int:
 
 
 def qc_rank(h: GlobalParityCheck, subgroup: SubgroupGen) -> int:
-    """Rank of h over GF(2) from its GFT (gf2_rank is the oracle).  V takes
+    """Rank of h over GF(2) from its GFT.  V takes
     CPM(e) to diag(beta^(k e)), so over GF(2^s) H is equivalent to the direct
     sum of the m x n E_k[i, j] = beta^(k e_ij), k < n, and rank does not change
     under field extension.  E_0 is all ones (rank 1), and Frobenius maps E_k
@@ -286,28 +275,6 @@ def qc_rank(h: GlobalParityCheck, subgroup: SubgroupGen) -> int:
                      ^ np.where((f != 0)[..., None] & (row != 0)[:, None, :],
                                 exp[log[f][..., None] + log[row][:, None, :]], 0))
     return 1 + len(powers) * int((a != 0).any(axis=2).sum())   # the nonzero rows left
-
-
-def gf2_rank(h: GlobalParityCheck) -> int:
-    """Rank over GF(2) via bit-packed elimination on int rows."""
-    return gf2_rank_rows(h.row_masks())
-
-
-def gf2_rank_rows(rows: list) -> int:
-    """Rank of arbitrary bit-mask rows, leading-bit pivoting."""
-    pivots: dict = {}
-    rank = 0
-    for row in rows:
-        row = int(row)
-        while row:
-            b = row.bit_length() - 1
-            p = pivots.get(b)
-            if p is None:
-                pivots[b] = row
-                rank += 1
-                break
-            row ^= p
-    return rank
 
 
 # -- interchange formats --------------------------------------------------

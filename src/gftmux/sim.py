@@ -155,12 +155,6 @@ class SimResult:
     info_bits_per_frame: int
     seed: int
 
-    def cell(self, ebn0_db: float, iterations: int) -> CellResult:
-        for c in self.cells:
-            if c.ebn0_db == ebn0_db and c.iterations_limit == iterations:
-                return c
-        raise KeyError((ebn0_db, iterations))
-
 
 # -- trials -----------------------------------------------------------------
 

@@ -39,10 +39,9 @@ def sub7(gf8):
 
 
 @pytest.fixture(scope="session")
-def desk_spec(gf8, sub7):
+def desk_spec(sub7):
     """(7,4) Hamming base code over GF(8): the dense-verification instance."""
-    return cyclic.BaseCodeSpec(field=gf8, subgroup=sub7, roots=(1, 2, 4),
-                               mode="binary")
+    return cyclic.BaseCodeSpec(subgroup=sub7, roots=(1, 2, 4), mode="binary")
 
 
 @pytest.fixture(scope="session")
@@ -54,8 +53,49 @@ def desk_bundle():
 def rs5_spec(gf16):
     """Tiny (5,3) RS code over GF(16) for nonbinary unit tests."""
     sub = galois.element_of_order(gf16, 5)
-    return cyclic.BaseCodeSpec(field=gf16, subgroup=sub, roots=(1, 2),
-                               mode="nonbinary")
+    return cyclic.BaseCodeSpec(subgroup=sub, roots=(1, 2), mode="nonbinary")
+
+
+def gf2_map_results(gmap, bits):
+    """gmap(bits) from every applier this machine has: C, then numpy."""
+    appliers = [galois._gf2_apply, None] if galois._gf2_apply is not None else [None]
+    results = []
+    for apply in appliers:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(galois, "_gf2_apply", apply)
+            results.append(gmap(bits))
+    return results
+
+
+def gf2_rank(h) -> int:
+    """Rank of H over GF(2) via bit-packed elimination on its row masks,
+    qc_rank's oracle."""
+    return gf2_rank_rows(h.row_masks())
+
+
+def gf2_rank_rows(rows) -> int:
+    """Rank of arbitrary bit-mask rows, leading-bit pivoting."""
+    pivots: dict = {}
+    rank = 0
+    for row in rows:
+        row = int(row)
+        while row:
+            b = row.bit_length() - 1
+            p = pivots.get(b)
+            if p is None:
+                pivots[b] = row
+                rank += 1
+                break
+            row ^= p
+    return rank
+
+
+def sim_cell(result, ebn0_db: float, iterations: int):
+    """The cell of a SimResult at one grid point."""
+    for c in result.cells:
+        if c.ebn0_db == ebn0_db and c.iterations_limit == iterations:
+            return c
+    raise KeyError((ebn0_db, iterations))
 
 
 def gf2_poly_divisible(dividend_bits, divisor_bits) -> bool:

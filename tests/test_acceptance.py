@@ -18,6 +18,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import sim_cell
 from gftmux import config
 from gftmux.channel import LlrFrame, llr
 from gftmux.decoder import (
@@ -92,7 +93,9 @@ def test_criterion_02_shapes_weights():
             problems.append(f"{name}: shape {h.shape} != {shape}")
         if not (h.column_weights() == col_w).all():
             problems.append(f"{name}: column weight != {col_w}")
-        if not (h.row_weights() == row_w).all():
+        # row weight: each check's variables are distinct
+        if not (h.check_vars.shape[1] == row_w
+                and (np.diff(np.sort(h.check_vars, axis=1)) > 0).all()):
             problems.append(f"{name}: row weight != {row_w}")
     report("C2 shapes-weights", problems,
            "1778/889/762x16129 and 356x7921 with weights (14,127)/(7,127)/"
@@ -103,16 +106,15 @@ def test_criterion_03_transform_similarity():
     """V.D(i,j).V^-1 == CPM(beta^(j l_i)): dense at desk, sampled at scale."""
     problems = []
     desk = bundle("desk_gf8")
-    rep = verify_similarity(desk.spec, desk.parity_check)
-    if not (rep.ok and rep.blocks_checked == 21):
-        problems.append(f"desk dense check failed at block {rep.first_mismatch}")
+    checked, first = verify_similarity(desk.spec, desk.parity_check)
+    if not (first is None and checked == 21):
+        problems.append(f"desk dense check failed at block {first}")
     for name in ["ex1_bch127_113", "ex2_bch127_120", "ex3_rs127_121"]:
         b = bundle(name)
-        rep = verify_similarity(b.spec, b.parity_check, num_blocks=20,
-                                rng=np.random.default_rng(101))
-        if not (rep.ok and rep.blocks_checked >= 20):
-            problems.append(f"{name}: sampled check failed "
-                            f"at block {rep.first_mismatch}")
+        checked, first = verify_similarity(b.spec, b.parity_check, num_blocks=20,
+                                           rng=np.random.default_rng(101))
+        if not (first is None and checked >= 20):
+            problems.append(f"{name}: sampled check failed at block {first}")
     report("C3 transform-similarity", problems,
            "all 21 desk blocks dense-exact; 20 random blocks per 127-scale "
            "config")
@@ -121,11 +123,11 @@ def test_criterion_03_transform_similarity():
 def test_criterion_04_layer_decomposition():
     """Zero GF(2^s) syndrome iff all binary layer syndromes are zero."""
     desk = bundle("desk_gf8")
-    h, tx, s = desk.parity_check, desk.transceiver, desk.field.s
+    h, tx, s = desk.parity_check, desk.transceiver, desk.spec.s
     rng = np.random.default_rng(103)
     problems = []
 
-    vecs = rng.integers(0, desk.field.order, size=(10_000, 49), dtype=np.int64)
+    vecs = rng.integers(0, desk.spec.field.order, size=(10_000, 49), dtype=np.int64)
     gf_zero = ~np.bitwise_xor.reduce(vecs[:, h.check_vars], axis=2).any(axis=1)
     layers_zero = np.ones(len(vecs), dtype=bool)
     for l in range(s):
@@ -295,7 +297,7 @@ def test_criterion_09_desk_coding_behavior(desk_sweep):
     n = result.n
     problems = []
 
-    cells = [result.cell(e, 10) for e in GRID_DB]
+    cells = [sim_cell(result, e, 10) for e in GRID_DB]
     for c in cells:
         if c.global_errors < 100:
             problems.append(f"{c.ebn0_db} dB: only {c.global_errors} errors")
@@ -339,8 +341,8 @@ def test_criterion_10_iteration_convergence(desk_sweep):
                     seed=desk.sim.seed, verify=False)
     result = monte_carlo(desk.transceiver, desk.parity_check, cfg, rate=desk.rate,
                          workers=3)
-    c10 = result.cell(4.0, 10)
-    c50 = result.cell(4.0, 50)
+    c10 = sim_cell(result, 4.0, 10)
+    c50 = sim_cell(result, 4.0, 50)
     n = result.n
     problems = []
     for c in (c10, c50):

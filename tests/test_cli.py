@@ -78,19 +78,41 @@ def test_cmd_construct_desk(capsys):
 
 
 def test_cmd_verify_desk(capsys):
+    """Every check line and the summary, byte for byte."""
     assert main(["verify", "--preset", "desk_gf8"]) == 0
-    out = capsys.readouterr().out
-    assert "PASS rc-constraint" in out
-    assert "PASS girth" in out
-    assert "FAIL" not in out
+    assert capsys.readouterr().out.splitlines() == [
+        "PASS gft-inverse: V x V^-1 == I over GF(2^3)",
+        "PASS shape-weights: shape 21x49, weights 3/7, edges 147",
+        "PASS rc-constraint: algebraic + brute force; no two rows share more than "
+        "one 1-entry",
+        "PASS girth: exact BFS girth = 6",
+        "PASS rank-dimension: rank 19, dimension 30, rate 0.612245",
+        "PASS transform-similarity: V.D.V^-1 == CPM on all 21 blocks",
+        "PASS layer-decomposition: 1010 vectors (10 transmitter outputs), "
+        "0 counterexamples",
+        "PASS round-trip: 5 random frames: receive(transmit(x)) == x, noiseless "
+        "decode converges in 1 iteration",
+        "8/8 checks passed",
+    ]
 
 
 def test_cmd_verify_production_scale(capsys):
-    """The sampled battery (n = 89 > DENSE_LIMIT) passes every check."""
+    """The sampled battery (n = 89 > DENSE_LIMIT) passes every check; every
+    line, byte for byte."""
     assert main(["verify", "--preset", "ex5_rs89_85"]) == 0
-    out = capsys.readouterr().out
-    assert "8/8 checks passed" in out
-    assert "PASS transform-similarity: V.D.V^-1 == CPM on sampled 20 blocks" in out
+    assert capsys.readouterr().out.splitlines() == [
+        "PASS gft-inverse: V x V^-1 == I over GF(2^11)",
+        "PASS shape-weights: shape 356x7921, weights 4/89, edges 31684",
+        "PASS rc-constraint: algebraic; no two rows share more than one 1-entry",
+        "PASS girth: RC bound = 6",
+        "PASS rank-dimension: rank 353, dimension 7568, rate 0.955435",
+        "PASS transform-similarity: V.D.V^-1 == CPM on sampled 20 blocks",
+        "PASS layer-decomposition: 103 vectors (3 transmitter outputs), "
+        "0 counterexamples",
+        "PASS round-trip: 2 random frames: receive(transmit(x)) == x, noiseless "
+        "decode converges in 1 iteration",
+        "8/8 checks passed",
+    ]
 
 
 def test_cmd_verify_duplicate_roots(tmp_path, capsys):

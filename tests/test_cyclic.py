@@ -25,14 +25,26 @@ from gftmux.galois import compose_arr
 # -- spec validation ----------------------------------------------------
 
 
-def test_duplicate_roots_rejected(gf8, sub7):
+def test_duplicate_roots_rejected(sub7):
     with pytest.raises(DuplicateRoots):
-        BaseCodeSpec(field=gf8, subgroup=sub7, roots=(1, 8), mode="binary")
+        BaseCodeSpec(subgroup=sub7, roots=(1, 8), mode="binary")
 
 
-def test_conjugacy_violation(gf8, sub7):
+def test_conjugacy_violation(sub7):
     with pytest.raises(ConjugacyViolation):
-        BaseCodeSpec(field=gf8, subgroup=sub7, roots=(1, 2), mode="binary")
+        BaseCodeSpec(subgroup=sub7, roots=(1, 2), mode="binary")
+
+
+def test_field_is_not_given_apart_from_its_subgroup(gf16, sub7):
+    """The spec's field is its subgroup's: a second one is not accepted."""
+    with pytest.raises(TypeError):
+        BaseCodeSpec(field=gf16, subgroup=sub7, roots=(1, 2), mode="nonbinary")
+
+
+@pytest.mark.parametrize("preset", config.list_presets())
+def test_preset_field_is_its_subgroups(preset):
+    spec = config.build_system(config.load_preset(preset)).spec
+    assert spec.field is spec.subgroup.field
 
 
 def test_conjugacy_closure_expansion():
@@ -43,9 +55,9 @@ def test_conjugacy_closure_expansion():
 
 def test_bch_designed_distance_127(gf128):
     sub = galois.element_of_order(gf128, 127)
-    spec = bch_spec(gf128, sub, 5)
+    spec = bch_spec(sub, 5)
     assert spec.m == 14          # conjugacy classes of 1 and 3
-    spec3 = bch_spec(gf128, sub, 3)
+    spec3 = bch_spec(sub, 3)
     assert spec3.m == 7          # the class of 1 alone
 
 
@@ -55,32 +67,31 @@ def test_bch_designed_distance_127(gf128):
 def test_generator_poly_desk(desk_spec):
     g = generator_poly(desk_spec)
     # monic, degree 3, binary coefficients, vanishing at every root
-    assert g.coeffs.tolist() == [1, 1, 0, 1]     # X^3 + X + 1
+    assert g.tolist() == [1, 1, 0, 1]     # X^3 + X + 1
     for l in desk_spec.roots:
-        assert poly_eval(g.coeffs, desk_spec.subgroup.pow_beta(l),
+        assert poly_eval(g, desk_spec.subgroup.pow_beta(l),
                          desk_spec.field) == 0
 
 
 def test_generator_poly_bch127(gf128):
     sub = galois.element_of_order(gf128, 127)
-    spec = bch_spec(gf128, sub, 5)
+    spec = bch_spec(sub, 5)
     g = generator_poly(spec)
-    assert g.degree == 14
-    assert set(g.coeffs.tolist()) <= {0, 1}
+    assert g.size - 1 == 14
+    assert set(g.tolist()) <= {0, 1}
     for l in spec.roots:
-        assert poly_eval(g.coeffs, sub.pow_beta(l), gf128) == 0
+        assert poly_eval(g, sub.pow_beta(l), gf128) == 0
 
 
 def test_generator_poly_rs_gf2048():
     f = galois.build_field(11)
     sub = galois.element_of_order(f, 89)
-    spec = BaseCodeSpec(field=f, subgroup=sub, roots=(1, 2, 3, 4),
-                        mode="nonbinary")
+    spec = BaseCodeSpec(subgroup=sub, roots=(1, 2, 3, 4), mode="nonbinary")
     g = generator_poly(spec)
-    assert g.degree == 4
-    assert g.coeffs[-1] == 1
+    assert g.size - 1 == 4
+    assert g[-1] == 1
     for l in (1, 2, 3, 4):
-        assert poly_eval(g.coeffs, sub.pow_beta(l), f) == 0
+        assert poly_eval(g, sub.pow_beta(l), f) == 0
 
 
 # -- base matrices and Hadamard permutations -----------------------------
@@ -136,10 +147,9 @@ def test_hadamard_perm_k0_rejected():
 
 def test_hadamard_perm_codeword_closure(desk_spec):
     """All 16 codewords, all k: the permuted word lands in the k-th code."""
-    g = generator_poly(desk_spec)
     for msg_int in range(16):
         msg = (msg_int >> np.arange(4)) & 1
-        cw = encode(msg, g)
+        cw = encode(msg, desk_spec)
         for k in range(1, 7):
             permuted = hadamard_perm(cw, k, 7)
             syn = code_syndrome(permuted, desk_spec, k)
@@ -150,50 +160,43 @@ def test_hadamard_perm_codeword_closure(desk_spec):
 
 
 def test_encode_binary_zero(desk_spec):
-    g = generator_poly(desk_spec)
-    assert encode(np.zeros(4, dtype=int), g).tolist() == [0] * 7
+    assert encode(np.zeros(4, dtype=int), desk_spec).tolist() == [0] * 7
 
 
 def test_encode_binary_example(desk_spec):
-    g = generator_poly(desk_spec)
-    cw = encode(np.array([1, 0, 0, 0]), g)
+    cw = encode(np.array([1, 0, 0, 0]), desk_spec)
     assert cw.tolist() == [1, 1, 0, 1, 0, 0, 0]   # X^3 + X + 1
 
 
 def test_encode_binary_all_divisible(desk_spec):
-    g = generator_poly(desk_spec)
     for msg_int in range(16):
         msg = (msg_int >> np.arange(4)) & 1
-        cw = encode(msg, g)
-        assert gf2_poly_divisible(cw, g.coeffs)
+        cw = encode(msg, desk_spec)
+        assert gf2_poly_divisible(cw, generator_poly(desk_spec))
         assert (cw[3:] == msg).all()              # systematic high positions
 
 
 def test_encode_binary_codeword_count(desk_spec):
-    g = generator_poly(desk_spec)
-    words = {tuple(encode((m >> np.arange(4)) & 1, g)) for m in range(16)}
+    words = {tuple(encode((m >> np.arange(4)) & 1, desk_spec)) for m in range(16)}
     assert len(words) == 16
 
 
 def test_encode_binary_length_mismatch(desk_spec):
-    g = generator_poly(desk_spec)
     with pytest.raises(ValueError):
-        encode(np.zeros(5, dtype=int), g)
+        encode(np.zeros(5, dtype=int), desk_spec)
 
 
 def test_encode_binary_symbol_out_of_alphabet(desk_spec):
-    g = generator_poly(desk_spec)
     for msg in ([2, 0, 0, 0], [0, -1, 0, 0]):
         with pytest.raises(ValueError, match="alphabet"):
-            encode(np.array(msg), g)
+            encode(np.array(msg), desk_spec)
 
 
 def test_encode_nonbinary_roots_vanish(rs5_spec):
-    g = generator_poly(rs5_spec)
     rng = np.random.default_rng(7)
     for _ in range(20):
         msg = rng.integers(0, 16, size=3)
-        cw = encode(msg, g)
+        cw = encode(msg, rs5_spec)
         assert poly_eval(cw, rs5_spec.subgroup.pow_beta(1), rs5_spec.field) == 0
         assert poly_eval(cw, rs5_spec.subgroup.pow_beta(2), rs5_spec.field) == 0
         syn = code_syndrome(cw, rs5_spec, 1)
@@ -202,26 +205,22 @@ def test_encode_nonbinary_roots_vanish(rs5_spec):
 
 
 def test_encode_nonbinary_zero(rs5_spec):
-    g = generator_poly(rs5_spec)
-    assert (encode(np.zeros(3, dtype=int), g) == 0).all()
+    assert (encode(np.zeros(3, dtype=int), rs5_spec) == 0).all()
 
 
 def test_encode_nonbinary_rs127(gf128):
     sub = galois.element_of_order(gf128, 127)
-    spec = BaseCodeSpec(field=gf128, subgroup=sub, roots=tuple(range(1, 7)),
-                        mode="nonbinary")
-    g = generator_poly(spec)
+    spec = BaseCodeSpec(subgroup=sub, roots=tuple(range(1, 7)), mode="nonbinary")
     rng = np.random.default_rng(11)
     msg = rng.integers(0, 128, size=121)
-    cw = encode(msg, g)
+    cw = encode(msg, spec)
     assert cw.size == 127
     assert not code_syndrome(cw, spec, 1).any()
 
 
 def test_encode_nonbinary_symbol_out_of_field(rs5_spec):
-    g = generator_poly(rs5_spec)
     with pytest.raises(ValueError):
-        encode(np.array([16, 0, 0]), g)
+        encode(np.array([16, 0, 0]), rs5_spec)
 
 
 def test_encode_spc():
@@ -237,23 +236,21 @@ def test_encode_spc():
 
 
 def test_compose_streams(desk_spec):
-    g = generator_poly(desk_spec)
     rng = np.random.default_rng(13)
-    v = encode(rng.integers(0, 2, size=4), g)
+    v = encode(rng.integers(0, 2, size=4), desk_spec)
     # streams (v, 0, 0) embed v in bit 0
     zeros = np.zeros(7, dtype=np.uint8)
     syms = compose_arr(np.stack([v, zeros, zeros]))
     assert (syms == v).all()
     # three random codewords compose to a zero-syndrome GF(8) word
-    streams = np.stack([encode(rng.integers(0, 2, size=4), g)
+    streams = np.stack([encode(rng.integers(0, 2, size=4), desk_spec)
                         for _ in range(3)])
     syms = compose_arr(streams)
     assert not code_syndrome(syms, desk_spec, 1).any()
 
 
 def test_compose_streams_rejects_mixed(desk_spec):
-    g = generator_poly(desk_spec)
-    cw = encode(np.array([1, 0, 1, 0]), g)
+    cw = encode(np.array([1, 0, 1, 0]), desk_spec)
     bad = cw.copy()
     bad[0] ^= 1
     syms = compose_arr(np.stack([cw, bad, cw]))
@@ -261,27 +258,25 @@ def test_compose_streams_rejects_mixed(desk_spec):
 
 
 def test_generator_matrix_agrees_with_polynomial_encoder(desk_spec, rs5_spec):
-    g = generator_poly(desk_spec)
     gmat = generator_matrix(desk_spec)
     rng = np.random.default_rng(17)
     for _ in range(10):
         msg = rng.integers(0, 2, size=4)
-        assert ((msg @ gmat) % 2 == encode(msg, g)).all()
-    gq = generator_poly(rs5_spec)
+        assert ((msg @ gmat) % 2 == encode(msg, desk_spec)).all()
     gmat_q = generator_matrix(rs5_spec)
     for _ in range(10):
         msg = rng.integers(0, 16, size=3)
         via_matrix = rs5_spec.field.matmul(msg[None, :], gmat_q)[0]
-        assert (via_matrix == encode(msg, gq)).all()
+        assert (via_matrix == encode(msg, rs5_spec)).all()
 
 
 def assert_parity_rows_encode_unit_messages(spec):
     """Row t of parity_rows is the parity of unit message t, and
     generator_matrix is [parity_rows | I]."""
-    g, kdim = generator_poly(spec), spec.n - spec.m
+    kdim = spec.n - spec.m
     rows = parity_rows(spec)
     assert rows.shape == (kdim, spec.m)
-    units = np.stack([encode(msg, g) for msg in np.eye(kdim, dtype=np.int64)])
+    units = np.stack([encode(msg, spec) for msg in np.eye(kdim, dtype=np.int64)])
     assert (rows == units[:, :spec.m]).all()
     assert (generator_matrix(spec) == units).all()
 
@@ -308,8 +303,8 @@ def test_parity_rows_on_small_specs():
         if binary:
             roots = conjugacy_closure(roots, n)
         hypothesis.assume(len(roots) < n)
-        spec = BaseCodeSpec(field=field, subgroup=galois.element_of_order(field, n),
-                            roots=roots, mode="binary" if binary else "nonbinary")
+        spec = BaseCodeSpec(subgroup=galois.element_of_order(field, n), roots=roots,
+                            mode="binary" if binary else "nonbinary")
         assert_parity_rows_encode_unit_messages(spec)
 
     run()
@@ -319,16 +314,14 @@ def test_parity_rows_on_small_specs():
 
 
 def test_mld_oracle_identity(desk_spec):
-    g = generator_poly(desk_spec)
-    cw = encode(np.array([1, 1, 0, 1]), g)
+    cw = encode(np.array([1, 1, 0, 1]), desk_spec)
     assert (mld_oracle(cw, desk_spec) == cw).all()
 
 
 def test_mld_oracle_corrects_single_flips(desk_spec):
-    g = generator_poly(desk_spec)
     rng = np.random.default_rng(19)
     for _ in range(20):
-        cw = encode(rng.integers(0, 2, size=4), g)
+        cw = encode(rng.integers(0, 2, size=4), desk_spec)
         pos = rng.integers(0, 7)
         noisy = cw.copy()
         noisy[pos] ^= 1
@@ -336,8 +329,7 @@ def test_mld_oracle_corrects_single_flips(desk_spec):
 
 
 def test_mld_oracle_two_flips_deterministic(desk_spec):
-    g = generator_poly(desk_spec)
-    cw = encode(np.array([0, 1, 1, 0]), g)
+    cw = encode(np.array([0, 1, 1, 0]), desk_spec)
     noisy = cw.copy()
     noisy[0] ^= 1
     noisy[4] ^= 1
@@ -350,8 +342,8 @@ def test_mld_oracle_two_flips_deterministic(desk_spec):
 def test_mld_oracle_stack_matches_word_by_word(desk_spec, gf16):
     """A stack decodes as its words do one at a time, ties included: every
     odd-weight word is at distance 1 from 5 words of the (5, 4) parity code."""
-    spec = BaseCodeSpec(field=gf16, subgroup=galois.element_of_order(gf16, 5),
-                        roots=(0,), mode="binary")
+    spec = BaseCodeSpec(subgroup=galois.element_of_order(gf16, 5), roots=(0,),
+                        mode="binary")
     rng = np.random.default_rng(23)
     for sp, shape in ((desk_spec, (3, 4, 7)), (spec, (300, 5))):
         words = rng.integers(0, 2, size=shape)
@@ -367,6 +359,6 @@ def test_mld_oracle_guards(rs5_spec, gf128):
     with pytest.raises(TooLarge):
         mld_oracle(np.zeros(5, dtype=int), rs5_spec)
     sub = galois.element_of_order(gf128, 127)
-    spec = cyclic.bch_spec(gf128, sub, 3)
+    spec = cyclic.bch_spec(sub, 3)
     with pytest.raises(TooLarge):
         mld_oracle(np.zeros(127, dtype=int), spec)

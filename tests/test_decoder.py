@@ -201,7 +201,8 @@ def test_non_finite_llr_rejected(desk_graph, bad):
     values = np.ones(49)
     values[17] = bad
     with pytest.raises(ValueError, match="non-finite"):
-        LlrFrame(np.concatenate([values, values, values]), s=3, n=7)
+        decode_global(LlrFrame(np.concatenate([values, values, values]), s=3, n=7),
+                      desk_graph, MsaParams(5))
     with pytest.raises(ValueError, match="non-finite"):
         decode_batch(np.stack([np.ones(49), values]), desk_graph, MsaParams(5), (5,))
 

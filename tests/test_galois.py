@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import gf_inv, gf_mul, gf_pow
+from conftest import gf2_map_results, gf_inv, gf_mul, gf_pow
 from gftmux import config, cyclic, galois
 from gftmux.galois import (
     NonPrimitivePolynomial,
@@ -263,16 +263,20 @@ def test_gf2_maps_equal_those_of_the_float32_lift(preset):
     byte those the float32 lift gives, and the uint8 lift of V stays below
     2 MB of tracemalloc peak (the float32 one reached 10.5 MB on ex3)."""
     bundle = config.build_system(config.load_preset(preset))
-    tx, field = bundle.transceiver, bundle.field
-    for gmap, mat in ((tx._gen, cyclic.generator_matrix(bundle.spec)[:, :bundle.spec.m]),
-                      (tx._v, vandermonde(bundle.subgroup, "forward")),
-                      (tx._vinv, vandermonde(bundle.subgroup, "inverse"))):
+    spec, tx, field = bundle.spec, bundle.transceiver, bundle.spec.field
+    rng = np.random.default_rng(len(preset))
+    for gmap, mat in ((tx._gen, cyclic.generator_matrix(spec)[:, :spec.m]),
+                      (tx._v, vandermonde(spec.subgroup, "forward")),
+                      (tx._vinv, vandermonde(spec.subgroup, "inverse"))):
         old = float32_lift(field, mat)
         assert (field.lift(mat) == old).all()
         assert gmap.tables.tobytes() == galois.Gf2Map(old).tables.tobytes()
+        bits = rng.integers(0, 2, size=(3, len(old)), dtype=np.uint8)
+        for got in gf2_map_results(gmap, bits):   # numpy's through the read-back matrix
+            assert (got == galois.gf2_product(bits, old)).all()
     tracemalloc.start()
     try:
-        field.lift(vandermonde(bundle.subgroup))
+        field.lift(vandermonde(spec.subgroup))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -1,9 +1,10 @@
 import io
+import pickle
 
 import numpy as np
 import pytest
 
-from conftest import naive_gf_matmul
+from conftest import gf2_rank, gf2_rank_rows, naive_gf_matmul
 from gftmux import config, cyclic, galois, geometry
 from gftmux.cyclic import base_matrix
 from gftmux.geometry import (
@@ -11,8 +12,6 @@ from gftmux.geometry import (
     GlobalParityCheck,
     ScaleGuard,
     cpm,
-    gf2_rank,
-    gf2_rank_rows,
     girth_lower_bound,
     qc_rank,
     rc_check,
@@ -113,7 +112,7 @@ def test_cpm_stacks_exponent_arrays():
 def test_dispersion_desk_shape_weights(desk_h):
     assert desk_h.shape == (21, 49)
     assert (desk_h.column_weights() == 3).all()
-    assert (desk_h.row_weights() == 7).all()
+    assert (desk_h.dense().sum(axis=1) == 7).all()
     assert desk_h.n_edges == 3 * 49
 
 
@@ -127,11 +126,13 @@ def test_dispersion_matches_dense_blocks(desk_spec, desk_h):
 
 def test_dispersion_ex1_shape(gf128):
     sub = galois.element_of_order(gf128, 127)
-    spec = cyclic.bch_spec(gf128, sub, 5)
+    spec = cyclic.bch_spec(sub, 5)
     h = GlobalParityCheck(base_matrix(spec, 1))
     assert h.shape == (1778, 16129)
     assert (h.column_weights() == 14).all()
-    assert (h.row_weights() == 127).all()
+    # row weight 127: each check's 127 variables are distinct
+    assert h.check_vars.shape == (1778, 127)
+    assert (np.diff(np.sort(h.check_vars, axis=1)) > 0).all()
 
 
 def _var_edges_by_argsort(h):
@@ -166,6 +167,19 @@ def test_exponent_table_stored_as_the_kernel_reads_it():
     for bad in (expo[0], expo[None]):
         with pytest.raises(ValueError, match="is not 2-D"):
             GlobalParityCheck(bad)
+
+
+@pytest.mark.parametrize("preset", ["desk_gf8", "ex3_rs127_121"])
+def test_pickled_copy_is_rebuilt_by_the_constructor(preset):
+    """A pickle round trip keeps the table read-only and leaves the derived
+    views to be rebuilt on first use, even when the original had built them."""
+    h = config.build_system(config.load_preset(preset)).parity_check
+    h.check_vars
+    copy = pickle.loads(pickle.dumps(h))
+    assert (copy.cpm_exponents == h.cpm_exponents).all()
+    assert not copy.cpm_exponents.flags.writeable
+    assert "check_vars" not in vars(copy)
+    assert (copy.check_vars == h.check_vars).all()
 
 
 def test_dense_scale_guard():
@@ -234,7 +248,7 @@ def test_rc_duplicate_block_rows_fail():
 def test_rc_prime_configs_always_pass(gf128):
     sub = galois.element_of_order(gf128, 127)
     for d in (3, 5):
-        spec = cyclic.bch_spec(gf128, sub, d)
+        spec = cyclic.bch_spec(sub, d)
         assert rc_check(GlobalParityCheck(base_matrix(spec, 1))) is None
 
 
@@ -259,7 +273,7 @@ def test_girth_rc_violation_is_four():
 
 def test_girth_large_scale_bound(gf128):
     sub = galois.element_of_order(gf128, 127)
-    spec = cyclic.bch_spec(gf128, sub, 3)
+    spec = cyclic.bch_spec(sub, 3)
     assert girth_lower_bound(GlobalParityCheck(base_matrix(spec, 1))) == 6
 
 
@@ -300,7 +314,7 @@ def test_qc_rank_equals_gf2_rank_on_presets(preset):
     elimination on every preset: m(n-1)+1, each nonzero frequency of full rank."""
     bundle = config.build_system(config.load_preset(preset))
     h = bundle.parity_check
-    assert bundle.rank == qc_rank(h, bundle.subgroup) == gf2_rank(h) == h.m * (h.n - 1) + 1
+    assert bundle.rank == qc_rank(h, bundle.spec.subgroup) == gf2_rank(h) == h.m * (h.n - 1) + 1
 
 
 def _qc_tables(draw, st, n, max_m):

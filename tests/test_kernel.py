@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import gf2_map_results
 from gftmux import config, decoder, galois, geometry
 from gftmux.channel import ChannelParams, LlrFrame, llr
 from gftmux.decoder import OPS_PER_EDGE, MsaParams, _flood, decode_batch
@@ -221,17 +222,6 @@ def test_false_convergence_trips_verify(desk_bundle, monkeypatch):
     run_trial(tx, h, 1.0, params, 555, 0, verify=False)
 
 
-def gf2_map_results(gmap, bits):
-    """gmap(bits) from every applier this machine has: C, then numpy."""
-    appliers = [galois._gf2_apply, None] if galois._gf2_apply is not None else [None]
-    results = []
-    for apply in appliers:
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(galois, "_gf2_apply", apply)
-            results.append(gmap(bits))
-    return results
-
-
 def assert_gf2_map_matches_product(k, c, rows, seed):
     rng = np.random.default_rng(seed)
     matrix = rng.integers(0, 2, size=(k, c)).astype(np.float32)
@@ -280,7 +270,7 @@ def test_library_syndrome_matches_gather(preset, monkeypatch):
     """gftmux_syndrome counts what numpy's gather of H's rows counts, on
     random bit and symbol stacks, single words, stacks and empty stacks."""
     h = preset_graph(preset)
-    order = config.build_system(config.load_preset(preset)).field.order
+    order = config.build_system(config.load_preset(preset)).spec.field.order
     rng = np.random.default_rng(len(preset))
     for high in (2, min(order, 256)):
         for shape in ((h.n_vars,), (9, h.n_vars), (2, 3, h.n_vars), (0, h.n_vars)):

@@ -235,8 +235,7 @@ def test_cascade_and_interleaved_syndromes(desk_spec, desk_tx):
 
 
 def test_similarity_all_desk_blocks(desk_spec, desk_tx):
-    rep = verify_similarity(desk_spec, desk_tx.parity_check)
-    assert rep.ok and rep.blocks_checked == 21
+    assert verify_similarity(desk_spec, desk_tx.parity_check) == (21, None)
 
 
 def test_similarity_block_oracle(desk_spec, desk_tx):
@@ -269,9 +268,8 @@ def test_full_similarity_transform_desk(desk_spec, desk_tx):
 
 def test_similarity_sampled_at_scale():
     b = config.build_system(config.load_preset("ex1_bch127_113"))
-    rep = verify_similarity(b.spec, b.parity_check, num_blocks=20,
-                            rng=np.random.default_rng(73))
-    assert rep.ok and rep.blocks_checked == 20
+    assert verify_similarity(b.spec, b.parity_check, num_blocks=20,
+                             rng=np.random.default_rng(73)) == (20, None)
 
 
 def _shifted(h, *blocks):
@@ -290,10 +288,10 @@ def _shifted(h, *blocks):
 ])
 def test_similarity_catches_shifted_block(preset, blocks, ok, first):
     b = config.build_system(config.load_preset(preset))
-    rep = verify_similarity(b.spec, _shifted(b.parity_check, *blocks),
-                            rng=np.random.default_rng(0))
-    assert rep.ok is ok and rep.first_mismatch == first
-    assert rep.blocks_checked == (21 if preset == "desk_gf8" else 20)
+    checked, got = verify_similarity(b.spec, _shifted(b.parity_check, *blocks),
+                                     rng=np.random.default_rng(0))
+    assert (got is None) is ok and got == first
+    assert checked == (21 if preset == "desk_gf8" else 20)
 
 
 # -- trace dump ----------------------------------------------------------------
