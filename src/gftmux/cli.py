@@ -215,7 +215,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("simulate", help="run the Monte Carlo sweep")
     _add_common(p)
     p.add_argument("--workers", type=_at_least(1), default=1,
-                   help="parallel trial workers (results are identical across counts)")
+                   help="worker threads for the trials (results are identical across counts)")
     p.add_argument("--outdir", help="output directory (default from config)")
     p.add_argument("--quiet", action="store_true", help="suppress progress lines")
     p.set_defaults(func=cmd_simulate, refused=("simulation refused", sys.stderr))

@@ -187,6 +187,8 @@ def apply_overrides(cfg: dict, overrides: list) -> dict:
             raise ConfigError(f"override {item!r} is not of the form path=value")
         path, raw = item.split("=", 1)
         keys = path.split(".")
+        if "" in keys:
+            raise ConfigError(f"override path {path!r} has an empty key")
         try:
             value = json.loads(raw)
         except json.JSONDecodeError:

@@ -109,18 +109,6 @@ def poly_mul(a, b, field: GaloisField) -> np.ndarray:
     return out
 
 
-def poly_mod(a, g, field: GaloisField) -> np.ndarray:
-    """Remainder of a(X) mod g(X); g must be monic."""
-    g = np.asarray(g, dtype=np.int64)
-    r = np.array(a, dtype=np.int64)
-    dg = g.size - 1
-    for i in range(r.size - 1, dg - 1, -1):
-        c = r[i]
-        if c:
-            r[i - dg : i + 1] ^= field.mul_arr(c, g)
-    return r[:dg]
-
-
 def generator_poly(spec: BaseCodeSpec) -> np.ndarray:
     """Ascending coefficients of the monic product of (X + beta^l) over the
     root exponents l."""
@@ -159,20 +147,6 @@ def hadamard_perm(v, k: int, n: int) -> np.ndarray:
 #
 # Systematic form throughout: message in the n-m high-order positions,
 # parity = X^m * msg(X) mod g(X) in the low-order positions.
-
-
-def encode(msg, spec: BaseCodeSpec) -> np.ndarray:
-    """Systematic codeword of msg: bits in binary mode, GF(2^s) symbols otherwise."""
-    msg = np.asarray(msg, dtype=np.int64)
-    m = spec.m
-    if msg.size != spec.n - m:
-        raise ValueError(f"message length {msg.size} != n - m = {spec.n - m}")
-    alphabet = 2 if spec.mode == "binary" else spec.field.order
-    if (msg >= alphabet).any() or (msg < 0).any():
-        raise ValueError(f"message symbol outside the code alphabet [0, {alphabet})")
-    shifted = np.concatenate([np.zeros(m, dtype=np.int64), msg])
-    shifted[:m] = poly_mod(shifted, generator_poly(spec), spec.field)
-    return shifted
 
 
 def encode_spc(msg) -> np.ndarray:

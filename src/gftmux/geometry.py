@@ -328,6 +328,10 @@ def read_alist(source) -> AlistMatrix:
     (n_cols, n_rows), col_deg, row_deg = rows[0], rows[2], rows[3]
     if len(col_deg) != n_cols or len(row_deg) != n_rows:
         raise ValueError("alist degree lists do not match the declared shape")
+    largest = [max(col_deg, default=0), max(row_deg, default=0)]
+    if rows[1] != largest:
+        raise ValueError(f"alist line 2 gives largest degrees {rows[1]}, not the "
+                         f"largest column and row degrees {largest}")
     if len(rows) < 4 + n_cols + n_rows:
         raise ValueError("alist file ends before its last adjacency list")
     col_adj = _alist_adjacency(rows[4 : 4 + n_cols], col_deg, n_rows, "column")
@@ -345,8 +349,8 @@ def read_alist(source) -> AlistMatrix:
 
 def _alist_adjacency(lines: list, degrees: list, bound: int, what: str) -> list:
     """Sorted 0-based index lists; each line must hold its declared degree
-    of indices in 1..bound (entries past the degree, e.g. zero pads, are
-    ignored)."""
+    of distinct indices in 1..bound (entries past the degree, e.g. zero
+    pads, are ignored)."""
     out = []
     for k, (line, deg) in enumerate(zip(lines, degrees)):
         if len(line) < deg:
@@ -355,6 +359,8 @@ def _alist_adjacency(lines: list, degrees: list, bound: int, what: str) -> list:
         idx = line[:deg]
         if not all(1 <= i <= bound for i in idx):
             raise ValueError(f"alist {what} {k + 1} has an index outside 1..{bound}")
+        if len(set(idx)) < deg:
+            raise ValueError(f"alist {what} {k + 1} repeats an index")
         out.append(sorted(i - 1 for i in idx))
     return out
 

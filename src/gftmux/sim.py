@@ -18,6 +18,7 @@ wer = (lambda/n) * ger by construction of the counters.
 from __future__ import annotations
 
 import math
+import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field as dc_field
@@ -262,56 +263,37 @@ def run_trial(tx: Transceiver, h: GlobalParityCheck, sigma: float, params: MsaPa
 # -- sweep engine -----------------------------------------------------------
 
 
-@dataclass(eq=False)
-class _Sweep:
-    """What a sweep's trials share.  Cells are numbered in grid order, so
-    cell c is SNR point c // len(limits) under limit c % len(limits)."""
-
-    tx: Transceiver
-    h: GlobalParityCheck
-    cfg: SimConfig
-    sigmas: list
-    params: MsaParams
-    ws: dict = dc_field(default_factory=dict)   # the workspace; a pool worker fills its own
-
-    def block(self, start: int, count: int, active: tuple) -> list:
-        """run_block's tallies of trials start..start+count-1 per cell in active."""
-        limits = self.cfg.iterations
-        k = len(limits)
-        points = [(self.sigmas[p],
-                   tuple(limits[c % k] for c in active if c // k == p))
-                  for p in sorted({c // k for c in active})]
-        return [t[:, j] for t in run_block(self.tx, self.h, points, self.params, self.cfg.seed,
-                                           start, count, self.cfg.verify, self.ws)
-                for j in range(t.shape[1])]
-
-    def install(self) -> None:   # pool initializer: the sweep a worker serves
-        _Sweep.served = self
-
-    @staticmethod
-    def served_block(start: int, count: int, active: tuple) -> list:
-        return _Sweep.served.block(start, count, active)
-
-
 def monte_carlo(tx: Transceiver, h: GlobalParityCheck, cfg: SimConfig, rate: float,
                 workers: int = 1, progress=None) -> SimResult:
     """Sweep every (SNR, iteration-limit) cell to its frame/error budget.
 
     Trial indices are walked once for the whole grid, in blocks run inline
-    or by a pool: each trial feeds every cell still active, and a cell
-    stops at the first trial index where its budget is met, so it holds
-    trials 0..frames-1 whatever the worker count.  progress(cell) is called
-    as each cell stops, with wall_time measured from the sweep's start.
+    or on a pool of `workers` threads, each with its own workspace: each
+    trial feeds every cell still active, and a cell stops at the first
+    trial index where its budget is met, so it holds trials 0..frames-1
+    whatever the worker count.  progress(cell) is called as each cell
+    stops, with wall_time measured from the sweep's start.
     """
     sigmas = [ChannelParams(ebn0_db=e, rate=rate).sigma for e in cfg.ebn0_db]
     params = MsaParams(max_iterations=max(cfg.iterations), scale=cfg.scale,
                        clip=cfg.clip)
-    sweep = _Sweep(tx, h, cfg, sigmas, params)
     size = max(1, min(BLOCK_SIZE, BLOCK_LLRS // (tx.s * tx.n * tx.n)))
     cells = [CellResult(ebn0_db=e, iterations_limit=lim)
              for e in cfg.ebn0_db for lim in cfg.iterations]
     active = list(range(len(cells)))
+    local = threading.local()
     t0 = time.perf_counter()
+
+    def block(start: int, count: int, snapshot: tuple) -> list:
+        """run_block's tallies of trials start..start+count-1 per cell in
+        snapshot; cell c is SNR point c // k under limit c % k."""
+        limits, k = cfg.iterations, len(cfg.iterations)
+        points = [(sigmas[p], tuple(limits[c % k] for c in snapshot if c // k == p))
+                  for p in sorted({c // k for c in snapshot})]
+        ws = vars(local).setdefault("ws", {})   # the calling thread's workspace
+        return [t[:, j] for t in run_block(tx, h, points, params, cfg.seed, start, count,
+                                           cfg.verify, ws)
+                for j in range(t.shape[1])]
 
     def consume(snapshot: tuple, tallies: list) -> None:
         stops = []
@@ -333,11 +315,9 @@ def monte_carlo(tx: Transceiver, h: GlobalParityCheck, cfg: SimConfig, rate: flo
 
     # Blocks merge in index order.  The active set only shrinks, so every
     # cell active at merge time is in its block's snapshot.
-    pool = None
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        pool = ProcessPoolExecutor(max_workers=workers, initializer=sweep.install)
+    if workers > 1:   # concurrent.futures imports logging: only a pool pays for it
+        from concurrent.futures import ThreadPoolExecutor
+    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
     ahead = 2 * workers if pool else 1
     try:
         pending, start = deque(), 0
@@ -345,8 +325,8 @@ def monte_carlo(tx: Transceiver, h: GlobalParityCheck, cfg: SimConfig, rate: flo
             while len(pending) < ahead and start < cfg.max_frames:
                 count = min(size, cfg.max_frames - start)
                 snapshot = tuple(active)
-                job = (pool.submit(_Sweep.served_block, start, count, snapshot) if pool
-                       else sweep.block(start, count, snapshot))
+                job = (pool.submit(block, start, count, snapshot) if pool
+                       else block(start, count, snapshot))
                 pending.append((snapshot, job))
                 start += count
             snapshot, job = pending.popleft()

@@ -139,11 +139,8 @@ class Transceiver:
         return GlobalWord(bits=np.swapaxes(serial, -1, -2)), bpsk_map(
             serial.reshape(composites.shape[:-2] + (-1,)), out)
 
-    def transmit(self, streams: StreamBlock, verify: bool = False) -> tuple:
-        word, x = self.multiplex(self.encode_composites(streams))
-        if verify and self.parity_check.syndrome_weight(word.symbols).any():
-            raise RuntimeError("transmitter output violates the global parity check")
-        return word, x
+    def transmit(self, streams: StreamBlock) -> tuple:
+        return self.multiplex(self.encode_composites(streams))
 
     # -- receive ------------------------------------------------------------
 

@@ -123,7 +123,7 @@ def verify_round_trip(bundle, frames: int = 5, seed: int = 0) -> CheckResult:
     params = MsaParams(max_iterations=4, scale=bundle.sim.scale)
     streams = StreamBlock(bits=np.stack([tx.random_streams(rng).bits
                                          for _ in range(frames)]), n=tx.n)
-    word, x = tx.transmit(streams, verify=True)
+    word, x = tx.transmit(streams)
     frame = LlrFrame(llr(x, 1.0), s=tx.s, n=tx.n)
     bits, iterations, converged = decode_batch(frame.layers(), bundle.parity_check,
                                                params, (params.max_iterations,))

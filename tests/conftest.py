@@ -10,8 +10,8 @@ from gftmux import config, cyclic, decoder, galois, geometry, sim
 def numpy_kernel(monkeypatch):
     """Decode with the numpy _flood oracle, apply the GF(2) maps with numpy
     tables, count syndromes by numpy's gather and draw each block with
-    numpy's generator, as on a machine without a compiler; forked pool
-    workers inherit the choice."""
+    numpy's generator, as on a machine without a compiler; the sweep's
+    worker threads share the choice with the test."""
     monkeypatch.setattr(decoder, "_kernel", None)
     monkeypatch.setattr(geometry, "_syndrome", None)
     monkeypatch.setattr(galois, "_gf2_apply", None)
@@ -88,6 +88,35 @@ def gf2_rank_rows(rows) -> int:
                 break
             row ^= p
     return rank
+
+
+def poly_mod(a, g, field) -> np.ndarray:
+    """Remainder of a(X) mod g(X); g must be monic."""
+    g = np.asarray(g, dtype=np.int64)
+    r = np.array(a, dtype=np.int64)
+    dg = g.size - 1
+    for i in range(r.size - 1, dg - 1, -1):
+        c = r[i]
+        if c:
+            r[i - dg : i + 1] ^= field.mul_arr(c, g)
+    return r[:dg]
+
+
+def encode(msg, spec) -> np.ndarray:
+    """Systematic codeword of msg by polynomial division, the oracle of
+    cyclic.parity_rows and generator_matrix: message in the n-m high-order
+    positions, parity X^m*msg(X) mod g(X) in the m low-order ones; bits in
+    binary mode, GF(2^s) symbols otherwise."""
+    msg = np.asarray(msg, dtype=np.int64)
+    m = spec.m
+    if msg.size != spec.n - m:
+        raise ValueError(f"message length {msg.size} != n - m = {spec.n - m}")
+    alphabet = 2 if spec.mode == "binary" else spec.field.order
+    if (msg >= alphabet).any() or (msg < 0).any():
+        raise ValueError(f"message symbol outside the code alphabet [0, {alphabet})")
+    shifted = np.concatenate([np.zeros(m, dtype=np.int64), msg])
+    shifted[:m] = poly_mod(shifted, cyclic.generator_poly(spec), spec.field)
+    return shifted
 
 
 def sim_cell(result, ebn0_db: float, iterations: int):

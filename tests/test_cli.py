@@ -22,6 +22,7 @@ from gftmux.config import (
     resolve,
 )
 from gftmux.geometry import read_alist
+from gftmux.txrx import Transceiver
 
 
 def test_presets_shipped():
@@ -113,6 +114,26 @@ def test_cmd_verify_production_scale(capsys):
         "decode converges in 1 iteration",
         "8/8 checks passed",
     ]
+
+
+def test_cmd_verify_reports_broken_transmitter(monkeypatch, capsys):
+    """A transmitter whose words leave the code fails its two checks in
+    the report, which still prints every line, rather than raising."""
+    good = Transceiver.encode_composites
+
+    def corrupted(self, streams):
+        comp = good(self, streams)
+        comp[..., 1, 0] ^= 1
+        return comp
+
+    monkeypatch.setattr(Transceiver, "encode_composites", corrupted)
+    assert main(["verify", "--preset", "desk_gf8"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines[:8]] == [
+        "PASS gft-inverse", "PASS shape-weights", "PASS rc-constraint", "PASS girth",
+        "PASS rank-dimension", "PASS transform-similarity", "FAIL layer-decomposition",
+        "FAIL round-trip"]
+    assert lines[8:] == ["6/8 checks passed"]
 
 
 def test_cmd_verify_duplicate_roots(tmp_path, capsys):
@@ -428,6 +449,17 @@ def test_unknown_field_rejected(tmp_path, capsys, path, in_file):
     assert main(args) == 2
     assert capsys.readouterr().err == f"config error: unknown field {path}\n"
     assert list(tmp_path.iterdir()) == ([tmp_path / "cfg.json"] if in_file else [])
+
+
+@pytest.mark.parametrize("path", [".seed", "", "channel..seed"])
+def test_override_with_empty_key_named(tmp_path, capsys, path):
+    """An override path with an empty key is a config error (exit 2) that
+    quotes the whole path, and nothing is written."""
+    args = ["simulate", "--preset", "desk_gf8", "--outdir", str(tmp_path / "out"),
+            "--quiet", "--set", f"{path}=1"]
+    assert main(args) == 2
+    assert capsys.readouterr().err == f"config error: override path {path!r} has an empty key\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_construct_survives_any_field_value():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import code_syndrome, gf2_poly_divisible, poly_eval
+from conftest import code_syndrome, encode, gf2_poly_divisible, poly_eval
 from gftmux import config, cyclic, galois
 from gftmux.cyclic import (
     BaseCodeSpec,
@@ -11,7 +11,6 @@ from gftmux.cyclic import (
     base_matrix,
     bch_spec,
     conjugacy_closure,
-    encode,
     encode_spc,
     generator_matrix,
     generator_poly,

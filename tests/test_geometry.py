@@ -464,6 +464,21 @@ def test_alist_rejects_short_header(text):
         read_alist(io.StringIO(text))
 
 
+def test_alist_rejects_repeated_index():
+    # column 1 and row 1 each list index 1 twice; the two lists agree
+    with pytest.raises(ValueError, match="column 1 repeats an index"):
+        read_alist(io.StringIO("2 1\n2 2\n2 0\n2\n1 1\n0 0\n1 1\n"))
+
+
+@pytest.mark.parametrize("line", ["9 9", "1 2 7", "1", "7 3"])
+def test_alist_rejects_wrong_largest_degrees(desk_h, line):
+    lines = _desk_alist_lines(desk_h)
+    lines[1] = line
+    with pytest.raises(ValueError, match=r"line 2 gives largest degrees .*, not the "
+                                         r"largest column and row degrees \[3, 7\]"):
+        _read_lines(lines)
+
+
 def test_alist_rejects_inconsistent_edge_sets(desk_h):
     lines = _desk_alist_lines(desk_h)
     row = [int(i) for i in lines[53].split()]

@@ -438,8 +438,9 @@ with warnings.catch_warnings(record=True) as caught:
                                            decoder.MsaParams(max_iterations=5), (5,))
     rng = np.random.default_rng(7)
     streams = [tx.random_streams(rng) for _ in range(20)]
-    round_trip = all(st.equal(tx.demultiplex(tx.transmit(st, verify=True)[0])[1])
-                     for st in streams)
+    words = [tx.transmit(st)[0] for st in streams]
+    round_trip = all(st.equal(tx.demultiplex(w)[1]) and (h.syndrome_weight(w.bits) == 0).all()
+                     for st, w in zip(streams, words))
     block, noise = sim.draw_block(tx, 7, 0, 3)
     rng = sim.trial_rng(7, 2)
     drawn = (block.bits[2] == tx.random_streams(rng).bits).all() and (

@@ -1,7 +1,12 @@
 import csv
 import ctypes
 import io
+import multiprocessing
+import os
+import sys
+import threading
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -551,8 +556,8 @@ def test_monte_carlo_worker_invariance(desk):
     ("desk_gf8", 1, 2.0, 200), ("desk_gf8", 2, 2.0, 200), ("ex3_rs127_121", 1, 7.0, 3)])
 def test_sweep_never_derives_the_adjacency(preset, workers, ebn0_db, frames, monkeypatch):
     """With the library loaded a sweep reads only H's exponent table: its
-    check_vars and var_edges are never derived.  Pool workers are forked
-    with the class patched so that reading either fails the sweep."""
+    check_vars and var_edges are never derived.  With worker threads the
+    class is patched so that reading either fails the sweep."""
     b = config.build_system(config.load_preset(preset))
     if workers > 1:
         def unread(self):
@@ -565,6 +570,41 @@ def test_sweep_never_derives_the_adjacency(preset, workers, ebn0_db, frames, mon
     result = monte_carlo(b.transceiver, b.parity_check, cfg, rate=b.rate, workers=workers)
     assert result.cells[0].frames == frames
     assert not {"check_vars", "var_edges"} & set(vars(b.parity_check))
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_sweep_workers_are_threads_with_own_workspaces(desk, monkeypatch, workers):
+    """With workers > 1 the blocks run on threads of the calling process,
+    each thread with its own workspace and no two threads sharing one; under
+    a short switch interval, also with more threads than cores, the counters
+    equal those of one worker."""
+    cfg = SimConfig(ebn0_db=[2.0, 4.0], iterations=[2, 10], max_frames=1500,
+                    target_errors=10 ** 9, seed=17)
+    serial = monte_carlo(desk.transceiver, desk.parity_check, cfg, rate=desk.rate)
+    records, owners, run_block = [], {}, sim.run_block
+
+    def recorded(tx, h, points, params, seed, start, count, verify, ws):
+        thread = threading.get_ident()
+        records.append((os.getpid(), thread))
+        # checked before the block runs: two threads on one workspace can hang the kernel
+        if owners.setdefault(id(ws), thread) != thread:
+            raise AssertionError("two threads were handed one workspace")
+        return run_block(tx, h, points, params, seed, start, count, verify, ws)
+
+    monkeypatch.setattr(sim, "run_block", recorded)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pooled = monte_carlo(desk.transceiver, desk.parity_check, cfg, rate=desk.rate,
+                             workers=workers)
+    finally:
+        sys.setswitchinterval(interval)
+    assert records and {pid for pid, _ in records} == {os.getpid()}
+    threads = {thread for _, thread in records}
+    assert threading.get_ident() not in threads and 1 < len(threads) <= workers
+    assert multiprocessing.active_children() == []
+    assert ([replace(c, wall_time=0.0) for c in pooled.cells]
+            == [replace(c, wall_time=0.0) for c in serial.cells])
 
 
 def test_paired_noise_across_iteration_cells(desk):

@@ -53,7 +53,7 @@ def test_transmit_syndrome_zero_random(desk_tx):
     rng = np.random.default_rng(31)
     h = desk_tx.parity_check
     for _ in range(25):
-        word, _ = desk_tx.transmit(desk_tx.random_streams(rng), verify=True)
+        word, _ = desk_tx.transmit(desk_tx.random_streams(rng))
         assert h.syndrome_weight(word.symbols) == 0
         for layer in word.bits:
             assert h.syndrome_weight(layer) == 0
@@ -62,22 +62,9 @@ def test_transmit_syndrome_zero_random(desk_tx):
 def test_transmit_nonbinary_syndrome_zero(rs5_tx):
     rng = np.random.default_rng(37)
     for _ in range(25):
-        word, _ = rs5_tx.transmit(rs5_tx.random_streams(rng), verify=True)
+        word, _ = rs5_tx.transmit(rs5_tx.random_streams(rng))
         assert rs5_tx.parity_check.syndrome_weight(word.symbols) == 0
-
-
-def test_transmit_verify_raises_on_bad_word(desk_spec, monkeypatch):
-    tx = Transceiver(desk_spec)
-    good = tx.encode_composites
-
-    def corrupted(streams):
-        comp = good(streams)
-        comp[1, 0] ^= 1
-        return comp
-
-    monkeypatch.setattr(tx, "encode_composites", corrupted)
-    with pytest.raises(RuntimeError, match="global parity check"):
-        tx.transmit(zero_streams(tx), verify=True)
+        assert (rs5_tx.parity_check.syndrome_weight(word.bits) == 0).all()
 
 
 def test_composites_per_group_codewords(desk_tx, desk_spec):
@@ -303,7 +290,8 @@ def test_trace_golden_desk(desk_bundle):
     golden = (DATA / "golden_trace_desk.bin").read_bytes()
     tx = desk_bundle.transceiver
     streams = tx.random_streams(np.random.default_rng(20260810))
-    word, _ = tx.transmit(streams, verify=True)
+    word, _ = tx.transmit(streams)
+    assert (tx.parity_check.syndrome_weight(word.bits) == 0).all()
     assert trace_bytes(word, streams) == golden
 
 
@@ -317,5 +305,6 @@ def test_trace_digest_at_scale(preset, digest):
     nonbinary alike: SHA-256 of the trace of one seeded transmission."""
     tx = config.build_system(config.load_preset(preset)).transceiver
     streams = tx.random_streams(np.random.default_rng(20260810))
-    word, _ = tx.transmit(streams, verify=True)
+    word, _ = tx.transmit(streams)
+    assert (tx.parity_check.syndrome_weight(word.bits) == 0).all()
     assert hashlib.sha256(trace_bytes(word, streams)).hexdigest() == digest
