@@ -133,8 +133,7 @@ def _sweep_into(args, bundle, csv_fh, manifest_fh) -> bool | None:
         done.sort(key=lambda c: (grid.ebn0_db.index(c.ebn0_db),
                                  grid.iterations.index(c.iterations_limit)))
         result = SimResult(cells=done, n=bundle.transceiver.n,
-                           info_bits_per_frame=bundle.transceiver.info_bits,
-                           seed=grid.seed)
+                           info_bits_per_frame=bundle.transceiver.info_bits)
         truncated = True
         print(f"interrupted: writing {len(done)} completed cells", file=sys.stderr)
 

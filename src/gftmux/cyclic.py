@@ -149,11 +149,12 @@ def hadamard_perm(v, k: int, n: int) -> np.ndarray:
 # parity = X^m * msg(X) mod g(X) in the low-order positions.
 
 
-def encode_spc(msg) -> np.ndarray:
-    """Append the XOR-sum of msg along axis 0: the parity symbol of a
-    GF(2) or GF(2^s) word, or the parity row of a (length, s) bit block."""
+def encode_spc(msg, axis: int = 0) -> np.ndarray:
+    """Append the XOR-sum of msg along axis: the parity symbol of a GF(2)
+    or GF(2^s) word, or the parity row of a (length, s) bit block."""
     msg = np.asarray(msg)
-    return np.concatenate([msg, np.bitwise_xor.reduce(msg, axis=0, keepdims=True)])
+    return np.concatenate([msg, np.bitwise_xor.reduce(msg, axis=axis, keepdims=True)],
+                          axis=axis)
 
 
 def parity_rows(spec: BaseCodeSpec) -> np.ndarray:

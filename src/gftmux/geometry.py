@@ -9,7 +9,6 @@ the exponent table, and the adjacency derived from it where it is read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from pathlib import Path
@@ -280,89 +279,15 @@ def qc_rank(h: GlobalParityCheck, subgroup: SubgroupGen) -> int:
 # -- interchange formats --------------------------------------------------
 
 
-@dataclass
-class AlistMatrix:
-    """Sparse binary matrix parsed from / destined for alist text."""
-
-    n_cols: int
-    n_rows: int
-    col_adj: list
-    row_adj: list
-
-    @property
-    def max_col_degree(self) -> int:
-        return max((len(c) for c in self.col_adj), default=0)
-
-    @property
-    def max_row_degree(self) -> int:
-        return max((len(r) for r in self.row_adj), default=0)
-
-
-def to_alist(h: GlobalParityCheck) -> AlistMatrix:
+def write_alist(h: GlobalParityCheck, destination) -> None:
+    """Standard alist text: header, largest degrees, degree lists, 1-based
+    indices.  No column or row of H is empty, so no list needs a 0 pad."""
     # var_edges lists each variable's edge slots c*n + j in ascending check order
-    return AlistMatrix(n_cols=h.n_vars, n_rows=h.n_checks,
-                       col_adj=(h.var_edges // h.n).tolist(),
-                       row_adj=np.sort(h.check_vars, axis=1).tolist())
-
-
-def write_alist(h_or_alist, destination) -> None:
-    """Standard alist text: header, max degrees, degree lists, 1-based indices."""
-    a = h_or_alist if isinstance(h_or_alist, AlistMatrix) else to_alist(h_or_alist)
-    lines = [
-        f"{a.n_cols} {a.n_rows}",
-        f"{a.max_col_degree} {a.max_row_degree}",
-        " ".join(str(len(c)) for c in a.col_adj),
-        " ".join(str(len(r)) for r in a.row_adj),
-    ]
-    # an empty list is written as the usual "0" pad, never as a blank line
-    lines += [" ".join(str(i + 1) for i in adj) or "0" for adj in a.col_adj + a.row_adj]
+    cols, rows = h.var_edges // h.n + 1, np.sort(h.check_vars, axis=1) + 1
+    (nc, dc), (nr, dr) = cols.shape, rows.shape
+    lines = [f"{nc} {nr}", f"{dc} {dr}", " ".join([str(dc)] * nc), " ".join([str(dr)] * nr)]
+    lines += [" ".join(map(str, adj)) for adj in cols.tolist() + rows.tolist()]
     _write_text("\n".join(lines) + "\n", destination)
-
-
-def read_alist(source) -> AlistMatrix:
-    text = source.read() if hasattr(source, "read") else Path(source).read_text()
-    rows = [[int(t) for t in ln.split()] for ln in text.splitlines() if ln.split()]
-    if len(rows) < 4 or len(rows[0]) != 2:
-        raise ValueError("alist file lacks its 4-line header (shape, largest "
-                         "degrees, column degrees, row degrees)")
-    (n_cols, n_rows), col_deg, row_deg = rows[0], rows[2], rows[3]
-    if len(col_deg) != n_cols or len(row_deg) != n_rows:
-        raise ValueError("alist degree lists do not match the declared shape")
-    largest = [max(col_deg, default=0), max(row_deg, default=0)]
-    if rows[1] != largest:
-        raise ValueError(f"alist line 2 gives largest degrees {rows[1]}, not the "
-                         f"largest column and row degrees {largest}")
-    if len(rows) < 4 + n_cols + n_rows:
-        raise ValueError("alist file ends before its last adjacency list")
-    col_adj = _alist_adjacency(rows[4 : 4 + n_cols], col_deg, n_rows, "column")
-    row_adj = _alist_adjacency(rows[4 + n_cols : 4 + n_cols + n_rows], row_deg,
-                               n_cols, "row")
-    from_rows = [[] for _ in range(n_cols)]
-    for r, cols in enumerate(row_adj):
-        for c in cols:
-            from_rows[c].append(r)
-    if from_rows != col_adj:
-        raise ValueError("alist column lists describe a different edge set "
-                         "from the row lists")
-    return AlistMatrix(n_cols=n_cols, n_rows=n_rows, col_adj=col_adj, row_adj=row_adj)
-
-
-def _alist_adjacency(lines: list, degrees: list, bound: int, what: str) -> list:
-    """Sorted 0-based index lists; each line must hold its declared degree
-    of distinct indices in 1..bound (entries past the degree, e.g. zero
-    pads, are ignored)."""
-    out = []
-    for k, (line, deg) in enumerate(zip(lines, degrees)):
-        if len(line) < deg:
-            raise ValueError(f"alist {what} {k + 1} lists {len(line)} indices, "
-                             f"fewer than its degree {deg}")
-        idx = line[:deg]
-        if not all(1 <= i <= bound for i in idx):
-            raise ValueError(f"alist {what} {k + 1} has an index outside 1..{bound}")
-        if len(set(idx)) < deg:
-            raise ValueError(f"alist {what} {k + 1} repeats an index")
-        out.append(sorted(i - 1 for i in idx))
-    return out
 
 
 def write_dense_text(h: GlobalParityCheck, destination) -> None:

@@ -44,15 +44,15 @@ BLOCK_SIZE = 64
 BLOCK_LLRS = 2 ** 14
 
 
-def confidence_interval(errors: int, trials: int, z: float = _Z95) -> tuple:
+def confidence_interval(errors: int, trials: int) -> tuple:
     """95% Wilson score interval for an error probability, as Python floats."""
     if trials < 1:
         raise ValueError("need at least one trial")
     p = errors / trials
-    z2 = z * z
+    z2 = _Z95 * _Z95
     denom = 1.0 + z2 / trials
     center = (p + z2 / (2 * trials)) / denom
-    half = (z / denom) * math.sqrt(p * (1 - p) / trials + z2 / (4 * trials * trials))
+    half = (_Z95 / denom) * math.sqrt(p * (1 - p) / trials + z2 / (4 * trials * trials))
     low = 0.0 if errors == 0 else max(0.0, center - half)
     high = 1.0 if errors == trials else min(1.0, center + half)
     return low, high
@@ -154,7 +154,6 @@ class SimResult:
     cells: list
     n: int
     info_bits_per_frame: int
-    seed: int
 
 
 # -- trials -----------------------------------------------------------------
@@ -334,8 +333,7 @@ def monte_carlo(tx: Transceiver, h: GlobalParityCheck, cfg: SimConfig, rate: flo
     finally:
         if pool:
             pool.shutdown(wait=True, cancel_futures=True)
-    return SimResult(cells=cells, n=tx.n, info_bits_per_frame=tx.info_bits,
-                     seed=cfg.seed)
+    return SimResult(cells=cells, n=tx.n, info_bits_per_frame=tx.info_bits)
 
 
 # -- independent single-code baseline ---------------------------------------

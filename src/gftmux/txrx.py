@@ -22,15 +22,15 @@ from .geometry import GlobalParityCheck, vandermonde
 
 @dataclass(eq=False)
 class StreamBlock:
-    """Message bits of all n groups as one (s, (n-1) + (n-1)(n-m)) bit array.
+    """Message bits of all n groups as one ((n-1) + (n-1)(n-m), s) bit
+    array, symbol-major like every word of the chain.
 
-    Columns 0..n-2 are group 0 (the single parity-check group); each
-    group k >= 1 takes the next n-m columns.  In nonbinary mode column t
-    of a group composes into that group's message symbol t.
+    Rows 0..n-2 are group 0 (the single parity-check group); each group
+    k >= 1 takes the next n-m rows.  In nonbinary mode row t of a group
+    composes into that group's message symbol t.
     """
 
     bits: np.ndarray
-    n: int
 
     def bit_errors(self, other: "StreamBlock") -> int:
         return int(np.count_nonzero(self.bits != other.bits))
@@ -87,43 +87,43 @@ class Transceiver:
         self.info_bits = s * sum(self.msg_lengths)
         # Group k's s*L_k bits are the top bits of the first s*L_k bytes of
         # its ceil(s*L_k/4) uint32 words, row-major (s, L_k): where
-        # rng.integers(0, 2, (s, L_k), uint8) would take them.
+        # rng.integers(0, 2, (s, L_k), uint8) would take them.  They are
+        # gathered symbol-major, (L_k, s), by an index built C-contiguous:
+        # np.take would copy a transposed one on every draw.
         words = [-(-s * lk // 4) for lk in self.msg_lengths]
         first = 4 * np.cumsum([0] + words[:-1])
         self._draw_words = sum(words)
         #: The 64-bit generator outputs per trial that hold those uint32 words.
         self.raw_words = -(-self._draw_words // 2)
-        self._draw_at = np.concatenate(
-            [b + np.arange(s * lk).reshape(s, lk) for b, lk in zip(first, self.msg_lengths)],
-            axis=1)
+        self._draw_at = np.concatenate([b + np.arange(lk)[:, None] + lk * np.arange(s)
+                                        for b, lk in zip(first, self.msg_lengths)])
 
     # -- stream handling ------------------------------------------------
 
     def random_streams(self, rng: np.random.Generator) -> StreamBlock:
-        """The bits and generator state of one rng.integers(0, 2, (s, L_k),
-        uint8) draw per group, in group order (the trial RNG contract), from
-        a single draw of raw uint32 words."""
+        """The bits, each group's transposed to (L_k, s), and the generator
+        state of one rng.integers(0, 2, (s, L_k), uint8) draw per group, in
+        group order (the trial RNG contract), from a single draw of raw
+        uint32 words."""
         return self.gather_streams(rng.integers(0, 2 ** 32, self._draw_words, dtype=np.uint32))
 
     def gather_streams(self, raw: np.ndarray) -> StreamBlock:
         """The StreamBlock in (..., k) raw words: uint32, or the uint64 outputs
         whose low half next_uint32 hands out first; trials stack on leading axes."""
         raw = raw.astype(raw.dtype.newbyteorder("<"), copy=False)   # byte 0 drawn first
-        return StreamBlock(bits=np.take(raw.view(np.uint8), self._draw_at, axis=-1) >> 7, n=self.n)
+        return StreamBlock(bits=np.take(raw.view(np.uint8), self._draw_at, axis=-1) >> 7)
 
     # -- transmit ---------------------------------------------------------
 
     def encode_composites(self, streams: StreamBlock) -> np.ndarray:
         """(n, n*s) bits; row k is composite word k, symbol-major."""
         n, m, s = self.n, self.m, self.s
-        if streams.bits.shape[-2:] != (s, sum(self.msg_lengths)):
+        if streams.bits.shape[-2:] != (sum(self.msg_lengths), s):
             raise ValueError("stream block shape does not match the code spec")
-        bits = streams.bits.reshape(-1, s, sum(self.msg_lengths))
+        bits = streams.bits.reshape(-1, sum(self.msg_lengths), s)
         comp = np.empty((len(bits), n * n, s), dtype=np.uint8)   # symbol k*n + t
-        comp[:, :n] = cyclic.encode_spc(bits[:, :, : n - 1].transpose(2, 0, 1)
-                                        ).transpose(1, 0, 2)   # SPC along symbols
-        msgs = bits[:, :, n - 1 :].reshape(-1, s, n - 1, n - m).transpose(0, 2, 3, 1)
-        msgs = msgs.reshape(-1, (n - m) * s)
+        comp[:, :n] = cyclic.encode_spc(bits[:, : n - 1], axis=1)   # SPC along symbols
+        msgs = bits[:, n - 1 :].reshape(-1, (n - m) * s)
         base_words = np.concatenate([self._gen(msgs), msgs], axis=1)   # parity, message
         comp[:, n:] = np.take(base_words.reshape(len(bits), -1), self._hadamard_bytes,
                               axis=1).reshape(len(bits), -1, s)
@@ -151,7 +151,6 @@ class Transceiver:
         serial = np.swapaxes(word.bits.reshape(-1, s, n * n), 1, 2)
         parallel = self._vinv(serial.reshape(-1, n * s))
         comp = parallel.reshape(-1, n, n, s).transpose(0, 2, 1, 3).reshape(-1, n * n, s)
-        msg_bits = comp[:, self._demux]
         return (comp.reshape(*lead, n, n * s),
-                StreamBlock(bits=np.swapaxes(msg_bits, 1, 2).reshape(*lead, s, -1), n=n))
+                StreamBlock(bits=comp[:, self._demux].reshape(*lead, -1, s)))
 

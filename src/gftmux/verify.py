@@ -103,7 +103,7 @@ def verify_layer_decomposition(bundle, random_vectors: int = 1000,
     rng = np.random.default_rng(seed)
     vecs = rng.integers(0, field.order, size=(random_vectors, h.n_vars), dtype=np.int64)
     word, _ = tx.transmit(StreamBlock(bits=np.stack([tx.random_streams(rng).bits
-                                                     for _ in range(tx_frames)]), n=tx.n))
+                                                     for _ in range(tx_frames)])))
     # uint8 words are counted by the library without gathering H's rows
     symbols = np.concatenate([vecs, word.symbols]).astype(np.min_scalar_type(field.order - 1))
     layers = np.concatenate([decompose_arr(vecs, field.s), word.bits])
@@ -122,7 +122,7 @@ def verify_round_trip(bundle, frames: int = 5, seed: int = 0) -> CheckResult:
     rng = np.random.default_rng(seed)
     params = MsaParams(max_iterations=4, scale=bundle.sim.scale)
     streams = StreamBlock(bits=np.stack([tx.random_streams(rng).bits
-                                         for _ in range(frames)]), n=tx.n)
+                                         for _ in range(frames)]))
     word, x = tx.transmit(streams)
     frame = LlrFrame(llr(x, 1.0), s=tx.s, n=tx.n)
     bits, iterations, converged = decode_batch(frame.layers(), bundle.parity_check,

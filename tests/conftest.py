@@ -204,21 +204,21 @@ def cascade(spec):
 def per_group_streams(tx, rng) -> np.ndarray:
     """The trial RNG contract in its first form, the oracle for
     Transceiver.random_streams: one rng.integers(0, 2, (s, L_k), uint8)
-    draw per group, in group order, concatenated along the columns."""
-    return np.concatenate([rng.integers(0, 2, size=(tx.s, lk), dtype=np.uint8)
-                           for lk in tx.msg_lengths], axis=1)
+    draw per group, in group order, each transposed to (L_k, s) and the
+    groups stacked."""
+    return np.concatenate([rng.integers(0, 2, size=(tx.s, lk), dtype=np.uint8).T
+                           for lk in tx.msg_lengths])
 
 
-def trace_bytes(word, streams) -> bytes:
+def trace_bytes(tx, word, streams) -> bytes:
     """Binary trace of one transmission, little endian: magic b"GMTR", u8
     version 1, u8 s, u16 n, then the n^2 symbols as u16, then per group a
     u16 length L_k followed by its s*L_k message bits, one byte each,
-    stream-major."""
-    n, bits = streams.n, streams.bits.astype(np.uint8)
-    payload = [b"GMTR", struct.pack("<BBH", 1, bits.shape[0], n),
+    stream-major (tx's StreamBlock holds each group symbol-major)."""
+    n, bits = tx.n, streams.bits.astype(np.uint8)
+    payload = [b"GMTR", struct.pack("<BBH", 1, tx.s, n),
                np.asarray(word.symbols, dtype="<u2").tobytes()]
-    lk = (bits.shape[1] - (n - 1)) // (n - 1)          # n - m
-    for g in np.split(bits, (n - 1) + lk * np.arange(n - 1), axis=1):
-        payload.append(struct.pack("<H", g.shape[1]))
-        payload.append(g.tobytes())
+    for g in np.split(bits, np.cumsum(tx.msg_lengths)[:-1]):
+        payload.append(struct.pack("<H", len(g)))
+        payload.append(g.T.tobytes())
     return b"".join(payload)

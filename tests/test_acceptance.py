@@ -186,7 +186,7 @@ def test_criterion_06_noiseless_round_trip(name, mode):
     problems = []
     for start in range(0, 1000, stack):
         streams = StreamBlock(bits=np.stack([tx.random_streams(rng).bits
-                                             for _ in range(stack)]), n=tx.n)
+                                             for _ in range(stack)]))
         word, x = tx.transmit(streams)
         back = tx.demultiplex(word)[1].bits
         bad = (back != streams.bits).any(axis=(1, 2)).nonzero()[0]

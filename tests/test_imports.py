@@ -6,6 +6,8 @@ module or listed in the module's __all__; `from __future__` imports bind
 nothing.  No module of the package reads a private attribute `obj._name`
 of an object other than self or cls, so that each module's layout stays
 its own (tests may monkeypatch private names; they are not scanned).
+Every function, class and non-dunder method the package defines is named
+in the package or in perfbench, so none lives only for the tests.
 """
 
 import ast
@@ -15,6 +17,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "gftmux").glob("*.py"))
+PERFBENCH = sorted((ROOT / "perfbench").glob("*.py"))
 FILES = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py")])
 
 
@@ -66,3 +69,38 @@ def test_scan_finds_private_reads():
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_private_reads_across_modules(path):
     assert private_reads(path.read_text()) == []
+
+
+def definitions(source: str) -> list:
+    """The module-level functions and classes, and the non-dunder methods."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            names += [f.name for f in node.body
+                      if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+                      and not f.name.endswith("__")]
+    return names
+
+
+def named(source: str) -> set:
+    """Each name read or written as an ast.Name or an attribute; strings,
+    docstrings and comments do not count."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Name, ast.Attribute))}
+
+
+def test_scan_finds_definitions():
+    source = ("def f(): pass\nclass A:\n    x = 1\n    def __init__(self): pass\n"
+              "    def g(self): return h.k\n")
+    assert definitions(source) == ["f", "A", "g"]
+    assert named(source + "'f' # A\n") == {"x", "h", "k"}
+
+
+def test_no_definition_lives_only_for_the_tests():
+    used = set().union(*(named(p.read_text()) for p in [*PACKAGE, *PERFBENCH]))
+    unused = [f"{p.name}: {name}" for p in PACKAGE for name in definitions(p.read_text())
+              if name not in used]
+    assert unused == []

@@ -133,7 +133,7 @@ def desk_block_llrs(ebn0_db, trials=64, seed=20260810):
     b = config.build_system(config.load_preset("desk_gf8"))
     tx = b.transceiver
     rngs = [trial_rng(seed, i) for i in range(trials)]
-    streams = StreamBlock(bits=np.stack([tx.random_streams(r).bits for r in rngs]), n=tx.n)
+    streams = StreamBlock(bits=np.stack([tx.random_streams(r).bits for r in rngs]))
     noise = np.stack([r.standard_normal(tx.s * tx.n * tx.n) for r in rngs])
     _, x = tx.multiplex(tx.encode_composites(streams))
     sigma = ChannelParams(ebn0_db=ebn0_db, rate=b.rate).sigma

@@ -36,8 +36,7 @@ def bits_of(symbols, s):
 
 
 def zero_streams(tx):
-    return StreamBlock(bits=np.zeros((tx.s, sum(tx.msg_lengths)), dtype=np.uint8),
-                       n=tx.n)
+    return StreamBlock(bits=np.zeros((sum(tx.msg_lengths), tx.s), dtype=np.uint8))
 
 
 # -- transmit ------------------------------------------------------------
@@ -105,7 +104,7 @@ def test_serial_bits_symbol_major(desk_tx):
 
 def test_stream_shape_mismatch_rejected(desk_tx):
     streams = zero_streams(desk_tx)
-    streams.bits = streams.bits[:, :-1]
+    streams.bits = streams.bits[:-1]
     with pytest.raises(ValueError):
         desk_tx.transmit(streams)
 
@@ -286,13 +285,13 @@ def test_similarity_catches_shifted_block(preset, blocks, ok, first):
 
 def test_trace_golden_desk(desk_bundle):
     """The desk trace in tests/data was written when StreamBlock held one
-    array per group; the flat layout gives the same bytes."""
+    array per group; the flat symbol-major layout gives the same bytes."""
     golden = (DATA / "golden_trace_desk.bin").read_bytes()
     tx = desk_bundle.transceiver
     streams = tx.random_streams(np.random.default_rng(20260810))
     word, _ = tx.transmit(streams)
     assert (tx.parity_check.syndrome_weight(word.bits) == 0).all()
-    assert trace_bytes(word, streams) == golden
+    assert trace_bytes(tx, word, streams) == golden
 
 
 @pytest.mark.parametrize("preset,digest", [
@@ -307,4 +306,4 @@ def test_trace_digest_at_scale(preset, digest):
     streams = tx.random_streams(np.random.default_rng(20260810))
     word, _ = tx.transmit(streams)
     assert (tx.parity_check.syndrome_weight(word.bits) == 0).all()
-    assert hashlib.sha256(trace_bytes(word, streams)).hexdigest() == digest
+    assert hashlib.sha256(trace_bytes(tx, word, streams)).hexdigest() == digest
