@@ -5,9 +5,9 @@ substream yields the message bits and a unit-variance noise vector,
 which each SNR point scales by its own sigma.  Cells therefore share
 paired channel realizations, and one pass over the trial indices
 serves the whole grid: each trial is transmitted once and decoded
-once per SNR up to the largest iteration limit still running there.
-Every cell holds trials 0..frames-1, so results are reproducible
-bit-for-bit and never depend on the worker count.
+once per SNR up to its largest running limit, in one call for the SNRs
+sharing that limit.  Every cell holds trials 0..frames-1, so results
+are reproducible bit-for-bit and never depend on the worker count.
 
 Word errors are counted per composite codeword after demultiplexing,
 global errors per frame, and lambda (mean erroneous composites per
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .channel import ChannelParams, llr
+from .channel import ChannelParams
 from .cyclic import generator_matrix, mld_oracle
 from .decoder import OPS_PER_EDGE, MsaParams, decode_batch
 from .galois import buffer, c_library
@@ -102,23 +102,15 @@ class CellResult:
     iter_hist: dict = dc_field(default_factory=dict)
     edge_ops: int = 0
     wall_time: float = 0.0
+    detected: int = 0     # global errors with some layer not converged
+    undetected: int = 0   # global errors with every layer converged
+    #: the counters that merge adds to, in the order of its rows of counts
+    SUMMED = ("frames", "global_errors", "composite_errors", "bit_errors", "edge_ops",
+              "detected", "undetected", "iter_sum", "layer_decodes")
 
     def add(self, rec: TrialRecord) -> None:
-        self.add_tally(np.array([[rec.global_error, rec.composite_errors, rec.bit_errors,
-                                  rec.edge_ops, rec.all_converged, *rec.iterations]]))
-
-    def add_tally(self, rows: np.ndarray) -> None:
-        """Count trials given as run_block tally rows, one per trial."""
-        ge, ce, be, ops, _ = rows[:, :5].sum(axis=0).tolist()
-        self.frames += len(rows)
-        self.global_errors += ge
-        self.composite_errors += ce
-        self.bit_errors += be
-        self.edge_ops += ops
-        self.iter_sum += int(rows[:, 5:].sum())
-        self.layer_decodes += rows[:, 5:].size
-        for it, times in zip(*np.unique(rows[:, 5:], return_counts=True)):
-            self.iter_hist[int(it)] = self.iter_hist.get(int(it), 0) + int(times)
+        merge([self], np.array([[[rec.global_error, rec.composite_errors, rec.bit_errors,
+                                  rec.edge_ops, rec.all_converged, *rec.iterations]]]))
 
     # -- derived estimators ------------------------------------------
 
@@ -207,47 +199,59 @@ def draw_block(tx: Transceiver, master_seed: int, start: int, count: int, ws=Non
 
 
 def run_block(tx: Transceiver, h: GlobalParityCheck, points, params: MsaParams,
-              master_seed: int, start: int, count: int, verify: bool = True, ws=None) -> list:
-    """Tallies of trials start..start+count-1: out[p][i, j] holds trial
-    start+i at SNR point points[p] = (sigma, limits) under limits[j]: a
-    global-error flag, composite errors, bit errors, edge ops, an
-    all-layers-converged flag, then each layer's iterations.
+              master_seed: int, start: int, count: int, verify: bool = True,
+              ws=None) -> np.ndarray:
+    """Tally of trials start..start+count-1: out[i, c] holds trial start+i in
+    cell c, each SNR point points[p] = (sigma, limits) under each of its
+    limits in turn: a global-error flag, composite errors, bit errors, edge
+    ops, an all-layers-converged flag, then each layer's iterations.
 
-    draw_block draws every trial's bits and noise; the chain then runs once
-    over the stack, and each point decodes all count*s layers in one call up to
-    its largest limit (params gives scale and clip).  A decoded word equal
-    to the transmitted one is not demultiplexed: the round trip is exact.  The
-    large arrays come from the workspace ws, or are new when ws is None.
-    """
+    The chain runs once over draw_block's trials into one LLR buffer for all
+    points; the points sharing a largest limit decode in one call up to it
+    (params gives scale and clip), one syndrome call re-checks the converged
+    layers and one demultiplexes the wrong words.  ws is the workspace, or None."""
     s, n = tx.s, tx.n
     streams, noise = draw_block(tx, master_seed, start, count, ws)
     composites = tx.encode_composites(streams)
     word, x = tx.multiplex(composites, buffer(ws, "x", noise.shape))
-    layers = buffer(ws, "layers", (count, s, n * n))
-    # layer l of trial i is x[i, l::s]: read x and noise through layer-major views
+    # buffer row r holds point order[r], so the points of one largest limit are adjacent
+    order = sorted(range(len(points)), key=lambda p: max(points[p][1]))
+    tops = [max(points[p][1]) for p in order]
+    sigma = np.array([points[p][0] for p in order]).reshape(-1, 1, 1, 1)
+    layers = buffer(ws, "layers", (len(points), count, s, n * n))
+    # layer l of trial i is x[i, l::s]; llr's order: x + sigma*noise, 2.0*, /sigma^2
     x, noise = (np.swapaxes(a.reshape(count, n * n, s), 1, 2) for a in (x, noise))
-    out = []
-    for sigma, limits in points:
-        np.add(x, np.multiply(noise, sigma, out=layers), out=layers)   # x + sigma*noise
-        llr(layers, sigma, out=layers)
-        bits, iters, conv = decode_batch(layers.reshape(count * s, -1), h, params, limits, ws)
-        top = limits.index(max(limits))   # holds every converged result
-        if verify and h.syndrome_weight(bits[conv[:, top], top]).any():
-            raise RuntimeError("early stop reported convergence on a nonzero syndrome")
-        tally = np.zeros((count, len(limits), 5 + s), dtype=np.int64)
-        tally[..., 5:] = iters.reshape(count, s, -1).transpose(0, 2, 1)
-        tally[..., 3] = OPS_PER_EDGE * h.n_edges * tally[..., 5:].sum(axis=2)
-        tally[..., 4] = conv.reshape(count, s, -1).all(axis=1)
-        hat = bits.reshape(count, s, len(limits), -1).transpose(0, 2, 1, 3)
-        wrong = (hat != word.bits[:, None]).any(axis=(2, 3))   # [trial, limit]
-        if wrong.any():
-            trial = np.nonzero(wrong)[0]
-            comps_hat, streams_hat = tx.demultiplex(GlobalWord(bits=hat[wrong]))
-            tally[wrong, 1] = (comps_hat != composites[trial]).any(axis=2).sum(axis=1)
-            tally[wrong, 2] = (streams_hat.bits != streams.bits[trial]).sum(axis=(1, 2))
-        tally[..., 0] = tally[..., 1] > 0
-        out.append(tally)
-    return out
+    np.add(x, np.multiply(noise, sigma, out=layers), out=layers)
+    np.divide(np.multiply(layers, 2.0, out=layers), sigma * sigma, out=layers)
+    # cell c is buffer row cells[c][0] under limit cells[c][1]
+    cells = [(order.index(p), lim) for p, (_, limits) in enumerate(points) for lim in limits]
+    tally = np.zeros((count, len(cells), 5 + s), dtype=np.int64)
+    checked, found = [], []
+    for top in sorted(set(tops)):
+        lo, hi = tops.index(top), tops.index(top) + tops.count(top)
+        group = [(c, r - lo, lim) for c, (r, lim) in enumerate(cells) if lo <= r < hi]
+        steps = sorted({lim for _, _, lim in group})
+        at, row, step = np.array([(c, r, steps.index(lim)) for c, r, lim in group]).T
+        bits, iters, conv = decode_batch(layers[lo:hi].reshape(-1, n * n), h, params, steps, ws)
+        checked.append(bits[conv[:, -1], -1])   # the last step holds every converged result
+        shape = (hi - lo, count, s, len(steps))
+        tally[:, at, 5:] = iters.reshape(shape)[row, :, :, step].swapaxes(0, 1)
+        tally[:, at, 4] = conv.reshape(shape)[row, :, :, step].all(axis=2).T
+        hat = bits.reshape(*shape, -1).transpose(0, 1, 3, 2, 4)   # [row, trial, step, layer, bit]
+        k, trial = np.nonzero((hat != word.bits[:, None]).any(axis=(3, 4))[row, :, step])
+        if len(k):
+            found.append((trial, at[k], hat[row[k], trial, step[k]]))
+    checked = checked[0] if len(checked) == 1 else np.concatenate(checked)
+    if verify and h.syndrome_weight(checked).any():
+        raise RuntimeError("early stop reported convergence on a nonzero syndrome")
+    if found:
+        trial, col, hat = (np.concatenate(a) for a in zip(*found))
+        comps_hat, streams_hat = tx.demultiplex(GlobalWord(bits=hat))
+        tally[trial, col, 1] = (comps_hat != composites[trial]).any(axis=2).sum(axis=1)
+        tally[trial, col, 2] = (streams_hat.bits != streams.bits[trial]).sum(axis=(1, 2))
+    tally[..., 0] = tally[..., 1] > 0
+    tally[..., 3] = OPS_PER_EDGE * h.n_edges * tally[..., 5:].sum(axis=2)
+    return tally
 
 
 def run_trial(tx: Transceiver, h: GlobalParityCheck, sigma: float, params: MsaParams,
@@ -255,11 +259,37 @@ def run_trial(tx: Transceiver, h: GlobalParityCheck, sigma: float, params: MsaPa
     """One trial at one SNR under params.max_iterations."""
     ge, ce, be, ops, conv, *its = run_block(tx, h, [(sigma, (params.max_iterations,))],
                                             params, master_seed, trial_index, 1,
-                                            verify)[0][0, 0].tolist()
+                                            verify)[0, 0].tolist()
     return TrialRecord(bool(ge), ce, be, its, ops, bool(conv))
 
 
 # -- sweep engine -----------------------------------------------------------
+
+
+def merge(cells: list, tally: np.ndarray, max_frames=math.inf,
+          target_errors=math.inf) -> list:
+    """Count run_block's tally[:, j] into cells[j] in one pass, each up to the
+    first trial where its frames reach max_frames or its global errors
+    target_errors; return the indices of those that stop, in that trial order."""
+    t = np.arange(1, len(tally) + 1)[:, None]
+    frames, errors = np.array([(c.frames, c.global_errors) for c in cells]).T
+    met = (frames + t >= max_frames) | (errors + tally[..., 0].cumsum(axis=0) >= target_errors)
+    take = np.where(met.any(axis=0), met.argmax(axis=0) + 1, len(tally))
+    kept = t <= take   # [trial, cell]
+    ge, conv, iters = tally[..., 0] * kept, tally[..., 4], tally[..., 5:]
+    sums = (tally * kept[..., None]).sum(axis=0)
+    counts = np.column_stack([take, sums[:, :4], (ge * (1 - conv)).sum(axis=0),
+                              (ge * conv).sum(axis=0), sums[:, 5:].sum(axis=1),
+                              take * iters.shape[2]])
+    bins = int(iters.max()) + 1
+    codes = (np.arange(len(cells))[:, None] * bins + iters)[kept]   # the trials taken
+    hist = np.bincount(codes.ravel(), minlength=len(cells) * bins).reshape(-1, bins)
+    for cell, row, times in zip(cells, counts.tolist(), hist.tolist()):
+        for name, value in zip(cell.SUMMED, row):
+            setattr(cell, name, getattr(cell, name) + value)
+        cell.iter_hist.update({it: cell.iter_hist.get(it, 0) + k
+                               for it, k in enumerate(times) if k})
+    return sorted(np.nonzero(met.any(axis=0))[0].tolist(), key=lambda j: take[j])
 
 
 def monte_carlo(tx: Transceiver, h: GlobalParityCheck, cfg: SimConfig, rate: float,
@@ -283,34 +313,23 @@ def monte_carlo(tx: Transceiver, h: GlobalParityCheck, cfg: SimConfig, rate: flo
     local = threading.local()
     t0 = time.perf_counter()
 
-    def block(start: int, count: int, snapshot: tuple) -> list:
-        """run_block's tallies of trials start..start+count-1 per cell in
-        snapshot; cell c is SNR point c // k under limit c % k."""
+    def block(start: int, count: int, snapshot: tuple) -> np.ndarray:
+        """run_block's tally, a column per cell c of snapshot: point c // k, limit c % k."""
         limits, k = cfg.iterations, len(cfg.iterations)
         points = [(sigmas[p], tuple(limits[c % k] for c in snapshot if c // k == p))
                   for p in sorted({c // k for c in snapshot})]
         ws = vars(local).setdefault("ws", {})   # the calling thread's workspace
-        return [t[:, j] for t in run_block(tx, h, points, params, cfg.seed, start, count,
-                                           cfg.verify, ws)
-                for j in range(t.shape[1])]
+        return run_block(tx, h, points, params, cfg.seed, start, count, cfg.verify, ws)
 
-    def consume(snapshot: tuple, tallies: list) -> None:
-        stops = []
-        for c, rows in zip(snapshot, tallies):
-            if c not in active:
-                continue
-            cell = cells[c]
-            met = ((cell.frames + np.arange(1, len(rows) + 1) >= cfg.max_frames)
-                   | (cell.global_errors + np.cumsum(rows[:, 0]) >= cfg.target_errors))
-            take = int(met.argmax()) + 1 if met.any() else len(rows)
-            cell.add_tally(rows[:take])
-            if met.any():
-                stops.append((take, c))
-        for _, c in sorted(stops):   # in the order of the trials that stop them
-            active.remove(c)
-            cells[c].wall_time = time.perf_counter() - t0
+    def consume(snapshot: tuple, tally: np.ndarray) -> None:
+        live = [j for j, c in enumerate(snapshot) if c in active]
+        ids = [snapshot[j] for j in live]
+        for j in merge([cells[c] for c in ids], tally[:, live], cfg.max_frames,
+                       cfg.target_errors):
+            active.remove(ids[j])
+            cells[ids[j]].wall_time = time.perf_counter() - t0
             if progress:
-                progress(cells[c])
+                progress(cells[ids[j]])
 
     # Blocks merge in index order.  The active set only shrinks, so every
     # cell active at merge time is in its block's snapshot.
@@ -375,7 +394,7 @@ def baseline_mld_wer(
 
 CSV_COLUMNS = [
     "ebn0_db", "iters", "frames", "ger", "wer", "ber",
-    "lambda", "ci_low", "ci_high", "mean_iters", "edge_ops",
+    "lambda", "ci_low", "ci_high", "mean_iters", "edge_ops", "detected", "undetected",
 ]
 
 
@@ -394,6 +413,7 @@ def write_csv(result: SimResult, destination, truncated: bool = False) -> None:
             repr(c.ber(result.info_bits_per_frame)),
             "" if lam is None else repr(lam),
             repr(lo), repr(hi), repr(c.mean_iterations), c.edge_ops,
+            c.detected, c.undetected,
         ])
     if truncated:
         destination.write("# truncated\n")

@@ -222,3 +222,42 @@ def trace_bytes(tx, word, streams) -> bytes:
         payload.append(struct.pack("<H", len(g)))
         payload.append(g.T.tobytes())
     return b"".join(payload)
+
+
+def add_tally(cell, rows) -> None:
+    """The per-cell count that sim.merge replaced, its oracle: add run_block
+    tally rows, one per trial, to cell one counter at a time."""
+    ge, ce, be, ops, _ = rows[:, :5].sum(axis=0).tolist()
+    cell.frames += len(rows)
+    cell.global_errors += ge
+    cell.composite_errors += ce
+    cell.bit_errors += be
+    cell.edge_ops += ops
+    cell.detected += int((rows[:, 0] * (1 - rows[:, 4])).sum())
+    cell.undetected += int((rows[:, 0] * rows[:, 4]).sum())
+    cell.iter_sum += int(rows[:, 5:].sum())
+    cell.layer_decodes += rows[:, 5:].size
+    for it, times in zip(*np.unique(rows[:, 5:], return_counts=True)):
+        cell.iter_hist[int(it)] = cell.iter_hist.get(int(it), 0) + int(times)
+
+
+def consume(cells, active, snapshot, tally, max_frames, target_errors) -> list:
+    """The per-cell merge of a block that sim.merge replaced, its oracle:
+    each cell of snapshot still in active takes tally[:, j] up to the trial
+    that meets its budget.  Removes the cells that stop from active and
+    returns them in the order of the trials that stop them."""
+    stops = []
+    for c, rows in zip(snapshot, np.swapaxes(tally, 0, 1)):
+        if c not in active:
+            continue
+        cell = cells[c]
+        met = ((cell.frames + np.arange(1, len(rows) + 1) >= max_frames)
+               | (cell.global_errors + np.cumsum(rows[:, 0]) >= target_errors))
+        take = int(met.argmax()) + 1 if met.any() else len(rows)
+        add_tally(cell, rows[:take])
+        if met.any():
+            stops.append((take, c))
+    stopped = [c for _, c in sorted(stops)]
+    for c in stopped:
+        active.remove(c)
+    return stopped

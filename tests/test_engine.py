@@ -2,8 +2,9 @@
 
 The golden CSVs under tests/data hold the counters of the per-cell
 engine that ran the whole transmit/decode chain once per (SNR, limit)
-cell; the block engine must reproduce them byte for byte for any worker
-count and block size.  Their Wilson-bound cells are plain numbers with
+cell, with the detected and undetected columns appended later; the
+block engine must reproduce them byte for byte for any worker count and
+block size.  Their Wilson-bound cells are plain numbers with
 the digits the per-cell engine wrote inside np.float64(...).
 """
 
@@ -44,7 +45,8 @@ GOLDEN_CASES = [
 @pytest.mark.parametrize("preset, workers, extra", GOLDEN_CASES)
 def test_golden_csv(tmp_path, preset, workers, extra):
     """The golden bytes, and a manifest whose per-cell iteration histogram
-    counts every layer decode (frames * s) and yields the CSV's mean_iters."""
+    counts every layer decode (frames * s) and yields the CSV's mean_iters;
+    every global error is detected or undetected, never both."""
     args = ["simulate", "--preset", preset, "--outdir", str(tmp_path), "--quiet",
             "--workers", str(workers), *extra]
     assert main(args) == 0
@@ -62,6 +64,8 @@ def test_golden_csv(tmp_path, preset, workers, extra):
         assert sum(hist.values()) == layer_decodes
         iter_sum = sum(k * v for k, v in hist.items())
         assert repr(iter_sum / layer_decodes) == row["mean_iters"]
+        global_errors = round(float(row["ger"]) * int(row["frames"]))
+        assert int(row["detected"]) + int(row["undetected"]) == global_errors
         assert cell["wall_time"] > 0 and cell["frames_per_s"] > 0
 
 

@@ -6,13 +6,15 @@ import os
 import sys
 import threading
 import tracemalloc
+from collections import Counter, deque
 from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from gftmux import config, galois, sim
+from conftest import consume
+from gftmux import config, decoder, galois, geometry, sim
 from gftmux.channel import ChannelParams
 from gftmux.decoder import MsaParams
 from gftmux.geometry import GlobalParityCheck
@@ -477,6 +479,72 @@ def test_block_reuses_the_workspace(preset, ebn0_db):
     assert (second == sim.run_block(*args, 1, 1)[0]).all()
 
 
+#: Limits whose largest is 50, 10 and 50: a block of these points decodes
+#: in two calls, the first and last point in one.
+STACKED_LIMITS = [(10, 50), (10,), (50,)]
+
+
+@pytest.mark.parametrize("kernel", ["compiled", "numpy"])
+def test_stacked_points_match_one_point_blocks(desk, request, kernel):
+    """A block of points with different limit tuples and largest limits
+    tallies each cell as a block of that point under that limit alone."""
+    if kernel == "numpy":
+        request.getfixturevalue("numpy_kernel")
+    sigmas = [ChannelParams(ebn0_db=e, rate=desk.rate).sigma for e in (0.0, 2.0, 3.0)]
+    points = list(zip(sigmas, STACKED_LIMITS))
+    args = (desk.transceiver, desk.parity_check)
+    params = MsaParams(max_iterations=50, scale=0.625)
+    stacked = sim.run_block(*args, points, params, 31, 64, 64)
+    alone = np.concatenate([sim.run_block(*args, [(sigma, (lim,))], params, 31, 64, 64)
+                            for sigma, limits in points for lim in limits], axis=1)
+    assert stacked.shape == alone.shape == (64, 4, 5 + desk.transceiver.s)
+    assert (stacked == alone).all()
+    # the cells differ, and each kind of row is there
+    assert (stacked[:, 0] != stacked[:, 1]).any() and (stacked[:, 0] != stacked[:, 3]).any()
+    assert stacked[..., 0].any() and not stacked[..., 4].all()
+
+
+def _count_calls(monkeypatch, targets) -> Counter:
+    calls = Counter()
+    for owner, name in targets:
+        def counted(*args, _real=getattr(owner, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.skipif(decoder._kernel is None, reason="_flood counts syndromes itself")
+def test_desk_block_decodes_and_checks_once(desk, monkeypatch):
+    """A desk block of five points, each under limits 10 and 50, makes one
+    decode_batch call and one syndrome_weight call."""
+    calls = _count_calls(monkeypatch, [(sim, "decode_batch"),
+                                       (GlobalParityCheck, "syndrome_weight")])
+    points = [(ChannelParams(ebn0_db=e, rate=desk.rate).sigma, (10, 50))
+              for e in (0.0, 2.0, 4.0, 6.0, 8.0)]
+    sim.run_block(desk.transceiver, desk.parity_check, points,
+                  MsaParams(max_iterations=50, scale=0.625), 31, 0, 64)
+    assert calls == {"decode_batch": 1, "syndrome_weight": 1}
+
+
+@needs_draw
+def test_one_point_block_makes_the_same_library_calls(monkeypatch):
+    """A one-point ex3 block calls the library as the per-point engine did:
+    one seeding, one draw, two GF(2) maps (encode, GFT), one decode and one
+    syndrome count, and demultiplexes nothing at 7 dB."""
+    b = config.build_system(config.load_preset("ex3_rs127_121"))
+    calls = _count_calls(monkeypatch, [
+        (sim, "_seed"), (sim, "_draw"), (galois, "_gf2_apply"), (decoder, "_kernel"),
+        (geometry, "_syndrome"), (sim, "decode_batch"), (GlobalParityCheck, "syndrome_weight"),
+        (type(b.transceiver), "demultiplex")])
+    sigma = ChannelParams(ebn0_db=7.0, rate=b.rate).sigma
+    sim.run_block(b.transceiver, b.parity_check, [(sigma, (50,))],
+                  MsaParams(max_iterations=50, scale=b.sim.scale), b.sim.seed, 5, 1)
+    assert calls == {"_seed": 1, "_draw": 1, "_gf2_apply": 2, "_kernel": 1, "_syndrome": 1,
+                     "decode_batch": 1, "syndrome_weight": 1}
+
+
 # -- cell counters and the metric identity ------------------------------------
 
 
@@ -549,6 +617,85 @@ def test_monte_carlo_worker_invariance(desk):
             a.iter_sum, a.edge_ops) == (
         b.frames, b.global_errors, b.composite_errors, b.bit_errors,
         b.iter_sum, b.edge_ops)
+
+
+def _random_tally(seed: int, start: int, count: int, width: int, s: int) -> np.ndarray:
+    """A run_block-shaped tally for width cells, fixed by (seed, start, width)."""
+    rng = np.random.default_rng([seed, start, width])
+    tally = np.zeros((count, width, 5 + s), dtype=np.int64)
+    tally[..., 1] = rng.integers(1, 4, (count, width)) * (rng.random((count, width)) < 0.4)
+    tally[..., 2] = tally[..., 1] * rng.integers(1, 5, (count, width))
+    tally[..., 4] = rng.random((count, width)) < 0.5
+    tally[..., 5:] = rng.integers(1, 12, (count, width, s))
+    tally[..., 0] = tally[..., 1] > 0
+    tally[..., 3] = 3 * tally[..., 5:].sum(axis=2)
+    return tally
+
+
+def _check_merge(desk, seed, snrs, limits, size, workers, max_frames, target_errors) -> set:
+    """monte_carlo over random tallies against the per-cell consume of
+    tests/conftest.py walking the same blocks: equal cells and progress in
+    the same order.  Returns which cases the walk met."""
+    s = desk.transceiver.s
+    cfg = SimConfig(ebn0_db=[float(e) for e in range(snrs)], iterations=list(range(1, limits + 1)),
+                    max_frames=max_frames, target_errors=target_errors, seed=seed)
+
+    def fake(tx, h, points, params, master_seed, start, count, verify, ws):
+        return _random_tally(master_seed, start, count, sum(len(l) for _, l in points), s)
+
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim, "run_block", fake)
+        mp.setattr(sim, "BLOCK_SIZE", size)
+        result = monte_carlo(desk.transceiver, desk.parity_check, cfg, rate=desk.rate,
+                             workers=workers, progress=seen.append)
+    cells = [CellResult(ebn0_db=e, iterations_limit=lim)
+             for e in cfg.ebn0_db for lim in cfg.iterations]
+    active, pending, start, stopped, cases = list(range(len(cells))), deque(), 0, [], set()
+    while active:
+        while len(pending) < (2 * workers if workers > 1 else 1) and start < max_frames:
+            count = min(size, max_frames - start)
+            pending.append((tuple(active), _random_tally(seed, start, count, len(active), s)))
+            start += count
+        snapshot, tally = pending.popleft()
+        before = [cells[c].frames for c in range(len(cells))]
+        if set(snapshot) - set(active):
+            cases.add("inactive in snapshot")
+        now = consume(cells, active, snapshot, tally, max_frames, target_errors)
+        if any(cells[c].frames - before[c] < len(tally) for c in now):
+            cases.add("stop inside a block")
+        if len(now) > 1 and now != sorted(now):
+            cases.add("two stops out of cell order")
+        stopped += now
+    assert [replace(c, wall_time=0.0) for c in result.cells] == cells
+    assert [(c.ebn0_db, c.iterations_limit) for c in seen] == [
+        (cells[c].ebn0_db, cells[c].iterations_limit) for c in stopped]
+    return cases
+
+
+def test_merge_matches_per_cell_consume(desk):
+    """Pinned walks that meet each case: a cell stopping inside a block, two
+    cells stopping in one block out of cell order, and (with worker threads)
+    snapshots holding cells that stopped before their block merged."""
+    cases = (_check_merge(desk, 3, 3, 2, 9, 1, 40, 6)
+             | _check_merge(desk, 3, 3, 2, 9, 2, 40, 6))
+    assert cases == {"inactive in snapshot", "stop inside a block",
+                     "two stops out of cell order"}
+
+
+def test_merge_matches_per_cell_consume_hypothesis(desk):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None)
+    @hypothesis.given(seed=st.integers(0, 2 ** 32 - 1), snrs=st.integers(1, 3),
+                      limits=st.integers(1, 3), size=st.integers(1, 9),
+                      workers=st.sampled_from([1, 2]), max_frames=st.integers(1, 40),
+                      target_errors=st.integers(1, 12))
+    def check(**kwargs):
+        _check_merge(desk, **kwargs)
+
+    check()
 
 
 @pytest.mark.skipif(galois.c_library is None, reason="the C library is not built")
@@ -657,7 +804,7 @@ def test_csv_format(desk):
     write_csv(result, buf)
     lines = buf.getvalue().splitlines()
     assert lines[0] == ("ebn0_db,iters,frames,ger,wer,ber,lambda,"
-                        "ci_low,ci_high,mean_iters,edge_ops")
+                        "ci_low,ci_high,mean_iters,edge_ops,detected,undetected")
     assert len(lines) == 2
     fields = lines[1].split(",")
     assert fields[0] == "2.0" and fields[1] == "10" and fields[2] == "80"
