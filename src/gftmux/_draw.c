@@ -382,18 +382,21 @@ void gftmux_seed(const uint32_t *seed, int64_t nseed, uint64_t start, int64_t co
 }
 
 /* For each of count trials, seed PCG64 from its four words words[4t ...],
- * then write half next64 words to raw[t*half ...] and nn normals to
- * noise[t*nn ...]. */
-void gftmux_draw(const uint64_t *words, int64_t count, int64_t half, int64_t nn,
-                 uint64_t *raw, double *noise)
+ * then write half next64 words to raw[t*half ...] and s*nv normals to
+ * noise[t*s*nv ...], layer-major: normal k, bit k mod s of symbol k / s,
+ * goes to (k mod s)*nv + k / s. */
+void gftmux_draw(const uint64_t *words, int64_t count, int64_t half, int64_t s,
+                 int64_t nv, uint64_t *raw, double *noise)
 {
     for (int64_t t = 0; t < count; t++) {
         const uint64_t *w = words + 4 * t;
         u128 inc = ((u128)w[2] << 64 | w[3]) << 1 | 1;
         u128 state = (inc + ((u128)w[0] << 64 | w[1])) * PCG_MULT + inc;
+        double *out = noise + t * s * nv;
         for (int64_t i = 0; i < half; i++)
             raw[t * half + i] = next64(&state, inc);
-        for (int64_t i = 0; i < nn; i++)
-            noise[t * nn + i] = normal(&state, inc);
+        for (int64_t v = 0; v < nv; v++)
+            for (int64_t l = 0; l < s; l++)
+                out[l * nv + v] = normal(&state, inc);
     }
 }

@@ -29,13 +29,16 @@
  *
  * One call decodes L layers to limits[K-1] (ascending, distinct), G at a
  * time: a lane whose layer stops takes the next pending layer at once, so
- * lanes idle only once no layer is left.  For layer l, bits[l][k]
- * receives the decisions at limits[k] for every limit before the syndrome
- * clears, bits[l][K] the latest decisions, and kstar[l] the iteration at
- * which the syndrome first clears (0: never).  kstar[l] = -1 reports a
- * non-finite variable total: numpy's NaN rules are not reproduced, so the
- * caller decodes that layer itself.  work holds
- * G*((m + 1)*n*n + 11*n + 3) + ceil(G*(n*n + 1)/8) doubles.
+ * lanes idle only once no layer is left.  bits is (L, K, n*n): for layer
+ * l, bits[l][k] receives the decisions at limits[k] for every limit
+ * before the syndrome clears, and the decisions at convergence for every
+ * later one; kstar[l] is the iteration at which the syndrome first clears
+ * (0: never).  kstar[l] = -1 reports a non-finite variable total: numpy's
+ * NaN rules are not reproduced, so the caller decodes that layer itself
+ * (its bits are left unspecified).  work holds the messages, a
+ * lane-interleaved copy of the channel only for G > 1 (one lane reads the
+ * channel in place), the scratch and the lanes' state and decisions:
+ * G*((m + (G > 1))*n*n + 11*n + 3) + ceil(G*(n*n + 1)/8) doubles.
  *
  * gftmux_syndrome counts the unsatisfied checks of a stack of words with
  * the kernel's own rolled XOR (GlobalParityCheck.syndrome_weight).
@@ -253,7 +256,8 @@ void gftmux_flood(const double *channel, int64_t L, int64_t n, int64_t m,
                   uint8_t *bits, int64_t *kstar)
 {
     int64_t nv = n * n, w = n * G, nw = nv * G, pending = 0, active = 0;
-    double *msg = work, *chl = msg + m * nw, *ws = chl + nw, *nf = ws + 10 * w;
+    double *msg = work, *chl = msg + m * nw, *ws = chl + (G > 1 ? nw : 0),
+           *nf = ws + 10 * w;
     struct lane *lane = (struct lane *)(nf + w);
     uint8_t *cur = (uint8_t *)(lane + G), *bad = cur + nw;
     for (int64_t g = 0; g < G; g++)
@@ -275,20 +279,21 @@ void gftmux_flood(const double *channel, int64_t L, int64_t n, int64_t m,
             struct lane *ln = lane + g;
             if (ln->layer < 0)
                 continue;
-            uint8_t *out = bits + ln->layer * (K + 1) * nv;
+            uint8_t *out = bits + ln->layer * K * nv;
             int stop = kstar[ln->layer] < 0;
             ln->it++;
-            if (!stop && !bad[g]) {
+            if (!stop && !bad[g]) {   /* converged: every limit left reports it */
                 kstar[ln->layer] = ln->it;
                 stop = 1;
+                store_lane(out + nv * ln->next, cur, nv, G, g);
+                for (int64_t k = ln->next + 1; k < K; k++)
+                    memcpy(out + nv * k, out + nv * ln->next, nv);
             } else if (!stop && ln->it == limits[ln->next]) {
                 store_lane(out + nv * ln->next++, cur, nv, G, g);
                 stop = ln->next == K;
             }
-            if (stop) {
-                store_lane(out + K * nv, cur, nv, G, g);
+            if (stop)
                 active -= !refill(ln, &pending, L, kstar, msg, chl, channel, nv, m, G, g);
-            }
         }
     }
 }

@@ -13,7 +13,11 @@ import argparse
 import datetime
 import json
 import os
+import platform
 import sys
+from pathlib import Path
+
+import numpy as np
 
 from . import __version__, decoder
 from .config import ConfigError, build_system, list_presets, resolve
@@ -104,6 +108,33 @@ def cmd_simulate(args) -> int:
     return 130 if truncated else 0
 
 
+def environment() -> dict:
+    """Python, numpy, numpy's BLAS and the threads it runs, the CPU count, the
+    affinity set's size, and this source tree's git revision and dirty flag
+    (None outside a checkout or without git)."""
+    import ctypes
+    import subprocess
+
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    maps = Path("/proc/self/maps")   # the OpenBLAS numpy loaded reports its threads
+    libs = sorted({line.split()[-1] for line in maps.read_text().splitlines()
+                   if "openblas" in line.lower()}) if maps.exists() else []
+    threads = next((getattr(ctypes.CDLL(lib), get)() for lib in libs for get in
+                    ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads")
+                    if hasattr(ctypes.CDLL(lib), get)), None)
+    try:
+        rev, status = (subprocess.run(["git", "-C", str(Path(__file__).parent), *cmd],
+                                      capture_output=True, text=True, check=True).stdout
+                       for cmd in (["rev-parse", "HEAD"], ["status", "--porcelain", "-uno"]))
+    except (OSError, subprocess.CalledProcessError):
+        rev = status = None
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "blas": blas.get("name"), "blas_version": blas.get("version"),
+            "blas_threads": threads, "cpu_count": os.cpu_count(),
+            "affinity": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None,
+            "git_revision": rev and rev.strip(), "git_dirty": None if rev is None else bool(status)}
+
+
 def _sweep_into(args, bundle, csv_fh, manifest_fh) -> bool | None:
     """Run the sweep and write the CSV and manifest; return whether an
     interrupt truncated them, or None if it came before any cell completed."""
@@ -163,6 +194,7 @@ def _sweep_into(args, bundle, csv_fh, manifest_fh) -> bool | None:
         "outputs": {"csv": csv_fh.name},
         "rng_contract": 1,
         "decoder_kernel": decoder.kernel_name(),
+        "environment": environment(),
         "cells": [{"ebn0_db": c.ebn0_db, "iters": c.iterations_limit,
                    "iter_hist": {str(k): v for k, v in sorted(c.iter_hist.items())},
                    "wall_time": c.wall_time,

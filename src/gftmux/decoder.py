@@ -125,9 +125,10 @@ def _flood(channel: np.ndarray, h: GlobalParityCheck, params: MsaParams,
 
 
 def work_doubles(h: GlobalParityCheck, g: int) -> int:
-    """Doubles of work the kernel uses at g lanes, as _flood.c documents."""
+    """Doubles of work the kernel uses at g lanes, as _flood.c documents; one
+    lane reads the channel in place, so only g > 1 adds a lane-interleaved copy."""
     nv = h.n * h.n
-    return g * ((h.m + 1) * nv + 11 * h.n + 3) + -(-g * (nv + 1) // 8)
+    return g * ((h.m + (g > 1)) * nv + 11 * h.n + 3) + -(-g * (nv + 1) // 8)
 
 
 def decode_batch(channel: np.ndarray, h: GlobalParityCheck, params: MsaParams,
@@ -135,7 +136,9 @@ def decode_batch(channel: np.ndarray, h: GlobalParityCheck, params: MsaParams,
     """Decode each row of channel, an (L, n^2) array of binary layers, once
     to max(limits); (bits, iterations, converged)[l, j] report layer l at
     limits[j].  params supplies the scale and clip, ws the kernel's arrays;
-    a NaN or infinite LLR raises ValueError.
+    a NaN or infinite LLR raises ValueError.  With limits sorted and distinct,
+    bits is the kernel's (L, K, n^2) decisions in ws itself, which the next
+    call overwrites: slot j holds them at limits[j], or at convergence if sooner.
 
     All L layers go to the compiled kernel in one call, which decodes
     G of them at a time side by side (see MAX_LANES); _flood decodes the
@@ -145,13 +148,13 @@ def decode_batch(channel: np.ndarray, h: GlobalParityCheck, params: MsaParams,
     channel = np.ascontiguousarray(channel, dtype=np.float64)
     if channel.ndim != 2 or channel.shape[1] != h.n_vars:
         raise ValueError(f"LLR layers {channel.shape} are not (L, {h.n_vars})")
-    if not np.isfinite(channel).all():
+    if not (np.isfinite(channel.min()) and np.isfinite(channel.max())):   # no bool mask
         raise ValueError("LLR layers hold non-finite values")
     steps = np.array(sorted(set(limits)), dtype=np.int64)
     if steps[0] < 1:
         raise ValueError("iteration limits must be positive")
     n_layers, k = len(channel), steps.size
-    bits = buffer(ws, "bits", (n_layers, k + 1, h.n_vars), np.uint8)   # unread until written
+    bits = buffer(ws, "bits", (n_layers, k, h.n_vars), np.uint8)   # unread until written
     kstar = np.full(n_layers, -1, dtype=np.int64)   # -1: left to _flood
     if _kernel is not None and h.m <= KERNEL_MAX_M:
         # every buffer is C-contiguous with the dtype the kernel reads; the
@@ -165,9 +168,8 @@ def decode_batch(channel: np.ndarray, h: GlobalParityCheck, params: MsaParams,
     at, done = np.array(limits, dtype=np.int64), kstar[:, None]
     converged = (done > 0) & (done <= at)
     iterations = np.where(converged, done, at)
-    # bits[l, k] holds the decisions at convergence, bits[l, j] those at steps[j]
-    bits = bits[np.arange(n_layers)[:, None],
-                np.where(converged, k, steps.searchsorted(at))]
+    if steps.tolist() != list(limits):   # bits[l, j] holds the decisions at steps[j]
+        bits = bits[:, steps.searchsorted(at)]
     for l in (kstar < 0).nonzero()[0]:   # numpy's inf/NaN rules
         bits[l], iterations[l], converged[l] = _flood(channel[l], h, params, limits)
     return bits, iterations, converged

@@ -91,7 +91,7 @@ def _load_library():
             ("gftmux_syndrome", [ptr, int64, int64, int64, ptr, ptr]),
             ("gftmux_gf2_apply", [ptr, int64, int64, int64, ptr, ptr]),
             ("gftmux_seed", [ptr, int64, ctypes.c_uint64, int64, ptr]),
-            ("gftmux_draw", [ptr, int64, int64, int64, ptr, ptr])):
+            ("gftmux_draw", [ptr, int64, int64, int64, int64, ptr, ptr])):
         fn = getattr(library, name)
         fn.argtypes, fn.restype = argtypes, None
     return library

@@ -167,32 +167,36 @@ _draw = None if c_library is None else c_library.gftmux_draw
 _CHECKED = 64
 
 
-def draw_block(tx: Transceiver, master_seed: int, start: int, count: int, ws=None) -> tuple:
+def draw_block(tx: Transceiver, master_seed: int, start: int, count: int, out=None) -> tuple:
     """(StreamBlock, noise) of trials start..start+count-1: exactly the bits
     of tx.random_streams and then the standard_normal(s*n^2) of each
-    trial_rng.  The C library hashes each trial's SeedSequence, seeds its
-    PCG64 and draws its words and its ziggurat normals; the first trial's
-    first raw words and normals are checked against trial_rng's, so that a
-    change in numpy's seeding or ziggurat raises RuntimeError rather than
-    changing results.  Without the library, trial_rng draws each trial."""
-    seed, nn, half = int(master_seed), tx.s * tx.n * tx.n, tx.raw_words
-    raw, noise = np.empty((count, half), dtype=np.uint64), buffer(ws, "noise", (count, nn))
+    trial_rng, normal k of trial i at noise[i, k % s, k // s] (layer-major,
+    like the LLRs), into out if given.  The C library hashes each trial's
+    SeedSequence, seeds its PCG64 and draws its words and its ziggurat
+    normals; the first trial's first raw words and normals are checked
+    against trial_rng's, so that a change in numpy's seeding or ziggurat
+    raises RuntimeError rather than changing results.  Without the library,
+    trial_rng draws each trial."""
+    seed, s, nv, half = int(master_seed), tx.s, tx.n * tx.n, tx.raw_words
+    raw = np.empty((count, half), dtype=np.uint64)
+    noise = np.empty((count, s, nv)) if out is None else out
     if _draw is None:   # the RNG contract itself, trial by trial
         for k in range(count):
             rng = trial_rng(seed, start + k)
             raw[k] = rng.bit_generator.random_raw(half)
-            rng.standard_normal(out=noise[k])
+            noise[k] = rng.standard_normal((nv, s)).T
         return tx.gather_streams(raw), noise
     gen = trial_rng(seed, start)   # the reference; it also rejects a negative seed
     seed32 = np.frombuffer(seed.to_bytes(4 * max(1, -(-seed.bit_length() // 32)),
                                          "little"), dtype="<u4")
     words = np.empty((count, 4), dtype=np.uint64)
     _seed(seed32.ctypes.data, len(seed32), start, count, words.ctypes.data)
-    _draw(words.ctypes.data, count, half, nn, raw.ctypes.data, noise.ctypes.data)
+    _draw(words.ctypes.data, count, half, s, nv, raw.ctypes.data, noise.ctypes.data)
     head = gen.bit_generator.random_raw(min(_CHECKED, half))
     gen.bit_generator.advance(half - len(head))
+    k = np.arange(min(_CHECKED, s * nv))   # the first normals, at their layer-major places
     if ((raw[0, :len(head)] != head).any()
-            or (noise[0, :_CHECKED] != gen.standard_normal(min(_CHECKED, nn))).any()):
+            or (noise[0].reshape(-1)[k % s * nv + k // s] != gen.standard_normal(k.size)).any()):
         raise RuntimeError("the library's draw differs from numpy's SeedSequence, "
                            "PCG64 and standard_normal")
     return tx.gather_streams(raw), noise
@@ -211,18 +215,20 @@ def run_block(tx: Transceiver, h: GlobalParityCheck, points, params: MsaParams,
     (params gives scale and clip), one syndrome call re-checks the converged
     layers and one demultiplexes the wrong words.  ws is the workspace, or None."""
     s, n = tx.s, tx.n
-    streams, noise = draw_block(tx, master_seed, start, count, ws)
+    layers = buffer(ws, "layers", (len(points), count, s, n * n))
+    streams, noise = draw_block(tx, master_seed, start, count, layers[-1])
     composites = tx.encode_composites(streams)
-    word, x = tx.multiplex(composites, buffer(ws, "x", noise.shape))
+    word, x = tx.multiplex(composites, buffer(ws, "x", (count, s * n * n)))
     # buffer row r holds point order[r], so the points of one largest limit are adjacent
     order = sorted(range(len(points)), key=lambda p: max(points[p][1]))
     tops = [max(points[p][1]) for p in order]
     sigma = np.array([points[p][0] for p in order]).reshape(-1, 1, 1, 1)
-    layers = buffer(ws, "layers", (len(points), count, s, n * n))
-    # layer l of trial i is x[i, l::s]; llr's order: x + sigma*noise, 2.0*, /sigma^2
-    x, noise = (np.swapaxes(a.reshape(count, n * n, s), 1, 2) for a in (x, noise))
-    np.add(x, np.multiply(noise, sigma, out=layers), out=layers)
-    np.divide(np.multiply(layers, 2.0, out=layers), sigma * sigma, out=layers)
+    # layer l of trial i is x[i, l::s]; llr's order: x + sigma*noise, 2.0*, /sigma^2,
+    # the last row (the noise) in place once the others are formed from it
+    x = np.swapaxes(x.reshape(count, n * n, s), 1, 2)
+    for rows, sig in ((layers[:-1], sigma[:-1]), (noise, sigma[-1])):
+        np.add(x, np.multiply(noise, sig, out=rows), out=rows)
+        np.divide(np.multiply(rows, 2.0, out=rows), sig * sig, out=rows)
     # cell c is buffer row cells[c][0] under limit cells[c][1]
     cells = [(order.index(p), lim) for p, (_, limits) in enumerate(points) for lim in limits]
     tally = np.zeros((count, len(cells), 5 + s), dtype=np.int64)
@@ -238,14 +244,17 @@ def run_block(tx: Transceiver, h: GlobalParityCheck, points, params: MsaParams,
         tally[:, at, 5:] = iters.reshape(shape)[row, :, :, step].swapaxes(0, 1)
         tally[:, at, 4] = conv.reshape(shape)[row, :, :, step].all(axis=2).T
         hat = bits.reshape(*shape, -1).transpose(0, 1, 3, 2, 4)   # [row, trial, step, layer, bit]
-        k, trial = np.nonzero((hat != word.bits[:, None]).any(axis=(3, 4))[row, :, step])
+        wrong = np.empty((hi - lo, count, len(steps)), dtype=bool)
+        for r in range(hi - lo):   # one point at a time: no mask over every point
+            np.any(hat[r] != word.bits[:, None], axis=(2, 3), out=wrong[r])
+        k, trial = np.nonzero(wrong[row, :, step])
         if len(k):
             found.append((trial, at[k], hat[row[k], trial, step[k]]))
     checked = checked[0] if len(checked) == 1 else np.concatenate(checked)
     if verify and h.syndrome_weight(checked).any():
         raise RuntimeError("early stop reported convergence on a nonzero syndrome")
     if found:
-        trial, col, hat = (np.concatenate(a) for a in zip(*found))
+        trial, col, hat = (a[0] if len(a) == 1 else np.concatenate(a) for a in zip(*found))
         comps_hat, streams_hat = tx.demultiplex(GlobalWord(bits=hat))
         tally[trial, col, 1] = (comps_hat != composites[trial]).any(axis=2).sum(axis=1)
         tally[trial, col, 2] = (streams_hat.bits != streams.bits[trial]).sum(axis=(1, 2))

@@ -74,29 +74,23 @@ class Transceiver:
         self._v = Gf2Map(field.lift(vandermonde(spec.subgroup, "forward")))
         self._vinv = Gf2Map(field.lift(vandermonde(spec.subgroup, "inverse")))
         # Symbol t of composite word k >= 1 is symbol t*k mod n of base word
-        # k-1: one gather over the flat symbols of groups 1..n-1, and over
-        # their bytes (bit l of symbol v at byte v*s + l).
-        hadamard = np.concatenate(
+        # k-1: one gather over the flat symbols of groups 1..n-1.
+        self._hadamard = np.concatenate(
             [cyclic.hadamard_perm(np.arange((k - 1) * n, k * n), k, n) for k in range(1, n)])
-        self._hadamard_bytes = (hadamard[:, None] * s + np.arange(s)).reshape(-1)
         # The message symbols among all n^2: group 0's first n-1, then the
         # inverse gather at base positions m..n-1 of each group.
-        msg_at = np.argsort(hadamard).reshape(n - 1, n)[:, m:]
+        msg_at = np.argsort(self._hadamard).reshape(n - 1, n)[:, m:]
         self._demux = np.concatenate([np.arange(n - 1), n + msg_at.reshape(-1)])
         self.msg_lengths = [n - 1] + [n - m] * (n - 1)
         self.info_bits = s * sum(self.msg_lengths)
         # Group k's s*L_k bits are the top bits of the first s*L_k bytes of
         # its ceil(s*L_k/4) uint32 words, row-major (s, L_k): where
-        # rng.integers(0, 2, (s, L_k), uint8) would take them.  They are
-        # gathered symbol-major, (L_k, s), by an index built C-contiguous:
-        # np.take would copy a transposed one on every draw.
-        words = [-(-s * lk // 4) for lk in self.msg_lengths]
-        first = 4 * np.cumsum([0] + words[:-1])
-        self._draw_words = sum(words)
+        # rng.integers(0, 2, (s, L_k), uint8) would take them.  Groups
+        # 1..n-1 have one length, so each has as many words as the others.
+        self._words = (-(-s * (n - 1) // 4), -(-s * (n - m) // 4))   # group 0's, group k's
+        self._draw_words = self._words[0] + (n - 1) * self._words[1]
         #: The 64-bit generator outputs per trial that hold those uint32 words.
         self.raw_words = -(-self._draw_words // 2)
-        self._draw_at = np.concatenate([b + np.arange(lk)[:, None] + lk * np.arange(s)
-                                        for b, lk in zip(first, self.msg_lengths)])
 
     # -- stream handling ------------------------------------------------
 
@@ -109,9 +103,18 @@ class Transceiver:
 
     def gather_streams(self, raw: np.ndarray) -> StreamBlock:
         """The StreamBlock in (..., k) raw words: uint32, or the uint64 outputs
-        whose low half next_uint32 hands out first; trials stack on leading axes."""
+        whose low half next_uint32 hands out first; trials stack on leading axes.
+        Group 0 and groups 1..n-1 are read through one strided view each."""
+        n, m, s, (w0, wk), lead = self.n, self.m, self.s, self._words, raw.shape[:-1]
         raw = raw.astype(raw.dtype.newbyteorder("<"), copy=False)   # byte 0 drawn first
-        return StreamBlock(bits=np.take(raw.view(np.uint8), self._draw_at, axis=-1) >> 7)
+        data = raw.view(np.uint8)
+        rest = data[..., 4 * w0 : 4 * (w0 + (n - 1) * wk)].reshape(lead + (n - 1, 4 * wk))
+        bits = np.empty(lead + (sum(self.msg_lengths), s), dtype=np.uint8)
+        np.right_shift(data[..., : s * (n - 1)].reshape(lead + (s, n - 1)).swapaxes(-1, -2), 7,
+                       out=bits[..., : n - 1, :])
+        np.right_shift(rest[..., : s * (n - m)].reshape(lead + (n - 1, s, n - m)).swapaxes(-1, -2),
+                       7, out=bits[..., n - 1 :, :].reshape(lead + (n - 1, n - m, s), copy=False))
+        return StreamBlock(bits=bits)
 
     # -- transmit ---------------------------------------------------------
 
@@ -125,8 +128,9 @@ class Transceiver:
         comp[:, :n] = cyclic.encode_spc(bits[:, : n - 1], axis=1)   # SPC along symbols
         msgs = bits[:, n - 1 :].reshape(-1, (n - m) * s)
         base_words = np.concatenate([self._gen(msgs), msgs], axis=1)   # parity, message
-        comp[:, n:] = np.take(base_words.reshape(len(bits), -1), self._hadamard_bytes,
-                              axis=1).reshape(len(bits), -1, s)
+        records = base_words.reshape(len(bits), -1).view(f"V{s}")   # one per symbol
+        comp[:, n:] = np.take(records, self._hadamard, axis=1).view(np.uint8).reshape(
+            len(bits), -1, s)
         return comp.reshape(streams.bits.shape[:-2] + (n, n * s))
 
     def multiplex(self, composites: np.ndarray, out=None) -> tuple:

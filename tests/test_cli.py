@@ -212,6 +212,47 @@ def test_cmd_simulate_manifest_names_numpy_kernel(numpy_kernel, tmp_path):
     assert manifest["decoder_kernel"] == "numpy"
 
 
+ENVIRONMENT_KEYS = {"python": str, "numpy": str, "blas": (str, type(None)),
+                    "blas_version": (str, type(None)), "blas_threads": (int, type(None)),
+                    "cpu_count": int, "affinity": (int, type(None)),
+                    "git_revision": (str, type(None)),
+                    "git_dirty": (bool, type(None))}
+
+
+def test_cmd_simulate_manifest_records_environment(tmp_path, monkeypatch):
+    """The manifest's environment block has exactly its documented keys and
+    types; in a git checkout the revision is a commit hash with a dirty
+    flag, and outside one both are null."""
+    import platform
+
+    import numpy as np
+
+    from gftmux import cli
+
+    def environment():
+        assert main(["simulate", "--preset", "desk_gf8", "--outdir", str(tmp_path), "--quiet",
+                     "--set", "channel.ebn0_db=[4.0]", "--set", "decoder.iterations=[5]",
+                     "--set", "sim.max_frames=10", "--set", "sim.baseline=false"]) == 0
+        env = json.loads((tmp_path / "desk_gf8.manifest.json").read_text())["environment"]
+        assert set(env) == set(ENVIRONMENT_KEYS)
+        for key, kind in ENVIRONMENT_KEYS.items():
+            assert isinstance(env[key], kind), (key, env[key])
+        assert env["python"] == platform.python_version() and env["numpy"] == np.__version__
+        assert env["affinity"] is None or 1 <= env["affinity"] <= env["cpu_count"]
+        assert env["blas_threads"] is None or env["blas_threads"] >= 1
+        return env
+
+    env = environment()
+    if (Path(cli.__file__).parents[2] / ".git").exists():
+        assert len(env["git_revision"]) == 40 and isinstance(env["git_dirty"], bool)
+    outside = tmp_path / "not-a-checkout"
+    outside.mkdir()
+    monkeypatch.setattr(cli, "__file__", str(outside / "cli.py"))
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))   # not even above it
+    env = environment()
+    assert env["git_revision"] is None and env["git_dirty"] is None
+
+
 def test_cmd_simulate_zero_noise_row(tmp_path):
     args = ["simulate", "--preset", "desk_gf8", "--outdir", str(tmp_path),
             "--quiet",

@@ -116,7 +116,7 @@ def run_kernel(h, layers, params, limits, lanes, pad=0):
     of the documented size plus pad sentinel doubles: (bits, kstar, work)."""
     layers = np.ascontiguousarray(layers, dtype=np.float64)
     steps = np.array(sorted(set(limits)), dtype=np.int64)
-    bits = np.zeros((len(layers), steps.size + 1, h.n_vars), dtype=np.uint8)
+    bits = np.zeros((len(layers), steps.size, h.n_vars), dtype=np.uint8)
     kstar = np.zeros(len(layers), dtype=np.int64)
     work = np.full(decoder.work_doubles(h, lanes) + pad, -7.25)
     decoder._kernel(layers.ctypes.data, len(layers), h.n, h.m,
@@ -209,7 +209,7 @@ def test_false_convergence_trips_verify(desk_bundle, monkeypatch):
     """A kernel that reports convergence on a nonzero syndrome is caught by
     SimConfig.verify's re-check."""
     def lying(channel, s, n, m, expo, scale, clip, limits, k, lanes, work, bits, kstar):
-        ctypes.memset(bits, 1, s * (k + 1) * n * n)   # all ones: odd-weight checks fail
+        ctypes.memset(bits, 1, s * k * n * n)   # all ones: odd-weight checks fail
         converged = ctypes.cast(kstar, ctypes.POINTER(ctypes.c_int64))
         for l in range(s):
             converged[l] = 1
@@ -444,7 +444,7 @@ with warnings.catch_warnings(record=True) as caught:
     block, noise = sim.draw_block(tx, 7, 0, 3)
     rng = sim.trial_rng(7, 2)
     drawn = (block.bits[2] == tx.random_streams(rng).bits).all() and (
-        noise[2] == rng.standard_normal(noise.shape[1])).all()
+        noise[2] == rng.standard_normal(noise[2].size).reshape(-1, tx.s).T).all()
 print(json.dumps({"kernel": decoder._kernel is not None,
                   "gf2_apply": galois._gf2_apply is not None,
                   "draw": sim._draw is not None, "drawn": bool(drawn),

@@ -118,13 +118,15 @@ def test_trial_verify_raises_on_false_convergence(desk, monkeypatch):
 
 def assert_block_matches_trial_rng(tx, seed, start, count):
     """draw_block gives each trial's bits and noise as trial_rng, random_streams
-    and standard_normal(s*n^2) do, one trial at a time."""
+    and standard_normal(s*n^2) do, one trial at a time, the noise layer-major:
+    normal k at [k % s, k // s]."""
     streams, noise = sim.draw_block(tx, seed, start, count)
-    assert streams.bits.dtype == np.uint8 and noise.shape == (count, tx.s * tx.n ** 2)
+    assert streams.bits.dtype == np.uint8 and noise.shape == (count, tx.s, tx.n ** 2)
     for k in range(count):
         rng = sim.trial_rng(seed, start + k)
         assert (streams.bits[k] == tx.random_streams(rng).bits).all(), (seed, start + k)
-        assert (noise[k] == rng.standard_normal(tx.s * tx.n ** 2)).all(), (seed, start + k)
+        normals = rng.standard_normal(tx.s * tx.n ** 2)
+        assert (noise[k] == normals.reshape(-1, tx.s).T).all(), (seed, start + k)
 
 
 @pytest.mark.parametrize("preset", config.list_presets())
@@ -267,9 +269,10 @@ def his(count, salt=0):
 
 
 def library_draw(words, half, nn):
+    """The library's raw words and nn normals per trial, in draw order (one layer)."""
     words = np.ascontiguousarray(words, dtype=np.uint64)
     raw, noise = np.empty((len(words), half), np.uint64), np.empty((len(words), nn))
-    sim._draw(words.ctypes.data, len(words), half, nn, raw.ctypes.data, noise.ctypes.data)
+    sim._draw(words.ctypes.data, len(words), half, 1, nn, raw.ctypes.data, noise.ctypes.data)
     return raw, noise
 
 
@@ -398,17 +401,38 @@ def test_library_draw_checked_against_numpy(desk, monkeypatch, target):
     or one normal of the checked prefix raises RuntimeError."""
     exact = sim._draw
 
-    def perturbed(words, count, half, nn, raw, noise):
-        exact(words, count, half, nn, raw, noise)
+    def perturbed(words, count, half, s, nv, raw, noise):
+        exact(words, count, half, s, nv, raw, noise)
         ptr, ctype, size = ((raw, ctypes.c_uint64, half) if target == "raw"
-                            else (noise, ctypes.c_double, nn))
+                            else (noise, ctypes.c_double, s * nv))
         first = np.ctypeslib.as_array(ctypes.cast(ptr, ctypes.POINTER(ctype)), (size,))
-        last = min(size, sim._CHECKED) - 1   # the last entry checked
-        first[last] = first[last] ^ 1 if target == "raw" else np.nextafter(first[last], 9)
+        last = min(size, sim._CHECKED) - 1   # the last entry checked, in draw order
+        if target == "raw":
+            first[last] ^= 1
+        else:   # at its layer-major place
+            at = last % s * nv + last // s
+            first[at] = np.nextafter(first[at], 9)
 
     monkeypatch.setattr(sim, "_draw", perturbed)
     with pytest.raises(RuntimeError, match="library's draw"):
         sim.draw_block(desk.transceiver, 555, 7, 3)
+
+
+@needs_draw
+def test_symbol_major_library_draw_is_caught(desk, monkeypatch):
+    """A library draw that leaves the right normals in the old symbol-major
+    order raises RuntimeError: the check reads the layer-major places."""
+    exact = sim._draw
+
+    def symbol_major(words, count, half, s, nv, raw, noise):
+        exact(words, count, half, 1, s * nv, raw, noise)   # draw order, one layer
+
+    tx = desk.transceiver
+    monkeypatch.setattr(sim, "_draw", symbol_major)
+    with pytest.raises(RuntimeError, match="library's draw"):
+        sim.draw_block(tx, 555, 7, 3)
+    monkeypatch.setattr(sim, "_draw", exact)
+    sim.draw_block(tx, 555, 7, 3)   # the same normals at their layer-major places pass
 
 
 def test_clean_frame_skips_demultiplex(desk, monkeypatch):
@@ -458,9 +482,9 @@ def test_noisy_decode_at_scale_numpy_kernel(numpy_kernel, preset, ebn0_db, max_i
 @pytest.mark.parametrize("preset, ebn0_db", [("ex3_rs127_121", 7.0), ("ex5_rs89_85", 6.0)])
 def test_block_reuses_the_workspace(preset, ebn0_db):
     """Once a first one-trial block has filled a workspace, the next block's
-    tracemalloc peak above its start stays under 1 MiB: its noise, BPSK word,
-    LLRs, layers, kernel work and bits are not allocated again (they took
-    3.5-5 MiB).  The tallies equal those of blocks run without a workspace."""
+    tracemalloc peak above its start stays under 1 MiB: its BPSK word, LLR
+    layers (which the normals are drawn into), kernel work and bits are not
+    allocated again (they took 3.5-5 MiB).  The tallies equal those of blocks run without a workspace."""
     b = config.build_system(config.load_preset(preset))
     sigma = ChannelParams(ebn0_db=ebn0_db, rate=b.rate).sigma
     args = (b.transceiver, b.parity_check, [(sigma, (50,))],
@@ -477,6 +501,34 @@ def test_block_reuses_the_workspace(preset, ebn0_db):
     assert peak < 2 ** 20, peak
     assert (first == sim.run_block(*args, 0, 1)[0]).all()
     assert (second == sim.run_block(*args, 1, 1)[0]).all()
+
+
+@needs_draw
+def test_block_holds_each_trial_once():
+    """A warm one-trial block on ex5 with its four preset points (limit 50)
+    keeps its arrays in the workspace, with no noise array beside the LLR
+    layers, and allocates under 1.9 MB above its start: about 1.65 MB was
+    measured, and 2.26 MB while the noise had its own array, the stream bits
+    and the Hadamard placement were gathered by per-bit index tables, and
+    decode_batch's decisions and the wrong-word mask were P-fold copies."""
+    b = config.build_system(config.load_preset("ex5_rs89_85"))
+    points = [(ChannelParams(ebn0_db=e, rate=b.rate).sigma, tuple(b.sim.iterations))
+              for e in b.sim.ebn0_db]
+    args = (b.transceiver, b.parity_check, points,
+            MsaParams(max_iterations=max(b.sim.iterations), scale=b.sim.scale), b.sim.seed)
+    ws = {}
+    sim.run_block(*args, 0, 1, ws=ws)
+    assert sorted(ws) == ["bits", "layers", "work", "x"]
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tally = sim.run_block(*args, 1, 1, ws=ws)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.9e6, peak
+    assert tally[0, :, 0].any()   # some point decodes wrongly: demultiplexing is measured
+    assert (tally == sim.run_block(*args, 1, 1)).all()
 
 
 #: Limits whose largest is 50, 10 and 50: a block of these points decodes
