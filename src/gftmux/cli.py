@@ -21,9 +21,9 @@ import numpy as np
 
 from . import __version__, decoder
 from .config import ConfigError, build_system, list_presets, resolve
-from .cyclic import ConjugacyViolation, DuplicateRoots
+from .cyclic import ConjugacyViolation, DuplicateRoots, local_bdd
 from .geometry import ScaleGuard, write_alist, write_dense_text
-from .sim import SimResult, baseline_mld_wer, monte_carlo, write_csv
+from .sim import SimResult, monte_carlo, write_csv
 from .verify import run_battery
 
 
@@ -62,6 +62,8 @@ def cmd_construct(args) -> int:
           f"order n = {spec.n}")
     print(f"base code:   ({spec.n}, {spec.n - spec.m}), m = {spec.m} roots "
           f"{list(spec.roots)}")
+    local = local_bdd(spec, ())
+    print(f"local code:  BCH bound delta = {local['delta']}, corrects t = {local['t']}")
     print(f"matrix:      {h.shape[0]}x{h.shape[1]}, weights {h.m}/{h.n}")
     print(f"rank:        {bundle.rank}")
     print(f"dimension:   {bundle.dimension}")
@@ -168,19 +170,6 @@ def _sweep_into(args, bundle, csv_fh, manifest_fh) -> bool | None:
         truncated = True
         print(f"interrupted: writing {len(done)} completed cells", file=sys.stderr)
 
-    baseline = None
-    if bundle.sim.baseline and not truncated:
-        baseline = {}
-        for ebn0 in bundle.sim.ebn0_db:
-            errs, words = baseline_mld_wer(
-                bundle.transceiver, ebn0,
-                max_words=bundle.sim.max_frames * bundle.spec.n,
-                target_errors=bundle.sim.target_errors,
-                seed=bundle.sim.seed,
-            )
-            baseline[str(ebn0)] = {"errors": errs, "words": words,
-                                   "wer": errs / words if words else None}
-
     manifest = {
         "tool": "gftmux",
         "version": __version__,
@@ -195,14 +184,13 @@ def _sweep_into(args, bundle, csv_fh, manifest_fh) -> bool | None:
         "rng_contract": 1,
         "decoder_kernel": decoder.kernel_name(),
         "environment": environment(),
+        "local_bdd": local_bdd(bundle.spec, bundle.sim.ebn0_db),
         "cells": [{"ebn0_db": c.ebn0_db, "iters": c.iterations_limit,
                    "iter_hist": {str(k): v for k, v in sorted(c.iter_hist.items())},
                    "wall_time": c.wall_time,
                    "frames_per_s": c.frames / c.wall_time if c.wall_time else None}
                   for c in result.cells],
     }
-    if baseline is not None:
-        manifest["baseline_mld_wer"] = baseline
     write_csv(result, csv_fh, truncated=truncated)
     json.dump(manifest, manifest_fh, indent=2)
     return truncated

@@ -142,7 +142,6 @@ SCHEMA = {
     ("sim", "max_frames"): (10_000, "a positive integer", _int_from(1)),
     ("sim", "target_errors"): (100, "a positive integer", _int_from(1)),
     ("sim", "verify"): (True, "true or false", lambda v: isinstance(v, bool)),
-    ("sim", "baseline"): (False, "true or false", lambda v: isinstance(v, bool)),
     ("output", "dir"): ("results", "a string", lambda v: isinstance(v, str)),
     ("expected", "shape"): (ABSENT, "a list of two non-negative integers",
                             lambda v: isinstance(v, list) and len(v) == 2
@@ -268,9 +267,6 @@ def build_system(cfg: dict) -> SystemBundle:
                               f"got {code['designed_distance']}")
         spec = cyclic.bch_spec(subgroup, code["designed_distance"], mode=mode)
 
-    if got["sim"]["baseline"] and (mode != "binary" or n > 15):
-        raise ConfigError(f"sim.baseline needs a binary code with n <= 15 (the MLD "
-                          f"oracle's limit), got a {mode} code with n={n}")
     sim_cfg = SimConfig(
         ebn0_db=[float(e) for e in got["channel"]["ebn0_db"]], seed=got["channel"]["seed"],
         iterations=list(dec["iterations"]), scale=float(dec["scale"]),

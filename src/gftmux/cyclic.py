@@ -10,11 +10,12 @@ matrix of the (n, n-1) single parity-check code.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .galois import GaloisField, SubgroupGen, decompose_arr
+from .galois import GaloisField, SubgroupGen
 
 
 class ConjugacyViolation(ValueError):
@@ -23,10 +24,6 @@ class ConjugacyViolation(ValueError):
 
 class DuplicateRoots(ValueError):
     """Root exponents must be distinct mod n."""
-
-
-class TooLarge(ValueError):
-    """Exhaustive enumeration guard tripped."""
 
 
 @dataclass(eq=False)
@@ -158,7 +155,7 @@ def encode_spc(msg, axis: int = 0) -> np.ndarray:
 
 
 def parity_rows(spec: BaseCodeSpec) -> np.ndarray:
-    """(n-m) x m parity block of generator_matrix: row t is X^(m+t) mod g(X),
+    """(n-m) x m parity block P of the generator [P | I]: row t is X^(m+t) mod g(X),
     the parity of unit message t.  Each row is the one before after one step
     of the encoder's shift register, X*r mod g: shift up and add top*g_low
     (X^m = g_low in characteristic 2), m field products per row."""
@@ -171,45 +168,39 @@ def parity_rows(spec: BaseCodeSpec) -> np.ndarray:
     return rows
 
 
-def generator_matrix(spec: BaseCodeSpec) -> np.ndarray:
-    """(n-m) x n systematic generator matrix [parity_rows | I]; rows are
-    unit-message codewords.
-
-    Binary mode yields a 0/1 matrix (encode = msg @ G mod 2); nonbinary
-    mode yields field symbols (encode = GF matrix product).
-    """
-    return np.concatenate([parity_rows(spec), np.eye(spec.n - spec.m, dtype=np.int64)],
-                          axis=1)
+# -- the local baseline: hard-decision bounded-distance decoding --------
 
 
-# -- exhaustive nearest-codeword oracle ---------------------------------
-
-_CODEBOOKS: dict = {}
-
-
-def _codebook(spec: BaseCodeSpec) -> np.ndarray:
-    key = (spec.field.s, spec.field.primitive_poly, spec.n, spec.roots, spec.mode)
-    cb = _CODEBOOKS.get(key)
-    if cb is None:
-        kdim = spec.n - spec.m
-        gmat = generator_matrix(spec)
-        msgs = decompose_arr(np.arange(1 << kdim), kdim).T  # (2^k, kdim), LSB first
-        cb = (msgs.astype(np.int64) @ gmat) % 2
-        _CODEBOOKS[key] = cb
-    return cb
+def bch_bound(spec: BaseCodeSpec) -> int:
+    """The BCH bound delta <= d: one more than the longest cyclic run of
+    consecutive root exponents mod n (beta^n = 1, so a run may wrap)."""
+    n, roots = spec.n, set(spec.roots)
+    return 1 + max(next(k for k in range(1, n) if (r + k) % n not in roots)
+                   for r in roots if (r - 1) % n not in roots)
 
 
-def mld_oracle(received_hard, spec: BaseCodeSpec) -> np.ndarray:
-    """Exhaustive minimum-Hamming-distance decoding of a (..., n) stack of
-    hard words over tiny binary codes.
+def binomial_tail(n: int, t: int, p: float) -> float:
+    """P(more than t of n independent events of probability p): below 1/2 the
+    upper tail summed term by term, so that a small rate keeps its digits,
+    else 1 minus the lower sum, which cannot round past 1."""
+    terms = [math.comb(n, k) * p ** k * (1 - p) ** (n - k) for k in range(n + 1)]
+    upper = math.fsum(terms[t + 1:])
+    return upper if upper < 0.5 else 1 - math.fsum(terms[:t + 1])
 
-    Ties break toward the lowest message index, making results
-    deterministic.  Guarded to n <= 15 / binary mode.
-    """
-    if spec.mode != "binary":
-        raise TooLarge("mld_oracle supports binary mode only")
-    if spec.n > 15:
-        raise TooLarge(f"mld_oracle guard: n={spec.n} > 15")
-    received_hard = np.asarray(received_hard, dtype=np.int64)
-    cb = _codebook(spec)
-    return cb[(received_hard[..., None, :] != cb).sum(axis=-1).argmin(axis=-1)]
+
+def local_bdd(spec: BaseCodeSpec, ebn0_db) -> dict:
+    """The base code alone, BPSK over AWGN at its rate R = (n-m)/n, decoded
+    by hard decisions up to t = (delta-1)//2 errors: delta, t, R and per
+    Eb/N0 the exact word error rate and that of a composite word.  A bit
+    errs with p = Q(sqrt(2 R Eb/N0)); a nonbinary position is an s-bit
+    symbol and a composite one codeword, a binary composite s codewords."""
+    n, s, nonbinary = spec.n, spec.s, spec.mode == "nonbinary"
+    delta = bch_bound(spec)
+    t, rate = (delta - 1) // 2, (n - spec.m) / n
+    points = []
+    for e in ebn0_db:
+        p = 0.5 * math.erfc(math.sqrt(rate * 10 ** (e / 10)))   # Q(sqrt(2x)) = erfc(sqrt(x))/2
+        wer = binomial_tail(n, t, binomial_tail(s, 0, p) if nonbinary else p)
+        points.append({"ebn0_db": e, "wer": wer,
+                       "composite_wer": wer if nonbinary else binomial_tail(s, 0, wer)})
+    return {"delta": delta, "t": t, "rate": rate, "points": points}

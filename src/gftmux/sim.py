@@ -26,11 +26,10 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .channel import ChannelParams
-from .cyclic import generator_matrix, mld_oracle
 from .decoder import OPS_PER_EDGE, MsaParams, decode_batch
 from .galois import buffer, c_library
 from .geometry import GlobalParityCheck
-from .txrx import GlobalWord, Transceiver, bpsk_map
+from .txrx import GlobalWord, Transceiver
 
 #: 97.5% standard normal quantile for the 95% Wilson interval.
 _Z95 = 1.959963984540054
@@ -68,7 +67,6 @@ class SimConfig:
     seed: int = 1
     clip: float | None = None
     verify: bool = True
-    baseline: bool = False
 
     def __post_init__(self):
         if not self.ebn0_db or not self.iterations:
@@ -362,41 +360,6 @@ def monte_carlo(tx: Transceiver, h: GlobalParityCheck, cfg: SimConfig, rate: flo
         if pool:
             pool.shutdown(wait=True, cancel_futures=True)
     return SimResult(cells=cells, n=tx.n, info_bits_per_frame=tx.info_bits)
-
-
-# -- independent single-code baseline ---------------------------------------
-
-
-def baseline_mld_wer(
-    tx: Transceiver,
-    ebn0_db: float,
-    max_words: int,
-    target_errors: int,
-    seed: int,
-) -> tuple:
-    """(errors, words) for the uncoupled base code under hard-decision MLD.
-
-    Each base codeword is transmitted alone at the code's own rate and
-    decoded by mld_oracle; n <= 15 binary codes only (the oracle's guard).
-    """
-    spec = tx.spec
-    n, m = spec.n, spec.m
-    rate = (n - m) / n
-    sigma = ChannelParams(ebn0_db=ebn0_db, rate=rate).sigma
-    rng = np.random.default_rng([seed, 0xBA5E, int(round(ebn0_db * 1000)) & 0xFFFF])
-    gmat = generator_matrix(spec)
-    errors = 0
-    words = 0
-    batch = 1024
-    while words < max_words and errors < target_errors:
-        count = min(batch, max_words - words)
-        msgs = rng.integers(0, 2, size=(count, n - m), dtype=np.int64)
-        cws = (msgs @ gmat) % 2
-        y = bpsk_map(cws) + sigma * rng.standard_normal(cws.shape)
-        decoded = mld_oracle(y < 0, spec)
-        errors += int((decoded != cws).any(axis=1).sum())
-        words += count
-    return errors, words
 
 
 # -- CSV output --------------------------------------------------------------

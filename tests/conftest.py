@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from gftmux import config, cyclic, decoder, galois, geometry, sim
+from gftmux.channel import ChannelParams
+from gftmux.txrx import bpsk_map
 
 
 @pytest.fixture
@@ -117,6 +119,78 @@ def encode(msg, spec) -> np.ndarray:
     shifted = np.concatenate([np.zeros(m, dtype=np.int64), msg])
     shifted[:m] = poly_mod(shifted, cyclic.generator_poly(spec), spec.field)
     return shifted
+
+
+def generator_matrix(spec) -> np.ndarray:
+    """(n-m) x n systematic generator matrix [parity_rows | I]; rows are
+    unit-message codewords.
+
+    Binary mode yields a 0/1 matrix (encode = msg @ G mod 2); nonbinary
+    mode yields field symbols (encode = GF matrix product).
+    """
+    return np.concatenate([cyclic.parity_rows(spec),
+                           np.eye(spec.n - spec.m, dtype=np.int64)], axis=1)
+
+
+class TooLarge(ValueError):
+    """Exhaustive enumeration guard tripped."""
+
+
+_CODEBOOKS: dict = {}
+
+
+def _codebook(spec) -> np.ndarray:
+    key = (spec.field.s, spec.field.primitive_poly, spec.n, spec.roots, spec.mode)
+    cb = _CODEBOOKS.get(key)
+    if cb is None:
+        kdim = spec.n - spec.m
+        msgs = galois.decompose_arr(np.arange(1 << kdim), kdim).T  # (2^k, kdim), LSB first
+        cb = (msgs.astype(np.int64) @ generator_matrix(spec)) % 2
+        _CODEBOOKS[key] = cb
+    return cb
+
+
+def mld_oracle(received_hard, spec) -> np.ndarray:
+    """Exhaustive minimum-Hamming-distance decoding of a (..., n) stack of
+    hard words over tiny binary codes.
+
+    Ties break toward the lowest message index, making results
+    deterministic.  Guarded to n <= 15 / binary mode.
+    """
+    if spec.mode != "binary":
+        raise TooLarge("mld_oracle supports binary mode only")
+    if spec.n > 15:
+        raise TooLarge(f"mld_oracle guard: n={spec.n} > 15")
+    received_hard = np.asarray(received_hard, dtype=np.int64)
+    cb = _codebook(spec)
+    return cb[(received_hard[..., None, :] != cb).sum(axis=-1).argmin(axis=-1)]
+
+
+def baseline_mld_wer(tx, ebn0_db: float, max_words: int, target_errors: int,
+                     seed: int) -> tuple:
+    """(errors, words) for the uncoupled base code under hard-decision MLD,
+    the Monte Carlo oracle of cyclic.local_bdd on a perfect code.
+
+    Each base codeword is transmitted alone at the code's own rate and
+    decoded by mld_oracle; n <= 15 binary codes only (the oracle's guard).
+    """
+    spec = tx.spec
+    n, m = spec.n, spec.m
+    sigma = ChannelParams(ebn0_db=ebn0_db, rate=(n - m) / n).sigma
+    rng = np.random.default_rng([seed, 0xBA5E, int(round(ebn0_db * 1000)) & 0xFFFF])
+    gmat = generator_matrix(spec)
+    errors = 0
+    words = 0
+    batch = 1024
+    while words < max_words and errors < target_errors:
+        count = min(batch, max_words - words)
+        msgs = rng.integers(0, 2, size=(count, n - m), dtype=np.int64)
+        cws = (msgs @ gmat) % 2
+        y = bpsk_map(cws) + sigma * rng.standard_normal(cws.shape)
+        decoded = mld_oracle(y < 0, spec)
+        errors += int((decoded != cws).any(axis=1).sum())
+        words += count
+    return errors, words
 
 
 def sim_cell(result, ebn0_db: float, iterations: int):

@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import sim_cell
+from conftest import baseline_mld_wer, sim_cell
 from gftmux import config
 from gftmux.channel import LlrFrame, llr
 from gftmux.decoder import (
@@ -30,7 +30,6 @@ from gftmux.decoder import (
 from gftmux.geometry import DENSE_LIMIT, girth_lower_bound, rc_check, verify_similarity
 from gftmux.sim import (
     SimConfig,
-    baseline_mld_wer,
     confidence_interval,
     monte_carlo,
 )

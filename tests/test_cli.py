@@ -186,8 +186,7 @@ def test_cmd_simulate_desk(tmp_path, capsys):
             "--set", "channel.ebn0_db=[2.0,4.0]",
             "--set", "decoder.iterations=[5]",
             "--set", "sim.max_frames=60",
-            "--set", "sim.target_errors=1000000",
-            "--set", "sim.baseline=false"]
+            "--set", "sim.target_errors=1000000"]
     assert main(args) == 0
     csv_text = (tmp_path / "desk_gf8.csv").read_text()
     lines = csv_text.splitlines()
@@ -207,7 +206,7 @@ def test_cmd_simulate_manifest_names_numpy_kernel(numpy_kernel, tmp_path):
     """Without the compiled kernel the manifest says that numpy decoded."""
     assert main(["simulate", "--preset", "desk_gf8", "--outdir", str(tmp_path), "--quiet",
                  "--set", "channel.ebn0_db=[4.0]", "--set", "decoder.iterations=[5]",
-                 "--set", "sim.max_frames=10", "--set", "sim.baseline=false"]) == 0
+                 "--set", "sim.max_frames=10"]) == 0
     manifest = json.loads((tmp_path / "desk_gf8.manifest.json").read_text())
     assert manifest["decoder_kernel"] == "numpy"
 
@@ -232,7 +231,7 @@ def test_cmd_simulate_manifest_records_environment(tmp_path, monkeypatch):
     def environment():
         assert main(["simulate", "--preset", "desk_gf8", "--outdir", str(tmp_path), "--quiet",
                      "--set", "channel.ebn0_db=[4.0]", "--set", "decoder.iterations=[5]",
-                     "--set", "sim.max_frames=10", "--set", "sim.baseline=false"]) == 0
+                     "--set", "sim.max_frames=10"]) == 0
         env = json.loads((tmp_path / "desk_gf8.manifest.json").read_text())["environment"]
         assert set(env) == set(ENVIRONMENT_KEYS)
         for key, kind in ENVIRONMENT_KEYS.items():
@@ -258,8 +257,7 @@ def test_cmd_simulate_zero_noise_row(tmp_path):
             "--quiet",
             "--set", "channel.ebn0_db=[40.0]",
             "--set", "decoder.iterations=[5]",
-            "--set", "sim.max_frames=25",
-            "--set", "sim.baseline=false"]
+            "--set", "sim.max_frames=25"]
     assert main(args) == 0
     lines = (tmp_path / "desk_gf8.csv").read_text().splitlines()
     fields = lines[1].split(",")
@@ -268,17 +266,37 @@ def test_cmd_simulate_zero_noise_row(tmp_path):
 
 
 def test_cmd_simulate_with_baseline(tmp_path):
-    args = ["simulate", "--preset", "desk_gf8", "--outdir", str(tmp_path),
-            "--quiet",
-            "--set", "channel.ebn0_db=[2.0]",
-            "--set", "decoder.iterations=[5]",
-            "--set", "sim.max_frames=40",
-            "--set", "sim.target_errors=1000000"]
-    assert main(args) == 0
-    manifest = json.loads((tmp_path / "desk_gf8.manifest.json").read_text())
-    assert "baseline_mld_wer" in manifest
-    entry = manifest["baseline_mld_wer"]["2.0"]
-    assert entry["words"] > 0 and 0 <= entry["wer"] <= 1
+    """Every manifest carries the local baseline: on desk the analytic
+    hard-decision rates of the (7,4) code, s = 3 codewords to a composite;
+    on ex5 (nonbinary) one RS codeword to a composite."""
+    for preset, grid, want in (("desk_gf8", [2.0, 4.0, 6.0], {"delta": 3, "t": 1, "rate": 4 / 7}),
+                               ("ex5_rs89_85", [5.0, 6.0], {"delta": 5, "t": 2, "rate": 85 / 89})):
+        assert main(["simulate", "--preset", preset, "--outdir", str(tmp_path), "--quiet",
+                     "--set", f"channel.ebn0_db={json.dumps(grid)}",
+                     "--set", "decoder.iterations=[5]", "--set", "sim.max_frames=2"]) == 0
+        local = json.loads((tmp_path / f"{preset}.manifest.json").read_text())["local_bdd"]
+        points = local.pop("points")
+        assert local == pytest.approx(want, rel=1e-15)
+        assert [q["ebn0_db"] for q in points] == grid
+        wer = [q["wer"] for q in points]
+        assert 1 > wer[0] > wer[-1] > 0
+        if preset == "desk_gf8":
+            assert wer == pytest.approx([1.2354e-1, 3.6715e-2, 5.3859e-3], rel=1e-4)
+            assert [q["composite_wer"] for q in points] == pytest.approx(
+                [1 - (1 - w) ** 3 for w in wer], rel=1e-12)
+        else:
+            assert [q["composite_wer"] for q in points] == wer
+
+
+@pytest.mark.parametrize("preset, delta, t", [("desk_gf8", 3, 1), ("ex1_bch127_113", 5, 2),
+                                              ("ex2_bch127_120", 3, 1), ("ex3_rs127_121", 7, 3),
+                                              ("ex5_rs89_85", 5, 2)])
+def test_cmd_construct_local_code(capsys, preset, delta, t):
+    """construct prints the BCH bound of the base code and the radius
+    t = (delta-1)//2 it corrects."""
+    assert main(["construct", "--preset", preset]) == 0
+    out = capsys.readouterr().out
+    assert f"local code:  BCH bound delta = {delta}, corrects t = {t}\n" in out
 
 
 def test_config_error_exit_code(tmp_path, capsys):
@@ -309,7 +327,7 @@ def test_cli_rejects_out_of_range_numbers(tmp_path, capsys, command, flag, value
     args = [command, "--preset", "desk_gf8", flag, value]
     if command == "simulate":   # kept small in case the value is let through
         args += ["--outdir", str(tmp_path), "--quiet", "--set", "channel.ebn0_db=[2.0]",
-                 "--set", "sim.max_frames=20", "--set", "sim.baseline=false"]
+                 "--set", "sim.max_frames=20"]
     with pytest.raises(SystemExit) as exc:
         main(args)
     assert exc.value.code == 2
@@ -351,8 +369,6 @@ def test_conjugacy_violation_reported(tmp_path, capsys):
     ("channel.ebn0_db=[NaN]", "channel.ebn0_db"),
     ('sim.verify="no"', "sim.verify"),
     ("sim.verify=1", "sim.verify"),
-    ('sim.baseline="no"', "sim.baseline"),
-    ("sim.baseline=0", "sim.baseline"),
     ("channel.ebn0_db=[2.0,4.0,2]", "channel.ebn0_db"),
     ("decoder.iterations=[10,50,10]", "decoder.iterations"),
     ("code.roots=[true,2,4]", "code.roots"),
@@ -404,26 +420,6 @@ def test_config_name_is_a_file_stem(tmp_path, capsys, name):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("preset, override", [("ex5_rs89_85", "sim.baseline=true"),
-                                              ("desk_gf8", 'code.mode="nonbinary"')])
-def test_baseline_needs_small_binary_code(tmp_path, capsys, monkeypatch, preset, override):
-    """The MLD baseline decodes binary codes of n <= 15 only: any other code
-    with sim.baseline true (desk's preset sets it) is refused before the
-    sweep, and no output is left."""
-    import gftmux.cli as cli
-
-    def no_sweep(*args, **kwargs):
-        raise AssertionError("the sweep ran")
-
-    monkeypatch.setattr(cli, "monte_carlo", no_sweep)
-    args = ["simulate", "--preset", preset, "--outdir", str(tmp_path / "out"), "--quiet",
-            "--set", override]
-    assert main(args) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error: sim.baseline") and "Traceback" not in err
-    assert list(tmp_path.iterdir()) == []
-
-
 def test_cmd_simulate_unwritable_output(tmp_path, capsys, monkeypatch):
     import gftmux.cli as cli
 
@@ -471,12 +467,21 @@ def test_readme_documents_every_field():
     assert [p for p in FIELD_PATHS if f"`{p}`" not in section] == []
 
 
+def test_readme_example_config_builds():
+    """The example config at the head of README's config section is valid."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    section = readme.split("\n## Config schema\n")[1].split("\n## ")[0]
+    bundle = build_system(json.loads(section.split("```json\n")[1].split("```")[0]))
+    assert bundle.name == "my_run" and bundle.dimension == 14364
+
+
 @pytest.mark.parametrize("path, in_file", [("nme", True), ("decoder.iteration", True),
-                                           ("sim.max_frame", False)])
+                                           ("sim.max_frame", False), ("sim.baseline", True),
+                                           ("sim.baseline", False)])
 def test_unknown_field_rejected(tmp_path, capsys, path, in_file):
-    """A misspelt field is a config error (exit 2) that names its path, and
-    nothing is written, whether it sits at the top level or inside a section
-    of a config file, or comes in through --set."""
+    """A misspelt or retired field (sim.baseline) is a config error (exit 2)
+    that names its path, and nothing is written, whether it sits at the top
+    level or inside a section of a config file, or comes in through --set."""
     args = ["simulate", "--outdir", str(tmp_path / "out"), "--quiet"]
     if in_file:
         source = tmp_path / "cfg.json"
@@ -552,7 +557,7 @@ def test_cmd_simulate_interrupt_flushes_completed_cells(tmp_path, capsys,
     assert lines[2] == "# truncated"
     manifest = json.loads((tmp_path / "desk_gf8.manifest.json").read_text())
     assert manifest["truncated"] is True
-    assert "baseline_mld_wer" not in manifest
+    assert [q["ebn0_db"] for q in manifest["local_bdd"]["points"]] == [6.0, 0.0]
     err = capsys.readouterr().err
     assert "ebn0=0 iters=5 frames=10" in err
 
@@ -578,7 +583,7 @@ def sigint_through_pool(tmp_path, **env) -> str:
     env = dict(os.environ, PYTHONPATH=str(src), **env)
     proc = subprocess.Popen(
         [sys.executable, "-m", "gftmux.cli", "simulate", "--preset", "desk_gf8",
-         "--workers", "2", "--outdir", str(tmp_path), "--set", "sim.baseline=false"],
+         "--workers", "2", "--outdir", str(tmp_path)],
         stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, bufsize=0, env=env,
         start_new_session=True)
     head = []   # stderr up to the first progress line; warnings may come first

@@ -1,24 +1,37 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from conftest import code_syndrome, encode, gf2_poly_divisible, poly_eval
+from conftest import (
+    TooLarge,
+    baseline_mld_wer,
+    code_syndrome,
+    encode,
+    generator_matrix,
+    gf2_poly_divisible,
+    mld_oracle,
+    poly_eval,
+)
 from gftmux import config, cyclic, galois
 from gftmux.cyclic import (
     BaseCodeSpec,
     ConjugacyViolation,
     DuplicateRoots,
-    TooLarge,
     base_matrix,
+    bch_bound,
     bch_spec,
+    binomial_tail,
     conjugacy_closure,
     encode_spc,
-    generator_matrix,
     generator_poly,
     hadamard_perm,
-    mld_oracle,
+    local_bdd,
     parity_rows,
 )
 from gftmux.galois import compose_arr
+from gftmux.sim import confidence_interval
 
 
 # -- spec validation ----------------------------------------------------
@@ -361,3 +374,45 @@ def test_mld_oracle_guards(rs5_spec, gf128):
     spec = cyclic.bch_spec(sub, 3)
     with pytest.raises(TooLarge):
         mld_oracle(np.zeros(127, dtype=int), spec)
+
+
+# -- the local baseline ---------------------------------------------------
+
+
+def test_bch_bound_run_wraps_around_zero(sub7):
+    """beta^n = 1, so the run 5, 6, 0, 1 counts as four consecutive roots."""
+    assert bch_bound(BaseCodeSpec(subgroup=sub7, roots=(0, 1, 5, 6), mode="nonbinary")) == 5
+    assert bch_bound(BaseCodeSpec(subgroup=sub7, roots=(3, 5, 6), mode="binary")) == 3
+
+
+def test_local_bdd_inside_mld_oracle_on_desk(desk_bundle):
+    """The (7,4) Hamming code is perfect, so hard-decision MLD is
+    bounded-distance decoding: the analytic rate lies inside the Wilson
+    interval of the Monte Carlo oracle over 200,000 words at each point."""
+    points = local_bdd(desk_bundle.spec, [2.0, 4.0, 6.0])["points"]
+    for q in points:
+        errors, words = baseline_mld_wer(desk_bundle.transceiver, q["ebn0_db"],
+                                         max_words=200_000, target_errors=10 ** 9,
+                                         seed=desk_bundle.sim.seed)
+        low, high = confidence_interval(errors, words)
+        assert words == 200_000 and low < q["wer"] < high, (q, errors)
+
+
+def test_binomial_tail_matches_exact_sum():
+    """The tail agrees with exact rational arithmetic to 1e-12 relative for
+    any p in [0, 1], down to p = 1e-6, where 1 minus the lower sum would
+    keep no digits."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=100, deadline=None, database=None)
+    @hypothesis.given(n=st.integers(1, 24), t=st.integers(0, 23),
+                      a=st.integers(0, 10 ** 9), b=st.integers(1, 10 ** 9))
+    @hypothesis.example(n=24, t=2, a=1, b=10 ** 6)
+    def run(n, t, a, b):
+        t, p = t % n, Fraction(min(a, b), b)
+        exact = sum(math.comb(n, k) * p ** k * (1 - p) ** (n - k) for k in range(t + 1, n + 1))
+        got = binomial_tail(n, t, float(p))
+        assert abs(Fraction(got) - exact) <= Fraction(1, 10 ** 12) * exact
+
+    run()

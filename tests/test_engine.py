@@ -28,7 +28,7 @@ from gftmux.txrx import GlobalWord
 DATA = Path(__file__).parent / "data"
 WORKER = Path(__file__).parent.parent / "perfbench" / "worker.py"
 
-DESK_ARGS = ["--set", "sim.max_frames=1000", "--set", "sim.baseline=false"]
+DESK_ARGS = ["--set", "sim.max_frames=1000"]
 EX5_ARGS = ["--set", "channel.ebn0_db=[4.5,5.0]",
             "--set", "decoder.iterations=[8,20]",
             "--set", "sim.max_frames=6", "--set", "sim.target_errors=3"]

@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import consume
+from conftest import baseline_mld_wer, consume
 from gftmux import config, decoder, galois, geometry, sim
 from gftmux.channel import ChannelParams
 from gftmux.decoder import MsaParams
@@ -23,7 +23,6 @@ from gftmux.sim import (
     CellResult,
     SimConfig,
     TrialRecord,
-    baseline_mld_wer,
     confidence_interval,
     monte_carlo,
     run_trial,
