@@ -34,13 +34,15 @@ from .txrx import GlobalWord, Transceiver
 #: 97.5% standard normal quantile for the 95% Wilson interval.
 _Z95 = 1.959963984540054
 
-#: Most trials per block, the trials one chain call stacks; blocks merge
-#: in index order, so results depend on neither block size nor workers.
-BLOCK_SIZE = 64
+#: Fewest trials per block, unless BLOCK_LLRS allows fewer; blocks merge in
+#: index order, so results depend on neither block size nor workers.
+BLOCK_SIZE = 32
 
-#: A block holds max(1, min(BLOCK_SIZE, BLOCK_LLRS // (s*n^2))) trials: 64
-#: on desk, 1 on the 89- and 127-symbol codes, which keep one trial's footprint.
-BLOCK_LLRS = 2 ** 14
+#: Most LLRs in a block's buffer over all its P points (336 KB), which bounds
+#: each worker's workspace: a block holds at most max(1, BLOCK_LLRS // (P*s*n^2))
+#: trials, 58-292 on desk and 1 on the 89- and 127-symbol codes, which keep
+#: one trial's footprint.
+BLOCK_LLRS = 42 * 2 ** 10
 
 
 def confidence_interval(errors: int, trials: int) -> tuple:
@@ -307,13 +309,15 @@ def monte_carlo(tx: Transceiver, h: GlobalParityCheck, cfg: SimConfig, rate: flo
     or on a pool of `workers` threads, each with its own workspace: each
     trial feeds every cell still active, and a cell stops at the first
     trial index where its budget is met, so it holds trials 0..frames-1
-    whatever the worker count.  progress(cell) is called as each cell
-    stops, with wall_time measured from the sweep's start.
+    whatever the walk.  A block runs one worker's share of the trials up
+    to the earliest stop the merged counts predict, within BLOCK_SIZE and
+    BLOCK_LLRS, and the pool runs no block past that stop while another
+    is pending.  progress(cell) is called as each cell stops, with
+    wall_time measured from the sweep's start.
     """
     sigmas = [ChannelParams(ebn0_db=e, rate=rate).sigma for e in cfg.ebn0_db]
     params = MsaParams(max_iterations=max(cfg.iterations), scale=cfg.scale,
                        clip=cfg.clip)
-    size = max(1, min(BLOCK_SIZE, BLOCK_LLRS // (tx.s * tx.n * tx.n)))
     cells = [CellResult(ebn0_db=e, iterations_limit=lim)
              for e in cfg.ebn0_db for lim in cfg.iterations]
     active = list(range(len(cells)))
@@ -340,16 +344,32 @@ def monte_carlo(tx: Transceiver, h: GlobalParityCheck, cfg: SimConfig, rate: flo
 
     # Blocks merge in index order.  The active set only shrinks, so every
     # cell active at merge time is in its block's snapshot.
-    if workers > 1:   # concurrent.futures imports logging: only a pool pays for it
+    if workers > 1:   # concurrent.futures imports logging, signal its enums: only a pool pays
+        import signal
         from concurrent.futures import ThreadPoolExecutor
     pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
     ahead = 2 * workers if pool else 1
+    # Ctrl-C during a pool only marks the sweep, which stops at its next
+    # merge and raises: raised inside Future.result() it can break its lock.
+    hook = (pool is not None and threading.current_thread() is threading.main_thread()
+            and signal.getsignal(signal.SIGINT) is signal.default_int_handler)
+    interrupted = []
+    if hook:
+        signal.signal(signal.SIGINT, lambda *_: interrupted.append(True))
     try:
         pending, start = deque(), 0
-        while active:
-            while len(pending) < ahead and start < cfg.max_frames:
-                count = min(size, cfg.max_frames - start)
+        while active and not interrupted:
+            # the earliest stop that the merged counts predict, each cell at its rate so far
+            first = min(min(cfg.max_frames, c.frames - (c.global_errors - cfg.target_errors)
+                            * (c.frames + 1) // (c.global_errors + 1))
+                        for c in (cells[i] for i in active))
+            while (len(pending) < ahead and start < cfg.max_frames
+                   and (not pending or start < first)):   # no speculation past it
                 snapshot = tuple(active)
+                points = len({c // len(cfg.iterations) for c in snapshot})
+                most = max(1, BLOCK_LLRS // (points * tx.s * tx.n * tx.n))
+                count = min(max((first - start) // max(workers, 1), BLOCK_SIZE), most,
+                            cfg.max_frames - start)
                 job = (pool.submit(block, start, count, snapshot) if pool
                        else block(start, count, snapshot))
                 pending.append((snapshot, job))
@@ -359,6 +379,10 @@ def monte_carlo(tx: Transceiver, h: GlobalParityCheck, cfg: SimConfig, rate: flo
     finally:
         if pool:
             pool.shutdown(wait=True, cancel_futures=True)
+        if hook:
+            signal.signal(signal.SIGINT, signal.default_int_handler)
+    if interrupted:
+        raise KeyboardInterrupt
     return SimResult(cells=cells, n=tx.n, info_bits_per_frame=tx.info_bits)
 
 

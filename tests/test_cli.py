@@ -6,6 +6,7 @@ import select
 import signal
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -620,6 +621,47 @@ def sigint_through_pool(tmp_path, **env) -> str:
 @pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs POSIX process groups")
 def test_cmd_simulate_sigint_through_pool(tmp_path):
     sigint_through_pool(tmp_path)
+
+
+@pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs POSIX signals")
+def test_sigint_from_a_pool_thread(tmp_path, monkeypatch):
+    """SIGINT sent from a pool thread once desk's 0 and 2 dB cells have
+    stopped: the sweep raises KeyboardInterrupt at its next merge, never
+    inside a future's lock (where it once surfaced as RuntimeError), leaves
+    no pool thread and restores the handler; simulate exits 130 with the
+    rows merged so far, each its golden row, and the truncation marker."""
+    from gftmux import sim
+
+    bundle = build_system(load_preset("desk_gf8"))
+    cfg = bundle.sim
+    cfg.max_frames = 1000
+    run_block = sim.run_block
+
+    def interrupting(tx, h, points, params, seed, start, count, verify=True, ws=None):
+        if start >= 200 and sent.acquire(blocking=False):   # the first such block only
+            os.kill(os.getpid(), signal.SIGINT)
+        return run_block(tx, h, points, params, seed, start, count, verify, ws)
+
+    monkeypatch.setattr(sim, "run_block", interrupting)
+    assert signal.getsignal(signal.SIGINT) is signal.default_int_handler
+    sent = threading.Lock()
+    with pytest.raises(KeyboardInterrupt) as raised:
+        sim.monte_carlo(bundle.transceiver, bundle.parity_check, cfg, rate=bundle.rate,
+                        workers=2)
+    tb = raised.tb
+    while tb.tb_next:
+        tb = tb.tb_next
+    assert tb.tb_frame.f_code.co_name == "monte_carlo"   # its own loop, not a wait
+    assert not [t for t in threading.enumerate() if t.name.startswith("ThreadPoolExecutor")]
+    assert signal.getsignal(signal.SIGINT) is signal.default_int_handler
+    sent = threading.Lock()
+    args = ["simulate", "--preset", "desk_gf8", "--workers", "2", "--quiet",
+            "--outdir", str(tmp_path), "--set", "sim.max_frames=1000"]
+    assert main(args) == 130
+    lines = (tmp_path / "desk_gf8.csv").read_text().splitlines()
+    golden = (Path(__file__).parent / "data" / "golden_desk_gf8.csv").read_text().splitlines()
+    assert lines[-1] == "# truncated" and lines[0] == golden[0]
+    assert len(lines) > 2 and set(lines[1:-1]) <= set(golden[1:])
 
 
 @pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs POSIX process groups")

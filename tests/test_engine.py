@@ -13,6 +13,7 @@ import importlib.util
 import io
 import json
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -76,18 +77,44 @@ def test_golden_csv_numpy_kernel(tmp_path, numpy_kernel, preset, workers, extra)
     test_golden_csv(tmp_path, preset, workers, extra)
 
 
+class _Trials(int):
+    """A BLOCK_LLRS under which a block holds at most int(self) trials,
+    whatever its points and frame size."""
+
+    def __floordiv__(self, llrs_per_trial):
+        return int(self)
+
+
+def record_blocks(monkeypatch) -> list:
+    """(start, count, points, layers buffer size) of each run_block call of
+    the sweeps that follow, the real run_block run."""
+    blocks, run_block = [], sim.run_block
+
+    def recorded(tx, h, points, params, seed, start, count, verify=True, ws=None):
+        tally = run_block(tx, h, points, params, seed, start, count, verify, ws)
+        blocks.append((start, count, points, ws["layers"].size))
+        return tally
+
+    monkeypatch.setattr(sim, "run_block", recorded)
+    return blocks
+
+
 @pytest.mark.parametrize("kernel", ["compiled", "numpy"])
 @pytest.mark.parametrize("size", [1, 7])
 @pytest.mark.parametrize("preset, workers, extra", GOLDEN_CASES)
 def test_golden_csv_any_block_size(tmp_path, monkeypatch, request, kernel, size,
                                    preset, workers, extra):
-    """Blocks of 1 and of 7 trials on every code (7 divides neither the
-    default block nor the frame caps) reproduce the golden bytes."""
+    """Blocks of exactly 1 and of 7 trials on every code, but for one cut
+    short at the frame cap (7 divides neither the blocks the budgets size
+    nor the frame caps), reproduce the golden bytes."""
     if kernel == "numpy":
         request.getfixturevalue("numpy_kernel")
     monkeypatch.setattr(sim, "BLOCK_SIZE", size)
-    monkeypatch.setattr(sim, "BLOCK_LLRS", 2 ** 62)
+    monkeypatch.setattr(sim, "BLOCK_LLRS", _Trials(size))
+    blocks = record_blocks(monkeypatch)
     test_golden_csv(tmp_path, preset, workers, extra)
+    counts = [count for _, count, _, _ in sorted(blocks, key=lambda b: b[0])]
+    assert set(counts[:-1]) <= {size} and counts[-1] <= size
 
 
 def _replay(desk, cfg, ebn0, limit):
@@ -127,25 +154,81 @@ def _counters(cell):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_engine_matches_trial_replay(desk_bundle, workers):
-    """Cells stop at different indices inside the first block (0 and 2 dB,
-    on the error target) and at the frame cap in the third (4 dB); every
-    cell still equals a trial-by-trial replay of trials 0..frames-1.  The
-    second seed takes three 32-bit words, so the replay's default_rng also
-    checks the block seeding on entropy longer than the small seeds'."""
+def test_engine_matches_trial_replay(desk_bundle, monkeypatch, workers):
+    """Cells stop at different indices inside the first block (0 dB) and
+    the first two (2 dB), on the error target, and at the frame cap in the
+    third (4 dB); every cell still equals a trial-by-trial replay of trials
+    0..frames-1.  The second seed takes three 32-bit words, so the replay's
+    default_rng also checks the block seeding on entropy longer than the
+    small seeds'."""
+    blocks = record_blocks(monkeypatch)
     for seed in (41, 2 ** 64 + 41):
         cfg = SimConfig(ebn0_db=[0.0, 2.0, 4.0], iterations=[2, 10, 4], scale=0.625,
                         max_frames=2 * sim.BLOCK_SIZE + 5, target_errors=25, seed=seed)
+        blocks.clear()
         result = monte_carlo(desk_bundle.transceiver, desk_bundle.parity_check, cfg,
                              rate=desk_bundle.rate, workers=workers)
         assert [(c.ebn0_db, c.iterations_limit) for c in result.cells] == [
             (e, lim) for e in cfg.ebn0_db for lim in cfg.iterations]
-        stops = {c.frames for c in result.cells}
-        assert len(stops) >= 4 and min(stops) < sim.BLOCK_SIZE
-        assert max(stops) == cfg.max_frames
+        stops, starts = [c.frames for c in result.cells], sorted(b[0] for b in blocks)
+        assert len(starts) == 3 and len(set(stops)) >= 4 and not set(stops) & set(starts)
+        assert max(stops[:3]) < starts[1] and max(stops[3:6]) < starts[2]
+        assert stops[6:] == [cfg.max_frames] * 3 and cfg.max_frames > starts[2]
         for cell in result.cells:
             ref = _replay(desk_bundle, cfg, cell.ebn0_db, cell.iterations_limit)
             assert _counters(cell) == ref, (seed, cell.ebn0_db, cell.iterations_limit)
+
+
+def test_pool_decodes_no_point_far_past_its_stop(desk_bundle, monkeypatch):
+    """On desk's preset grid with two worker threads, each SNR point is
+    decoded for at most its last cell's frames plus one largest block: no
+    block starts at or past the earliest stop that the merged counts predict
+    while another is pending.  The walk reads merged counts only, never when a
+    block finishes; 20 sweeps check that too."""
+    b = desk_bundle
+    cfg = replace(b.sim, max_frames=1000)
+    blocks = record_blocks(monkeypatch)
+    for _ in range(20):
+        blocks.clear()
+        result = monte_carlo(b.transceiver, b.parity_check, cfg, rate=b.rate, workers=2)
+        largest = max(count for _, count, _, _ in blocks)
+        for ebn0 in cfg.ebn0_db:
+            sigma = ChannelParams(ebn0_db=ebn0, rate=b.rate).sigma
+            decoded = sum(count for _, count, points, _ in blocks
+                          if any(sig == sigma for sig, _ in points))
+            frames = max(c.frames for c in result.cells if c.ebn0_db == ebn0)
+            assert decoded <= frames + largest, (ebn0, decoded, frames, largest)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_block_buffer_holds_at_most_block_llrs(desk_bundle, monkeypatch, workers):
+    """No desk block's LLR buffer, all its points' trials, holds more than
+    BLOCK_LLRS doubles, and the buffer of the block's points and trials is
+    what run_block asked for."""
+    b = desk_bundle
+    blocks = record_blocks(monkeypatch)
+    monte_carlo(b.transceiver, b.parity_check, replace(b.sim, max_frames=1000),
+                rate=b.rate, workers=workers)
+    per_trial = b.transceiver.s * b.transceiver.n ** 2
+    assert max(size for *_, size in blocks) <= sim.BLOCK_LLRS
+    assert max(len(points) * count * per_trial for _, count, points, _ in blocks) == max(
+        size for *_, size in blocks)
+
+
+def test_long_code_runs_one_trial_blocks(monkeypatch):
+    """On ex3's preset grid, where one point's trial is 112,903 LLRs, every
+    block holds one trial: the memory and call pattern of one trial at a time."""
+    b = config.build_system(config.load_preset("ex3_rs127_121"))
+    counts = []
+
+    def zeros(tx, h, points, params, seed, start, count, verify=True, ws=None):
+        counts.append(count)
+        return np.zeros((count, sum(len(l) for _, l in points), 5 + tx.s), dtype=np.int64)
+
+    monkeypatch.setattr(sim, "run_block", zeros)
+    monte_carlo(b.transceiver, b.parity_check, replace(b.sim, max_frames=40),
+                rate=b.rate, workers=2)
+    assert counts == [1] * 40
 
 
 def test_progress_reports_cells_in_stop_order(desk_bundle):

@@ -6,7 +6,7 @@ import os
 import sys
 import threading
 import tracemalloc
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -133,7 +133,8 @@ def test_draw_block_matches_trial_rng(preset):
     """Seeds of one, two and three 32-bit words, and a block whose indices
     cross from one word to two."""
     tx = config.build_system(config.load_preset(preset)).transceiver
-    first = sim.BLOCK_SIZE if preset == "desk_gf8" else 3   # desk's block, or a few frames
+    # the largest block a sweep runs on this code (one point), or a few frames
+    first = max(3, sim.BLOCK_LLRS // (tx.s * tx.n ** 2))
     for seed in (0, 1, 20260810, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 5):
         for start, count in ((0, first), (2 ** 32 - 3, 7)):
             assert_block_matches_trial_rng(tx, seed, start, count)
@@ -670,66 +671,78 @@ def test_monte_carlo_worker_invariance(desk):
         b.iter_sum, b.edge_ops)
 
 
-def _random_tally(seed: int, start: int, count: int, width: int, s: int) -> np.ndarray:
-    """A run_block-shaped tally for width cells, fixed by (seed, start, width)."""
-    rng = np.random.default_rng([seed, start, width])
-    tally = np.zeros((count, width, 5 + s), dtype=np.int64)
-    tally[..., 1] = rng.integers(1, 4, (count, width)) * (rng.random((count, width)) < 0.4)
-    tally[..., 2] = tally[..., 1] * rng.integers(1, 5, (count, width))
-    tally[..., 4] = rng.random((count, width)) < 0.5
-    tally[..., 5:] = rng.integers(1, 12, (count, width, s))
+def _random_rows(seed: int, frames: int, cells: int, s: int) -> np.ndarray:
+    """A run_block-shaped tally of trials 0..frames-1 in each of cells cells,
+    the row of trial i in cell c drawn from (seed, i, c) alone, so that every
+    walk of blocks and snapshots reads the same rows."""
+    tally = np.zeros((frames, cells, 5 + s), dtype=np.int64)
+    for i in range(frames):
+        for c in range(cells):
+            rng = np.random.default_rng([seed, i, c])
+            tally[i, c, 1] = rng.integers(1, 4) * (rng.random() < 0.4)
+            tally[i, c, 2] = tally[i, c, 1] * rng.integers(1, 5)
+            tally[i, c, 4] = rng.random() < 0.5
+            tally[i, c, 5:] = rng.integers(1, 12, s)
     tally[..., 0] = tally[..., 1] > 0
     tally[..., 3] = 3 * tally[..., 5:].sum(axis=2)
     return tally
 
 
-def _check_merge(desk, seed, snrs, limits, size, workers, max_frames, target_errors) -> set:
-    """monte_carlo over random tallies against the per-cell consume of
-    tests/conftest.py walking the same blocks: equal cells and progress in
-    the same order.  Returns which cases the walk met."""
+def _check_merge(desk, seed, snrs, limits, size, llrs, workers, max_frames,
+                 target_errors) -> set:
+    """monte_carlo over random tallies, with BLOCK_SIZE and BLOCK_LLRS set to
+    size and llrs, against the per-cell consume of tests/conftest.py over
+    each cell's trials 0..frames-1 alone: equal cells, and progress in the
+    order of the trials that stop them.  Returns which cases the walk met."""
     s = desk.transceiver.s
     cfg = SimConfig(ebn0_db=[float(e) for e in range(snrs)], iterations=list(range(1, limits + 1)),
                     max_frames=max_frames, target_errors=target_errors, seed=seed)
+    sigmas = [ChannelParams(ebn0_db=e, rate=desk.rate).sigma for e in cfg.ebn0_db]
+    rows, walk = _random_rows(seed, max_frames, snrs * limits, s), []
 
     def fake(tx, h, points, params, master_seed, start, count, verify, ws):
-        return _random_tally(master_seed, start, count, sum(len(l) for _, l in points), s)
+        ids = [sigmas.index(sigma) * limits + lim - 1 for sigma, lims in points for lim in lims]
+        walk.append((start, count, ids))
+        return rows[start:start + count, ids]
 
     seen = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sim, "run_block", fake)
         mp.setattr(sim, "BLOCK_SIZE", size)
+        mp.setattr(sim, "BLOCK_LLRS", llrs)
         result = monte_carlo(desk.transceiver, desk.parity_check, cfg, rate=desk.rate,
                              workers=workers, progress=seen.append)
     cells = [CellResult(ebn0_db=e, iterations_limit=lim)
              for e in cfg.ebn0_db for lim in cfg.iterations]
-    active, pending, start, stopped, cases = list(range(len(cells))), deque(), 0, [], set()
-    while active:
-        while len(pending) < (2 * workers if workers > 1 else 1) and start < max_frames:
-            count = min(size, max_frames - start)
-            pending.append((tuple(active), _random_tally(seed, start, count, len(active), s)))
-            start += count
-        snapshot, tally = pending.popleft()
-        before = [cells[c].frames for c in range(len(cells))]
-        if set(snapshot) - set(active):
-            cases.add("inactive in snapshot")
-        now = consume(cells, active, snapshot, tally, max_frames, target_errors)
-        if any(cells[c].frames - before[c] < len(tally) for c in now):
-            cases.add("stop inside a block")
-        if len(now) > 1 and now != sorted(now):
-            cases.add("two stops out of cell order")
-        stopped += now
+    for c in range(len(cells)):
+        consume(cells, [c], (c,), rows[:, [c]], max_frames, target_errors)
     assert [replace(c, wall_time=0.0) for c in result.cells] == cells
+    frames = [c.frames for c in cells]
+    stopped = sorted(range(len(cells)), key=lambda c: (frames[c], c))
     assert [(c.ebn0_db, c.iterations_limit) for c in seen] == [
         (cells[c].ebn0_db, cells[c].iterations_limit) for c in stopped]
+    cases = set()
+    ends = {start + count for start, count, _ in walk}
+    if set(frames) - ends:
+        cases.add("stop inside a block")
+    last = [next(start for start, count, _ in walk if start < f <= start + count)
+            for f in frames]   # the block of each cell's last trial
+    if any(last[a] == last[b] and frames[a] > frames[b]
+           for a in range(len(cells)) for b in range(a + 1, len(cells))):
+        cases.add("two stops out of cell order")
+    if any(start < max(frames) and min(frames[c] for c in ids) <= start
+           for start, _, ids in walk):   # a block that merges after one of its cells stopped
+        cases.add("inactive in snapshot")
     return cases
 
 
 def test_merge_matches_per_cell_consume(desk):
     """Pinned walks that meet each case: a cell stopping inside a block, two
     cells stopping in one block out of cell order, and (with worker threads)
-    snapshots holding cells that stopped before their block merged."""
-    cases = (_check_merge(desk, 3, 3, 2, 9, 1, 40, 6)
-             | _check_merge(desk, 3, 3, 2, 9, 2, 40, 6))
+    snapshots holding cells that stopped before their block merged.  A block
+    holds at most 8 desk trials of 147 LLRs over all its points, so 2 to 8."""
+    cases = (_check_merge(desk, 3, 3, 2, 4, 8 * 147, 1, 40, 6)
+             | _check_merge(desk, 3, 3, 2, 4, 8 * 147, 2, 40, 6))
     assert cases == {"inactive in snapshot", "stop inside a block",
                      "two stops out of cell order"}
 
@@ -741,8 +754,8 @@ def test_merge_matches_per_cell_consume_hypothesis(desk):
     @hypothesis.settings(max_examples=60, deadline=None, database=None)
     @hypothesis.given(seed=st.integers(0, 2 ** 32 - 1), snrs=st.integers(1, 3),
                       limits=st.integers(1, 3), size=st.integers(1, 9),
-                      workers=st.sampled_from([1, 2]), max_frames=st.integers(1, 40),
-                      target_errors=st.integers(1, 12))
+                      llrs=st.integers(0, 20 * 147), workers=st.sampled_from([1, 2]),
+                      max_frames=st.integers(1, 40), target_errors=st.integers(1, 12))
     def check(**kwargs):
         _check_merge(desk, **kwargs)
 
